@@ -1,13 +1,13 @@
 //! Scaling study of the classification engine: classify wall-time at 1→N
-//! worker threads and per-cache-mode hit rates on the browser workload,
-//! with a built-in check that every configuration produces the same
-//! classification (the engine's determinism contract).
+//! worker threads on the browser workload, with a built-in check that
+//! every job count produces the same classification (the engine's
+//! determinism contract).
 
 use bench::timing::measure;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
-use replay_race::classify::{classify_races, CacheMode, ClassifierConfig};
+use replay_race::classify::{classify_races_with, ClassifierConfig};
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::scheduler::RunConfig;
 use workloads::browser::{browser_program, BrowserConfig};
@@ -25,41 +25,30 @@ fn main() {
         detected.unique_races()
     );
 
-    let classify = |jobs: usize, cache: CacheMode| {
-        let config = ClassifierConfig { jobs, cache, ..ClassifierConfig::default() };
-        classify_races(&trace, &detected, &config)
+    let classify = |jobs: usize| {
+        let config = ClassifierConfig { jobs, ..ClassifierConfig::default() };
+        classify_races_with(&trace, &detected, &config, None)
     };
 
-    let baseline_result = classify(1, CacheMode::Off);
-    let baseline = measure(2, 12, || classify(1, CacheMode::Off));
+    let baseline_result = classify(1);
+    let baseline = measure(2, 12, || classify(1));
 
     let mut job_counts = vec![1usize, 2, 4];
     if !job_counts.contains(&available) {
         job_counts.push(available);
     }
-    for cache in [CacheMode::Off, CacheMode::Exact, CacheMode::Coarse] {
-        for &jobs in &job_counts {
-            let result = classify(jobs, cache);
-            let m = measure(2, 12, || classify(jobs, cache));
-            let speedup = baseline.seconds() / m.seconds();
-            let stats = result.cache_stats;
-            println!(
-                "classify/{cache:?}/jobs={jobs:<2} median {:>10?}  speedup {speedup:>5.2}x  \
-                 replays {:>6}  cache {:>5} hits / {:>6} misses ({:>5.1}% hit rate)",
-                m.median,
-                result.vproc_replays,
-                stats.hits,
-                stats.misses,
-                stats.hit_rate() * 100.0,
-            );
-            // Determinism contract: job count never changes the result, and
-            // the exact cache is transparent.
-            if cache != CacheMode::Coarse {
-                assert_eq!(
-                    result.races, baseline_result.races,
-                    "classification must be identical at jobs={jobs}, cache={cache:?}"
-                );
-            }
-        }
+    for &jobs in &job_counts {
+        let result = classify(jobs);
+        let m = measure(2, 12, || classify(jobs));
+        let speedup = baseline.seconds() / m.seconds();
+        println!(
+            "classify/jobs={jobs:<2} median {:>10?}  speedup {speedup:>5.2}x  replays {:>6}",
+            m.median, result.vproc_replays,
+        );
+        // Determinism contract: job count never changes the result.
+        assert_eq!(
+            result.races, baseline_result.races,
+            "classification must be identical at jobs={jobs}"
+        );
     }
 }

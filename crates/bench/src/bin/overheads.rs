@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use bench::{row, PAPER_OVERHEADS};
 use minijson::Json;
 use replay_race::classify::{
-    classify_races, predictions_by_id, BatchMode, ClassifierConfig, TrustStatic,
+    classify_races_with, predictions_by_id, BatchMode, ClassifierConfig, TrustStatic,
 };
 use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
 use tvm::machine::Machine;
@@ -223,7 +223,7 @@ fn main() {
         let mut classification = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let c = classify_races(&result.trace, &result.detected, &config);
+            let c = classify_races_with(&result.trace, &result.detected, &config, None);
             best = best.min(start.elapsed());
             classification = Some(c);
         }
@@ -272,9 +272,9 @@ fn main() {
     );
 
     // D14 companion: classification-service latency, cold vs warm. A first
-    // server generation primes the on-disk replay cache; a second
-    // generation over the same directory must answer from persisted
-    // replays alone (zero vproc executions) with a byte-identical report.
+    // server generation writes the workload's report record; a second
+    // generation over the same directory must answer from that record
+    // alone (zero vproc executions) with a byte-identical report.
     eprintln!("service mode: cold vs warm submit over the browser workload ...");
     let source = tvm::asm::disassemble_annotated(&program);
     let recording = idna_replay::recorder::record(&program, &run);
@@ -334,7 +334,7 @@ fn main() {
         .unwrap_or(0);
     println!(
         "service: cold submit {:?} -> warm {:?}; warm vproc replays {}, \
-         {} store hits ({} persisted); reports identical to one-shot: {}",
+         last submit hit {} record(s) ({} record hits in all); reports identical to one-shot: {}",
         cold_time,
         warm_time,
         warm_replays,

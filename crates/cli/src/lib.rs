@@ -8,10 +8,9 @@
 //! racerep record    prog.tasm -o run.idna [--schedule S]
 //! racerep replay    prog.tasm run.idna
 //! racerep races     prog.tasm run.idna [--format text|json] [--permissive]
-//!                   [--triage-db db.json] [--jobs N] [--cache off|exact|coarse]
-//!                   [--batch off|shared] [--replay-stats]
-//!                   [--trust-static MODE] [--tolerant]
-//! racerep classify  prog.tasm [--schedule S] [--format text|json] [--jobs N] [--cache MODE]
+//!                   [--triage-db db.json] [--jobs N] [--batch off|shared]
+//!                   [--replay-stats] [--trust-static MODE] [--tolerant]
+//! racerep classify  prog.tasm [--schedule S] [--format text|json] [--jobs N]
 //!                   [--batch off|shared] [--trust-static MODE]
 //! racerep lint      prog.tasm [--format text|json] [--fail-on none|harmful|warnings]
 //! racerep triage    db.json <benign|harmful> <pc_lo> <pc_hi> [note...]
@@ -19,6 +18,7 @@
 //! racerep doctor    run.idna
 //! racerep disasm    prog.tasm
 //! racerep serve     [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
+//!                   [--permissive]
 //! racerep submit    prog.tasm run.idna [--addr HOST:PORT] [--format text|json]
 //!                   [--fail-on none|harmful|warnings]
 //! racerep svc-stats    [--addr HOST:PORT] [--format text|json]
@@ -40,14 +40,13 @@
 //! `unreachable`) — a race with no witness cannot corrupt anything.
 //!
 //! `--jobs N` sets the classifier's worker-thread count (0 or omitted =
-//! available parallelism, 1 = single-threaded); `--cache` picks the replay
-//! memoization mode; `--batch` toggles shared-prefix batched replay
-//! (`shared`, the default, executes each racing region pair's common
-//! oracle prefix once and forks per pair). None of the three changes the
-//! classification, only its cost. `--replay-stats` on `races` appends the
-//! replay-engine counters — cache hit/miss and the batch/fork/prefix
-//! figures — to the text report, or as a `replay_stats` object in
-//! `--format json`.
+//! available parallelism, 1 = single-threaded); `--batch` toggles
+//! shared-prefix batched replay (`shared`, the default, executes each
+//! racing region pair's common oracle prefix once and forks per pair).
+//! Neither changes the classification, only its cost. `--replay-stats` on
+//! `races` appends the replay-engine counters — vproc replays and the
+//! batch/fork/prefix figures — to the text report, or as a `replay_stats`
+//! object in `--format json`.
 //!
 //! `--trust-static MODE` (ablation) lets `races` and `classify` skip
 //! dual-order replays on static authority, recording the skipped races as
@@ -66,12 +65,14 @@
 //!
 //! `serve` runs the racerepd classification service (DESIGN.md D14): a
 //! long-lived server with a bounded job queue, a worker pool, and a
-//! persistent content-addressed replay cache under `--cache-dir`.
+//! persistent report cache under `--cache-dir` (one record per
+//! program, log and replay options). It takes `--permissive` but refuses
+//! `--trust-static`: the service classifies without static predictions.
 //! `submit` classifies a recorded workload through it — the JSON output
-//! is byte-identical to one-shot `races --format json`, and `--fail-on
-//! harmful` gates the exit code on the remote verdicts like `lint` does.
-//! `svc-stats` and `svc-shutdown` fetch the counters and drain the
-//! server.
+//! is byte-identical to one-shot `races --format json`, the text trailer
+//! says whether the cache answered, and `--fail-on harmful` gates the
+//! exit code on the remote verdicts like `lint` does. `svc-stats` and
+//! `svc-shutdown` fetch the counters and drain the server.
 //!
 //! The library half exists so the command implementations are unit-testable
 //! without spawning processes.
@@ -92,8 +93,7 @@ use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{
-    predictions_by_id, BatchMode, CacheMode, ClassificationResult, ClassifierConfig, TrustStatic,
-    Verdict,
+    predictions_by_id, BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
 };
 use replay_race::pipeline::{damage_profile, run_pipeline, PipelineConfig};
 use replay_race::triage::{ManualVerdict, TriageDb};
@@ -348,20 +348,15 @@ pub fn cmd_replay(path: &Path, log_path: &Path) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Renders the replay-engine counters — vproc replays, cache, batching —
-/// as report-trailer text (for `races --replay-stats` and the `classify`
+/// Renders the replay-engine counters — vproc replays, batching — as
+/// report-trailer text (for `races --replay-stats` and the `classify`
 /// stats block).
 fn replay_stats_text(classification: &ClassificationResult) -> String {
-    let cache = classification.cache_stats_now();
     let batching = classification.batch_stats;
     format!(
-        "{} vproc replays, cache: {} hits / {} misses ({:.0}% hit rate), {} replays saved\n\
+        "{} vproc replays\n\
          batching: {} batch(es), {} forked resume(s), {} prefix instrs saved, {} live-in index hits\n",
         classification.vproc_replays,
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        cache.saved_replays,
         batching.batches,
         batching.forks,
         batching.prefix_instrs_saved,
@@ -372,18 +367,9 @@ fn replay_stats_text(classification: &ClassificationResult) -> String {
 /// The same counters as a JSON value (the `replay_stats` object of
 /// `races --replay-stats --format json`).
 fn replay_stats_json(classification: &ClassificationResult) -> Json {
-    let cache = classification.cache_stats_now();
     let batching = classification.batch_stats;
     Json::obj(vec![
         ("vproc_replays", Json::from(classification.vproc_replays)),
-        (
-            "cache",
-            Json::obj(vec![
-                ("hits", Json::from(cache.hits)),
-                ("misses", Json::from(cache.misses)),
-                ("saved_replays", Json::from(cache.saved_replays)),
-            ]),
-        ),
         (
             "batching",
             Json::obj(vec![
@@ -769,8 +755,8 @@ pub fn cmd_lint(path: &Path, json: bool, fail_on: FailOn) -> Result<(String, i32
 ///
 /// # Errors
 ///
-/// Fails when the address cannot be bound or the cache directory is
-/// unusable.
+/// Fails on `--trust-static` (any tier but `off`), or when the address
+/// cannot be bound or the cache directory is unusable.
 pub fn cmd_serve(config: serviced::ServerConfig) -> Result<String, CliError> {
     let server = serviced::Server::bind(config).map_err(|message| CliError { message })?;
     let addr = server.local_addr().map_err(|message| CliError { message })?;
@@ -815,11 +801,10 @@ pub fn cmd_submit(
         report_value.to_string_pretty()
     } else {
         let replays = response.get("replays").and_then(Json::as_u64).unwrap_or(0);
-        let store_hits = response.get("store_hits").and_then(Json::as_u64).unwrap_or(0);
+        let hit = response.get("store_hits").and_then(Json::as_u64).unwrap_or(0) > 0;
+        let disposition = if hit { "served from the cache" } else { "classified afresh" };
         let mut text = report.to_text();
-        text.push_str(&format!(
-            "\nservice: {replays} replay(s) executed, {store_hits} served from the replay cache\n"
-        ));
+        text.push_str(&format!("\nservice: report {disposition}, {replays} replay(s) executed\n"));
         text
     };
     Ok((out, i32::from(gate_tripped)))
@@ -861,11 +846,9 @@ pub fn cmd_svc_stats(addr: &str, json: bool) -> Result<String, CliError> {
     ));
     if doc.get("cache").is_some() {
         out.push_str(&format!(
-            "cache: {} entr(ies) in {} segment(s) ({} bytes), {} mem hit(s), {} persisted hit(s), {} miss(es), {} write(s)\n",
+            "cache: {} report record(s) ({} bytes), {} hit(s), {} miss(es), {} write(s)\n",
             num(&["cache", "entries"]),
-            num(&["cache", "segments"]),
             num(&["cache", "disk_bytes"]),
-            num(&["cache", "mem_hits"]),
             num(&["cache", "persisted_hits"]),
             num(&["cache", "misses"]),
             num(&["cache", "persisted_writes"]),
@@ -919,7 +902,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
     let mut triage_db: Option<String> = None;
     let mut max_steps: Option<u64> = None;
     let mut jobs: usize = 0;
-    let mut cache = CacheMode::default();
     let mut batching = BatchMode::default();
     let mut replay_stats = false;
     let mut trust_static = TrustStatic::default();
@@ -979,13 +961,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
                     .get(i)
                     .ok_or_else(|| CliError { message: "--jobs needs a count".into() })?;
                 jobs = v.parse().map_err(|_| CliError { message: format!("bad --jobs {v:?}") })?;
-            }
-            "--cache" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--cache needs a mode".into() })?;
-                cache = CacheMode::parse(v).map_err(|message| CliError { message })?;
             }
             "--batch" => {
                 i += 1;
@@ -1059,14 +1034,8 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
         schedule = schedule.with_max_steps(ms);
     }
     let vproc = if permissive { VprocConfig::permissive() } else { VprocConfig::default() };
-    let classifier = ClassifierConfig {
-        vproc,
-        jobs,
-        cache,
-        batching,
-        trust_static,
-        ..ClassifierConfig::default()
-    };
+    let classifier =
+        ClassifierConfig { vproc, jobs, batching, trust_static, ..ClassifierConfig::default() };
 
     let usage = "usage: racerep <run|record|replay|races|classify|lint|triage|loginfo|doctor|disasm|serve|submit|svc-stats|svc-shutdown> ...";
     let Some((&cmd, rest)) = positional.split_first() else {
@@ -1129,7 +1098,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
             queue_capacity: queue,
             cache_dir: cache_dir.map(std::path::PathBuf::from),
             classifier,
-            ..serviced::ServerConfig::default()
         })),
         "submit" => cmd_submit(arg(0, "program path")?, arg(1, "log path")?, &addr, json, fail_on),
         "svc-stats" => ok(cmd_svc_stats(&addr, json)),
@@ -1262,7 +1230,7 @@ mod tests {
         // Text: the counters follow the report.
         let text =
             cmd_races(&prog, &log, false, &ClassifierConfig::default(), None, false, true).unwrap();
-        assert!(text.contains("vproc replays, cache:"), "{text}");
+        assert!(text.contains("vproc replays\n"), "{text}");
         assert!(text.contains("batching:"), "{text}");
         assert!(text.contains("live-in index hits"), "{text}");
         // JSON: a replay_stats sibling of races, with the batching object.
@@ -1271,7 +1239,6 @@ mod tests {
         let doc = Json::parse(&json).unwrap();
         let stats = doc.field("replay_stats").unwrap();
         assert!(stats.field("vproc_replays").unwrap().as_u64().is_some());
-        assert!(stats.field("cache").unwrap().field("hits").unwrap().as_u64().is_some());
         let batching = stats.field("batching").unwrap();
         for key in
             ["batches", "forks", "prefix_executions", "prefix_instrs_saved", "live_in_index_hits"]

@@ -3,7 +3,9 @@
 
 use std::path::PathBuf;
 
-use racerep::{cmd_classify, cmd_disasm, cmd_run, parse_schedule};
+use idna_replay::vproc::VprocConfig;
+use minijson::Json;
+use racerep::{cmd_classify, cmd_disasm, cmd_races, cmd_record, cmd_run, parse_schedule};
 use replay_race::classify::ClassifierConfig;
 
 fn sample(name: &str) -> PathBuf {
@@ -75,4 +77,34 @@ fn stats_sample_is_flagged_like_the_paper() {
     )
     .unwrap();
     assert!(report.contains("POTENTIALLY HARMFUL"), "{report}");
+}
+
+#[test]
+fn permissive_refcount_report_shows_the_memory_difference() {
+    // On rr:1 both refcount races are State-Change under permissive
+    // control flow. Their difference line must come from the live-outs the
+    // permissive classification kept, not from a re-replay under default
+    // options (which fails on the unrecorded branch).
+    let path = sample("refcount.tasm");
+    let log = std::env::temp_dir()
+        .join(format!("racerep_sample_refcount_rr1_{}.idna", std::process::id()));
+    cmd_record(&path, &log, parse_schedule("rr:1").unwrap()).unwrap();
+    let permissive =
+        ClassifierConfig { vproc: VprocConfig::permissive(), ..ClassifierConfig::default() };
+    let json = cmd_races(&path, &log, true, &permissive, None, false, false).unwrap();
+    let _ = std::fs::remove_file(&log);
+    let doc = Json::parse(&json).unwrap();
+    let differences: Vec<&str> = doc
+        .field("races")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|race| race.get("group").and_then(Json::as_str) == Some("StateChange"))
+        .map(|race| race.field("scenario").unwrap().field("difference").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(differences.len(), 2, "{json}");
+    for difference in differences {
+        assert!(difference.starts_with("memory differs at [0x10]="), "{difference}");
+    }
 }

@@ -22,7 +22,7 @@
 //! view of the trace. The engine therefore
 //!
 //! 1. **plans** the replays sequentially (a deterministic walk over
-//!    `detected.by_static` that also resolves cache reuse),
+//!    `detected.by_static`, two jobs per analyzed instance),
 //! 2. **executes** the planned replays on [`ClassifierConfig::jobs`] worker
 //!    threads pulling from a shared cursor — grouped by `(region_a,
 //!    region_b, order)` under [`BatchMode::Shared`] so each group runs its
@@ -34,15 +34,13 @@
 //! planning, the result is bit-for-bit identical at any job count, batched
 //! or not.
 //!
-//! The plan step also consults a [`ReplayCache`]: replays whose canonical
-//! key was already planned reuse the earlier live-outs instead of running
-//! again. The populated cache is handed to `Report::build` through
-//! [`ClassificationResult::cache`], so the report's difference rendering
-//! reuses classification replays instead of re-running them.
+//! Assembly keeps the two live-outs of each race's first exposing
+//! instance when it is State-Change ([`ClassifiedRace::exposing_live_outs`]),
+//! so the report renders the difference without replaying anything.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use tvm::fasthash::FastHashMap;
 
@@ -132,6 +130,17 @@ impl InstanceCounts {
     pub fn exposing(&self) -> usize {
         self.state_change + self.replay_failure
     }
+
+    /// The outcome group these counts put a static race in (§5.2.1).
+    fn group(&self) -> OutcomeGroup {
+        if self.state_change > 0 {
+            OutcomeGroup::StateChange
+        } else if self.replay_failure > 0 {
+            OutcomeGroup::ReplayFailure
+        } else {
+            OutcomeGroup::NoStateChange
+        }
+    }
 }
 
 /// A fully classified static race.
@@ -145,6 +154,10 @@ pub struct ClassifiedRace {
     /// order. The first harmful-signal instance, if any, is the reproducible
     /// scenario quoted in reports.
     pub instances: Vec<ClassifiedInstance>,
+    /// The a-then-b and b-then-a live-outs of the first exposing instance
+    /// when that instance is State-Change — the evidence the report's
+    /// difference line renders. `None` for every other race.
+    pub exposing_live_outs: Option<Box<[PairLiveOut; 2]>>,
 }
 
 impl ClassifiedRace {
@@ -153,44 +166,6 @@ impl ClassifiedRace {
     #[must_use]
     pub fn first_exposing_instance(&self) -> Option<&ClassifiedInstance> {
         self.instances.iter().find(|i| i.outcome.is_harmful_signal())
-    }
-}
-
-/// Granularity of the replay cache.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No memoization; every replay runs.
-    Off,
-    /// Key on the exact replay identity: both [`AccessSite`]s (region,
-    /// racing instruction index, pc, address, kind) plus the order. Reuse is
-    /// sound — an identical key means an identical replay — so results are
-    /// byte-for-byte those of `Off`. Within one classification the keys are
-    /// unique; the payoff is the report phase, which re-renders each harmful
-    /// race's difference from cached live-outs instead of replaying again.
-    #[default]
-    Exact,
-    /// Key on the canonicalized (region pair, pc pair, address, access
-    /// kinds, order), dropping the dynamic instruction indices: repeated
-    /// instances of the same static race on the same region pair reuse the
-    /// first instance's live-outs. An approximation — instances at different
-    /// loop iterations can genuinely differ — offered for the ablation
-    /// study, not the default.
-    Coarse,
-}
-
-impl CacheMode {
-    /// Parses a CLI-style mode name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unrecognized input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(CacheMode::Off),
-            "exact" => Ok(CacheMode::Exact),
-            "coarse" => Ok(CacheMode::Coarse),
-            other => Err(format!("cache mode must be off, exact, or coarse, got {other:?}")),
-        }
     }
 }
 
@@ -308,223 +283,6 @@ impl StaticPrediction {
     }
 }
 
-/// Replay-cache counters. `saved_replays` is the number of virtual-processor
-/// replays that were *not* run because a cached live-out was reused; with
-/// the cache off all three stay zero.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub saved_replays: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups, or 0 when the cache saw none.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Sums two counters (used when merging classifications).
-    #[must_use]
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            saved_replays: self.saved_replays + other.saved_replays,
-        }
-    }
-}
-
-/// Cache key: the canonical identity of one dual-region replay. The `(a,
-/// b)` sides are kept as given — [`Vproc::run_pair`] is not symmetric under
-/// swapping them (its completion phase services `a`'s thread first), so
-/// swap-canonicalizing could alias replays with different results.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-struct ReplayKey {
-    a: AccessSite,
-    b: AccessSite,
-    order: PairOrder,
-}
-
-/// Memoization table for dual-order replays, shared between classification
-/// and report rendering.
-///
-/// Canonical [`ReplayKey`]s (two full [`AccessSite`]s plus an order) are
-/// interned into dense `u32` *pair ids* on first sight; the live-out map —
-/// and the planner's job-reuse map — hash those integers instead of the
-/// full site structs. Interning order is the planner's sequential walk, so
-/// the ids are deterministic.
-#[derive(Debug)]
-pub struct ReplayCache {
-    mode: CacheMode,
-    vproc: VprocConfig,
-    /// Canonical key → dense pair id, in first-interned order.
-    ids: Mutex<FastHashMap<ReplayKey, u32>>,
-    map: Mutex<FastHashMap<u32, Result<PairLiveOut, ReplayFailure>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    saved: AtomicU64,
-}
-
-impl ReplayCache {
-    /// Creates an empty cache for the given granularity and replay options.
-    #[must_use]
-    pub fn new(mode: CacheMode, vproc: VprocConfig) -> Self {
-        ReplayCache {
-            mode,
-            vproc,
-            ids: Mutex::new(FastHashMap::default()),
-            map: Mutex::new(FastHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            saved: AtomicU64::new(0),
-        }
-    }
-
-    /// The granularity this cache memoizes at.
-    #[must_use]
-    pub fn mode(&self) -> CacheMode {
-        self.mode
-    }
-
-    /// The virtual-processor options the cached replays ran under. Consumers
-    /// replaying *around* the cache (the report) must use the same options,
-    /// or cached and fresh live-outs would disagree.
-    #[must_use]
-    pub fn vproc_config(&self) -> VprocConfig {
-        self.vproc
-    }
-
-    /// Cumulative counters: planning reuse plus any report-phase lookups.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            saved_replays: self.saved.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The cache key for a replay, or `None` when caching is off.
-    fn key(&self, a: &AccessSite, b: &AccessSite, order: PairOrder) -> Option<ReplayKey> {
-        match self.mode {
-            CacheMode::Off => None,
-            CacheMode::Exact => Some(ReplayKey { a: *a, b: *b, order }),
-            CacheMode::Coarse => {
-                // Same region pair + static race + address + kinds: drop the
-                // dynamic instruction indices so loop iterations alias.
-                let coarse = |s: &AccessSite| AccessSite { instr_index: 0, ..*s };
-                Some(ReplayKey { a: coarse(a), b: coarse(b), order })
-            }
-        }
-    }
-
-    /// Interns a replay's canonical key into its dense pair id, or `None`
-    /// when caching is off. Hashes the full key once; every later map
-    /// operation on this replay hashes only the `u32`.
-    fn pair_id(&self, a: &AccessSite, b: &AccessSite, order: PairOrder) -> Option<u32> {
-        let key = self.key(a, b, order)?;
-        let mut ids = self.ids.lock().unwrap();
-        let next = u32::try_from(ids.len()).expect("fewer than 2^32 distinct replays");
-        Some(*ids.entry(key).or_insert(next))
-    }
-
-    /// Replays through the cache: returns the memoized live-out when the
-    /// key is present, otherwise runs the replay and memoizes it. Used by
-    /// the report phase; the classifier plans its reuse up front instead.
-    pub fn replay(
-        &self,
-        vproc: &Vproc<'_>,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Result<PairLiveOut, ReplayFailure> {
-        let Some(id) = self.pair_id(a, b, order) else {
-            return vproc.run_pair(a, b, order);
-        };
-        if let Some(found) = self.map.lock().unwrap().get(&id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.saved.fetch_add(1, Ordering::Relaxed);
-            return found.clone();
-        }
-        let out = vproc.run_pair(a, b, order);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().unwrap().insert(id, out.clone());
-        out
-    }
-
-    /// Stores the executed plan results the report will look up again (the
-    /// `retain` job indices — each race's first exposing instance) and folds
-    /// the plan's deterministic counters into the cache. Keeping only the
-    /// report-relevant live-outs keeps the memoization overhead negligible:
-    /// cloning every live-out into the map measurably slowed exact mode
-    /// down without ever being read back.
-    fn absorb_plan(
-        &self,
-        jobs: &[ReplayJob],
-        outcomes: &[Result<PairLiveOut, ReplayFailure>],
-        planned_hits: u64,
-        retain: &std::collections::HashSet<usize>,
-    ) {
-        if self.mode != CacheMode::Off {
-            for &i in retain {
-                let job = &jobs[i];
-                if let Some(id) = self.pair_id(&job.a, &job.b, job.order) {
-                    self.map.lock().unwrap().insert(id, outcomes[i].clone());
-                }
-            }
-        }
-        self.hits.fetch_add(planned_hits, Ordering::Relaxed);
-        self.saved.fetch_add(planned_hits, Ordering::Relaxed);
-        self.misses.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-    }
-}
-
-/// An external live-out store consulted around the in-run [`ReplayCache`]:
-/// a persistent replay cache, a cross-trace memo, or any other source of
-/// previously computed dual-order live-outs.
-///
-/// The classifier asks the store for every planned job *after* the
-/// sequential plan is fixed; hits are scattered into the job's outcome slot
-/// without executing a virtual processor, and fresh outcomes are published
-/// back. Because the plan — and therefore the assembly order — is unchanged,
-/// a store that returns exactly what a cold run would have computed yields a
-/// byte-identical classification with zero replays.
-///
-/// Implementations must key on everything a live-out depends on: both
-/// [`AccessSite`]s, the [`PairOrder`], the program, the recorded trace, and
-/// the [`VprocConfig`] the replays run under. The classifier passes only the
-/// sites and order; the caller binds the rest when it constructs the store.
-pub trait ReplayStore: Sync {
-    /// Returns the stored live-out for this dual-region replay, or `None`
-    /// to have the classifier execute it.
-    fn fetch(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Option<Result<PairLiveOut, ReplayFailure>>;
-
-    /// Records a freshly executed live-out for future [`fetch`]es.
-    ///
-    /// [`fetch`]: ReplayStore::fetch
-    fn publish(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-        outcome: &Result<PairLiveOut, ReplayFailure>,
-    );
-}
-
 /// Classifier options.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClassifierConfig {
@@ -539,8 +297,6 @@ pub struct ClassifierConfig {
     /// calling thread, exactly as the original single-threaded classifier
     /// did. Results are identical at every setting.
     pub jobs: usize,
-    /// Replay memoization granularity (default [`CacheMode::Exact`]).
-    pub cache: CacheMode,
     /// Which static predictions may skip replay: high-confidence benign
     /// idioms, proven-unreachable impact verdicts, both, or neither
     /// (default [`TrustStatic::Off`]; see the type's ablation caveat).
@@ -568,7 +324,6 @@ impl Default for ClassifierConfig {
             vproc: VprocConfig::default(),
             max_instances_per_race: 2_000,
             jobs: 0,
-            cache: CacheMode::default(),
             trust_static: TrustStatic::default(),
             batching: BatchMode::default(),
         }
@@ -580,12 +335,9 @@ impl Default for ClassifierConfig {
 pub struct ClassificationResult {
     /// Classified races, keyed by static identity.
     pub races: BTreeMap<StaticRaceId, ClassifiedRace>,
-    /// Virtual-processor replays actually executed. Without a cache this is
-    /// two per analyzed instance; with one, planned reuse lowers it — a
-    /// cost metric for the overhead experiment.
+    /// Virtual-processor replays executed: two per analyzed instance, the
+    /// cost metric of the overhead experiment.
     pub vproc_replays: u64,
-    /// Replay-cache counters for the classification phase.
-    pub cache_stats: CacheStats,
     /// Shared-prefix batch-engine counters: batches formed, pairs forked
     /// from checkpoints, oracle instructions saved, live-in index hits.
     /// All zero under [`BatchMode::Off`] except the prefix-execution and
@@ -603,13 +355,6 @@ pub struct ClassificationResult {
     /// because the evidence was damaged" from "harmful on clean
     /// evidence". Always 0 for strict (clean) decodes.
     pub log_damaged_races: u64,
-    /// Planned jobs answered by an external [`ReplayStore`] instead of a
-    /// virtual-processor execution. Always 0 without a store.
-    pub store_hits: u64,
-    /// The populated replay cache, for downstream phases (the report) to
-    /// reuse live-outs from. `None` when caching was off or after merging
-    /// across traces (a cache is only meaningful for its own trace).
-    pub cache: Option<Arc<ReplayCache>>,
 }
 
 impl ClassificationResult {
@@ -634,14 +379,6 @@ impl ClassificationResult {
         }
         (nsc, sc, rf)
     }
-
-    /// Cache counters including any lookups made after classification
-    /// (i.e. by the report phase); falls back to the classification-phase
-    /// snapshot when no cache handle is attached.
-    #[must_use]
-    pub fn cache_stats_now(&self) -> CacheStats {
-        self.cache.as_ref().map_or(self.cache_stats, |c| c.stats())
-    }
 }
 
 /// Combines the two ordered live-outs of one instance into its
@@ -650,8 +387,8 @@ impl ClassificationResult {
 fn combine_outcomes(
     trace: &ReplayTrace,
     instance: &RaceInstance,
-    fwd: Result<PairLiveOut, ReplayFailure>,
-    rev: Result<PairLiveOut, ReplayFailure>,
+    fwd: &Result<PairLiveOut, ReplayFailure>,
+    rev: &Result<PairLiveOut, ReplayFailure>,
 ) -> ClassifiedInstance {
     let (outcome, original_order) = match (fwd, rev) {
         (Ok(x), Ok(y)) => {
@@ -669,14 +406,14 @@ fn combine_outcomes(
         (Ok(x), Err(f)) => {
             let original =
                 x.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::AThenB);
-            (InstanceOutcome::ReplayFailure(f), original)
+            (InstanceOutcome::ReplayFailure(*f), original)
         }
         (Err(f), Ok(y)) => {
             let original =
                 y.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::BThenA);
-            (InstanceOutcome::ReplayFailure(f), original)
+            (InstanceOutcome::ReplayFailure(*f), original)
         }
-        (Err(f), Err(_)) => (InstanceOutcome::ReplayFailure(f), None),
+        (Err(f), Err(_)) => (InstanceOutcome::ReplayFailure(*f), None),
     };
     ClassifiedInstance { instance: *instance, outcome, original_order }
 }
@@ -686,7 +423,7 @@ fn combine_outcomes(
 pub fn classify_instance(vproc: &Vproc<'_>, instance: &RaceInstance) -> ClassifiedInstance {
     let fwd = vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB);
     let rev = vproc.run_pair(&instance.a, &instance.b, PairOrder::BThenA);
-    combine_outcomes(vproc.trace(), instance, fwd, rev)
+    combine_outcomes(vproc.trace(), instance, &fwd, &rev)
 }
 
 /// One planned replay: the sites and order to feed [`Vproc::run_pair`].
@@ -695,13 +432,6 @@ struct ReplayJob {
     a: AccessSite,
     b: AccessSite,
     order: PairOrder,
-}
-
-/// One planned instance: which job slots hold its two ordered live-outs.
-struct PlannedInstance {
-    instance: RaceInstance,
-    fwd_job: usize,
-    rev_job: usize,
 }
 
 /// One batch of planned replays sharing a `(region_a, region_b, order)`
@@ -808,20 +538,6 @@ fn run_jobs(
     (outcomes, stats.into_inner().unwrap())
 }
 
-/// Classifies every detected race in `trace`.
-///
-/// The work fans out over [`ClassifierConfig::jobs`] threads and reuses
-/// replays through the configured [`CacheMode`]; both knobs change only the
-/// cost, never the classification (for `Coarse`, see its caveat).
-#[must_use]
-pub fn classify_races(
-    trace: &ReplayTrace,
-    detected: &DetectedRaces,
-    config: &ClassifierConfig,
-) -> ClassificationResult {
-    classify_races_with(trace, detected, config, None)
-}
-
 /// Converts a [`racecheck`] analysis's per-warning predictions (idiom
 /// verdict + impact reach) to the classifier's [`StaticRaceId`] keying, for
 /// [`classify_races_with`].
@@ -839,13 +555,18 @@ pub fn predictions_by_id(
         .collect()
 }
 
-/// [`classify_races`], with an optional static-prediction map consulted only
-/// under the [`TrustStatic`] skip tiers: races the idiom pass predicts
-/// benign at high confidence (`skip-benign`), or whose racy value the
-/// impact pass proves unobservable (`skip-unreachable`), are recorded
-/// No-State-Change without planning any replays. With trust off (or
-/// `predictions` `None`) the map is ignored and the result is identical to
-/// [`classify_races`].
+/// Classifies every detected race in `trace`.
+///
+/// The work fans out over [`ClassifierConfig::jobs`] threads and, under
+/// [`BatchMode::Shared`], shares each region pair's replay prefix; both
+/// knobs change only the cost, never the classification.
+///
+/// `predictions` is consulted only under the [`TrustStatic`] skip tiers:
+/// races the idiom pass predicts benign at high confidence
+/// (`skip-benign`), or whose racy value the impact pass proves
+/// unobservable (`skip-unreachable`), are recorded No-State-Change without
+/// planning any replays. With trust off (or `predictions` `None`) the map
+/// is ignored.
 #[must_use]
 pub fn classify_races_with(
     trace: &ReplayTrace,
@@ -853,182 +574,78 @@ pub fn classify_races_with(
     config: &ClassifierConfig,
     predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
 ) -> ClassificationResult {
-    classify_races_stored(trace, detected, config, predictions, None)
-}
+    let mut result = ClassificationResult::default();
 
-/// [`classify_races_with`], additionally consulting an external
-/// [`ReplayStore`] for planned live-outs. Store hits skip the virtual
-/// processor entirely (they are excluded from `vproc_replays` and from
-/// batch formation); fresh outcomes are published back to the store. With
-/// `store` `None` this is exactly [`classify_races_with`].
-#[must_use]
-pub fn classify_races_stored(
-    trace: &ReplayTrace,
-    detected: &DetectedRaces,
-    config: &ClassifierConfig,
-    predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
-    store: Option<&dyn ReplayStore>,
-) -> ClassificationResult {
-    let cache = ReplayCache::new(config.cache, config.vproc);
-
-    // Phase 1: plan. A sequential walk fixes which replays run and which
-    // reuse an earlier job's live-outs, so the outcome cannot depend on
-    // worker scheduling.
+    // Phase 1: plan. A sequential walk fixes which replays run — both
+    // orders of every analyzed instance, side by side — so the outcome
+    // cannot depend on worker scheduling. A race a trust tier skips plans
+    // no instance and so assembles as No-State-Change.
     let mut jobs: Vec<ReplayJob> = Vec::new();
-    let mut job_index: FastHashMap<u32, usize> = FastHashMap::default();
-    let mut planned_hits = 0u64;
-    let mut plan: Vec<(StaticRaceId, usize, Vec<PlannedInstance>)> = Vec::new();
-    let mut static_skipped: Vec<(StaticRaceId, usize)> = Vec::new();
+    let mut plan: Vec<(StaticRaceId, usize, Vec<RaceInstance>)> = Vec::new();
     for (&id, indices) in &detected.by_static {
-        if predictions.and_then(|m| m.get(&id)).is_some_and(|p| p.skips_under(config.trust_static))
-        {
-            static_skipped.push((id, indices.len()));
-            continue;
+        let skipped = predictions
+            .and_then(|m| m.get(&id))
+            .is_some_and(|p| p.skips_under(config.trust_static));
+        result.static_skipped_races += u64::from(skipped);
+        let budget = if skipped { 0 } else { config.max_instances_per_race };
+        let instances: Vec<RaceInstance> =
+            indices.iter().take(budget).map(|&idx| detected.instances[idx]).collect();
+        for instance in &instances {
+            jobs.extend(PairOrder::BOTH.map(|order| ReplayJob {
+                a: instance.a,
+                b: instance.b,
+                order,
+            }));
         }
-        let mut planned = Vec::with_capacity(indices.len().min(config.max_instances_per_race));
-        for &idx in indices.iter().take(config.max_instances_per_race) {
-            let instance = detected.instances[idx];
-            let mut slot = [0usize; 2];
-            for (side, order) in PairOrder::BOTH.into_iter().enumerate() {
-                let job = ReplayJob { a: instance.a, b: instance.b, order };
-                slot[side] = match cache.pair_id(&instance.a, &instance.b, order) {
-                    Some(id) => match job_index.entry(id) {
-                        std::collections::hash_map::Entry::Occupied(hit) => {
-                            planned_hits += 1;
-                            *hit.get()
-                        }
-                        std::collections::hash_map::Entry::Vacant(miss) => {
-                            jobs.push(job);
-                            *miss.insert(jobs.len() - 1)
-                        }
-                    },
-                    None => {
-                        jobs.push(job);
-                        jobs.len() - 1
-                    }
-                };
-            }
-            planned.push(PlannedInstance { instance, fwd_job: slot[0], rev_job: slot[1] });
-        }
-        plan.push((id, indices.len(), planned));
+        plan.push((id, indices.len(), instances));
     }
 
     // Phase 2: execute every planned replay, batched by region pair when
-    // batching is on. An external store answers first: hits are pinned to
-    // their slots before execution, the remaining jobs are compacted (and
-    // batched) on their own, and the executed outcomes are scattered back
-    // by the saved index map. The plan itself never changes, so store hits
-    // alter only the cost, never the classification.
-    let mut store_hits = 0u64;
-    let mut prefilled: Vec<Option<Result<PairLiveOut, ReplayFailure>>> = Vec::new();
-    let mut exec_jobs: Vec<ReplayJob> = Vec::new();
-    let mut exec_origin: Vec<usize> = Vec::new();
-    if let Some(store) = store {
-        prefilled.resize_with(jobs.len(), || None);
-        for (i, job) in jobs.iter().enumerate() {
-            match store.fetch(&job.a, &job.b, job.order) {
-                Some(out) => {
-                    store_hits += 1;
-                    prefilled[i] = Some(out);
-                }
-                None => {
-                    exec_origin.push(i);
-                    exec_jobs.push(*job);
+    // batching is on.
+    let batches = (config.batching == BatchMode::Shared).then(|| form_batches(&jobs));
+    let (outcomes, batch_stats) =
+        run_jobs(trace, config.vproc, &jobs, batches.as_deref(), config.effective_jobs());
+    result.vproc_replays = jobs.len() as u64;
+    result.batch_stats = batch_stats;
+
+    // Phase 3: assemble, sequentially and in static-id order, consuming
+    // each instance's two outcomes in plan order. The first exposing
+    // instance's live-outs move into the race when it is State-Change.
+    let mut outcomes = outcomes.into_iter();
+    for (id, detected_count, instances) in plan {
+        let mut counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
+        let mut classified = Vec::with_capacity(instances.len());
+        let mut exposing_live_outs = None;
+        for instance in instances {
+            let fwd = outcomes.next().expect("two planned outcomes per instance");
+            let rev = outcomes.next().expect("two planned outcomes per instance");
+            let ci = combine_outcomes(trace, &instance, &fwd, &rev);
+            if ci.outcome == InstanceOutcome::StateChange && counts.exposing() == 0 {
+                if let (Ok(x), Ok(y)) = (fwd, rev) {
+                    exposing_live_outs = Some(Box::new([x, y]));
                 }
             }
-        }
-    } else {
-        exec_jobs.clone_from(&jobs);
-        exec_origin.extend(0..jobs.len());
-    }
-    let batches = (config.batching == BatchMode::Shared).then(|| form_batches(&exec_jobs));
-    let (exec_outcomes, batch_stats) =
-        run_jobs(trace, config.vproc, &exec_jobs, batches.as_deref(), config.effective_jobs());
-    if let Some(store) = store {
-        for (job, out) in exec_jobs.iter().zip(&exec_outcomes) {
-            store.publish(&job.a, &job.b, job.order, out);
-        }
-    }
-    let outcomes: Vec<Result<PairLiveOut, ReplayFailure>> = if store.is_some() {
-        let mut executed = exec_outcomes.into_iter();
-        prefilled
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| executed.next().expect("one executed outcome per miss"))
-            })
-            .collect()
-    } else {
-        exec_outcomes
-    };
-    let executed_replays = exec_origin.len() as u64;
-
-    // Phase 3: assemble, sequentially and in static-id order; note which
-    // live-outs the report phase will want back (each race's first exposing
-    // instance) so the cache retains exactly those.
-    let mut retain = std::collections::HashSet::new();
-    let mut result = ClassificationResult {
-        vproc_replays: executed_replays,
-        cache_stats: CacheStats {
-            hits: planned_hits,
-            misses: jobs.len() as u64,
-            saved_replays: planned_hits,
-        },
-        batch_stats,
-        store_hits,
-        ..ClassificationResult::default()
-    };
-    result.static_skipped_races = static_skipped.len() as u64;
-    for (id, detected_count) in static_skipped {
-        let counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
-        let group = OutcomeGroup::NoStateChange;
-        result.races.insert(
-            id,
-            ClassifiedRace { id, group, verdict: group.verdict(), counts, instances: vec![] },
-        );
-    }
-    for (id, detected_count, planned) in plan {
-        let mut counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
-        let mut classified = Vec::with_capacity(planned.len());
-        let mut first_exposing_jobs = None;
-        for p in planned {
-            let ci = combine_outcomes(
-                trace,
-                &p.instance,
-                outcomes[p.fwd_job].clone(),
-                outcomes[p.rev_job].clone(),
-            );
             counts.analyzed += 1;
             match ci.outcome {
                 InstanceOutcome::NoStateChange => counts.no_state_change += 1,
                 InstanceOutcome::StateChange => counts.state_change += 1,
                 InstanceOutcome::ReplayFailure(_) => counts.replay_failure += 1,
             }
-            if first_exposing_jobs.is_none() && ci.outcome.is_harmful_signal() {
-                first_exposing_jobs = Some((p.fwd_job, p.rev_job));
-            }
             classified.push(ci);
         }
-        if let Some((fwd, rev)) = first_exposing_jobs {
-            retain.insert(fwd);
-            retain.insert(rev);
-        }
-        let group = if counts.state_change > 0 {
-            OutcomeGroup::StateChange
-        } else if counts.replay_failure > 0 {
-            OutcomeGroup::ReplayFailure
-        } else {
-            OutcomeGroup::NoStateChange
+        let group = counts.group();
+        let race = ClassifiedRace {
+            id,
+            group,
+            verdict: group.verdict(),
+            counts,
+            instances: classified,
+            exposing_live_outs,
         };
-        let race =
-            ClassifiedRace { id, group, verdict: group.verdict(), counts, instances: classified };
         if race_touches_log_damage(&race) {
             result.log_damaged_races += 1;
         }
         result.races.insert(id, race);
-    }
-    cache.absorb_plan(&jobs, &outcomes, planned_hits, &retain);
-    if config.cache != CacheMode::Off {
-        result.cache = Some(Arc::new(cache));
     }
     result
 }
@@ -1038,40 +655,30 @@ pub fn classify_races_stored(
 /// the same execution or across different test scenarios").
 ///
 /// A race is potentially benign only if every instance in every execution
-/// was No-State-Change. Replay and cache counters are summed; the per-trace
-/// cache handles are dropped (they index into their own traces and cannot
-/// serve a merged view).
+/// was No-State-Change. Replay counters are summed, and each race keeps the
+/// live-outs of its first exposing instance across all executions.
 #[must_use]
 pub fn merge_classifications(results: &[ClassificationResult]) -> ClassificationResult {
-    let mut merged: BTreeMap<StaticRaceId, ClassifiedRace> = BTreeMap::new();
-    let mut vproc_replays = 0;
-    let mut cache_stats = CacheStats::default();
-    let mut batch_stats = BatchStats::default();
-    let mut static_skipped_races = 0;
-    let mut store_hits = 0;
+    let mut merged = ClassificationResult::default();
     for result in results {
-        vproc_replays += result.vproc_replays;
-        cache_stats = cache_stats.merged(result.cache_stats);
-        batch_stats.absorb(result.batch_stats);
-        static_skipped_races += result.static_skipped_races;
-        store_hits += result.store_hits;
+        merged.vproc_replays += result.vproc_replays;
+        merged.batch_stats.absorb(result.batch_stats);
+        merged.static_skipped_races += result.static_skipped_races;
         for (id, race) in &result.races {
             merged
+                .races
                 .entry(*id)
                 .and_modify(|existing| {
+                    if existing.first_exposing_instance().is_none() {
+                        existing.exposing_live_outs.clone_from(&race.exposing_live_outs);
+                    }
                     existing.counts.detected += race.counts.detected;
                     existing.counts.analyzed += race.counts.analyzed;
                     existing.counts.no_state_change += race.counts.no_state_change;
                     existing.counts.state_change += race.counts.state_change;
                     existing.counts.replay_failure += race.counts.replay_failure;
                     existing.instances.extend(race.instances.iter().copied());
-                    existing.group = if existing.counts.state_change > 0 {
-                        OutcomeGroup::StateChange
-                    } else if existing.counts.replay_failure > 0 {
-                        OutcomeGroup::ReplayFailure
-                    } else {
-                        OutcomeGroup::NoStateChange
-                    };
+                    existing.group = existing.counts.group();
                     existing.verdict = existing.group.verdict();
                 })
                 .or_insert_with(|| race.clone());
@@ -1079,17 +686,9 @@ pub fn merge_classifications(results: &[ClassificationResult]) -> Classification
     }
     // Recompute rather than sum: the same race seen in several executions
     // must count once.
-    let log_damaged_races = merged.values().filter(|r| race_touches_log_damage(r)).count() as u64;
-    ClassificationResult {
-        races: merged,
-        vproc_replays,
-        cache_stats,
-        batch_stats,
-        static_skipped_races,
-        log_damaged_races,
-        store_hits,
-        cache: None,
-    }
+    merged.log_damaged_races =
+        merged.races.values().filter(|r| race_touches_log_damage(r)).count() as u64;
+    merged
 }
 
 /// Whether any analyzed instance of the race failed replay on log damage.
@@ -1115,7 +714,7 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        classify_races(&trace, &detected, &ClassifierConfig::default())
+        classify_races_with(&trace, &detected, &ClassifierConfig::default(), None)
     }
 
     #[test]
@@ -1130,6 +729,7 @@ mod tests {
         let race = result.races.values().next().unwrap();
         assert_eq!(race.group, OutcomeGroup::NoStateChange);
         assert_eq!(race.verdict, Verdict::PotentiallyBenign);
+        assert!(race.exposing_live_outs.is_none(), "benign races keep no live-outs");
     }
 
     #[test]
@@ -1144,6 +744,8 @@ mod tests {
         assert_eq!(race.group, OutcomeGroup::StateChange);
         assert_eq!(race.verdict, Verdict::PotentiallyHarmful);
         assert!(race.first_exposing_instance().is_some());
+        let [x, y] = race.exposing_live_outs.as_deref().expect("State-Change keeps its evidence");
+        assert_ne!(x, y, "the kept live-outs are the two differing orders");
     }
 
     #[test]
@@ -1203,6 +805,7 @@ mod tests {
                     ..InstanceCounts::default()
                 },
                 instances: vec![],
+                exposing_live_outs: None,
             },
         );
         let mut harmful = ClassificationResult::default();
@@ -1219,6 +822,7 @@ mod tests {
                     ..InstanceCounts::default()
                 },
                 instances: vec![],
+                exposing_live_outs: None,
             },
         );
         let merged = merge_classifications(&[benign, harmful]);
@@ -1229,21 +833,43 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_replay_and_cache_accounting() {
-        let one = ClassificationResult {
-            vproc_replays: 10,
-            cache_stats: CacheStats { hits: 3, misses: 10, saved_replays: 3 },
-            ..ClassificationResult::default()
-        };
-        let two = ClassificationResult {
-            vproc_replays: 4,
-            cache_stats: CacheStats { hits: 1, misses: 4, saved_replays: 1 },
-            ..ClassificationResult::default()
-        };
-        let merged = merge_classifications(&[one, two]);
-        assert_eq!(merged.vproc_replays, 14);
-        assert_eq!(merged.cache_stats, CacheStats { hits: 4, misses: 14, saved_replays: 4 });
-        assert!(merged.cache.is_none(), "merged results span traces; no shared cache");
+    fn merge_sums_replay_accounting() {
+        let one = ClassificationResult { vproc_replays: 10, ..ClassificationResult::default() };
+        let two = ClassificationResult { vproc_replays: 4, ..ClassificationResult::default() };
+        assert_eq!(merge_classifications(&[one, two]).vproc_replays, 14);
+    }
+
+    #[test]
+    fn merge_keeps_the_first_exposing_live_outs() {
+        let mut b = ProgramBuilder::new();
+        for (name, val) in [("a", 1u64), ("b", 2u64)] {
+            b.thread(name);
+            b.movi(Reg::R1, val).store(Reg::R1, Reg::R15, 0x20).halt();
+        }
+        let harmful = classify_program(b, RunConfig::round_robin(1));
+        let (&id, race) = harmful.races.iter().next().unwrap();
+        assert!(race.exposing_live_outs.is_some());
+        let mut benign = ClassificationResult::default();
+        let group = OutcomeGroup::NoStateChange;
+        benign.races.insert(
+            id,
+            ClassifiedRace {
+                id,
+                group,
+                verdict: group.verdict(),
+                counts: InstanceCounts::default(),
+                instances: vec![],
+                exposing_live_outs: None,
+            },
+        );
+        // The first exposing instance may come from a later execution…
+        let merged = merge_classifications(&[benign, harmful.clone()]);
+        assert_eq!(merged.races[&id].exposing_live_outs, race.exposing_live_outs);
+        // …and a later execution never displaces it.
+        let mut later = harmful.clone();
+        later.races.get_mut(&id).unwrap().exposing_live_outs = None;
+        let merged = merge_classifications(&[harmful.clone(), later]);
+        assert_eq!(merged.races[&id].exposing_live_outs, race.exposing_live_outs);
     }
 
     #[test]
@@ -1280,7 +906,7 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let baseline = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let baseline = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         assert_eq!(baseline.static_skipped_races, 0);
         let (&id, base_race) = baseline.races.iter().next().unwrap();
         assert!(base_race.counts.analyzed > 0);
@@ -1374,7 +1000,7 @@ mod tests {
         assert_eq!(prediction.reach, Reach::Unreachable);
         assert!(!prediction.predicted.high_confidence_benign(), "no idiom matches a dead load");
 
-        let baseline = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let baseline = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         assert_eq!(baseline.races[&id].group, OutcomeGroup::NoStateChange, "soundness");
 
         // skip-benign alone must NOT skip it (the idiom half says nothing)…
@@ -1436,14 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_mode_names() {
-        assert_eq!(CacheMode::parse("off").unwrap(), CacheMode::Off);
-        assert_eq!(CacheMode::parse("exact").unwrap(), CacheMode::Exact);
-        assert_eq!(CacheMode::parse("coarse").unwrap(), CacheMode::Coarse);
-        assert!(CacheMode::parse("lru").is_err());
-    }
-
-    #[test]
     fn parse_batch_mode_names() {
         assert_eq!(BatchMode::parse("off").unwrap(), BatchMode::Off);
         assert_eq!(BatchMode::parse("shared").unwrap(), BatchMode::Shared);
@@ -1498,15 +1116,15 @@ mod tests {
         let rec = record(&program, &cfg);
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let batched = classify_races(&trace, &detected, &ClassifierConfig::default());
-        let unbatched = classify_races(
+        let batched = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
+        let unbatched = classify_races_with(
             &trace,
             &detected,
             &ClassifierConfig { batching: BatchMode::Off, ..ClassifierConfig::default() },
+            None,
         );
         assert_eq!(batched.races, unbatched.races);
         assert_eq!(batched.vproc_replays, unbatched.vproc_replays);
-        assert_eq!(batched.cache_stats, unbatched.cache_stats);
         assert!(batched.batch_stats.batches > 0, "the loop instances must share a batch");
         assert!(batched.batch_stats.prefix_executions < unbatched.batch_stats.prefix_executions);
         assert_eq!(unbatched.batch_stats.batches, 0);

@@ -58,9 +58,9 @@ pub mod static_feed;
 pub mod triage;
 
 pub use classify::{
-    classify_races, classify_races_with, predictions_by_id, BatchMode, ClassificationResult,
-    ClassifiedInstance, ClassifiedRace, ClassifierConfig, InstanceOutcome, OutcomeGroup,
-    StaticPrediction, TrustStatic, Verdict,
+    classify_races_with, predictions_by_id, BatchMode, ClassificationResult, ClassifiedInstance,
+    ClassifiedRace, ClassifierConfig, InstanceOutcome, OutcomeGroup, StaticPrediction, TrustStatic,
+    Verdict,
 };
 pub use detect::{detect_races, DetectedRaces, DetectorConfig, RaceInstance, StaticRaceId};
 pub use pipeline::{run_pipeline, PipelineConfig, PipelineResult};

@@ -14,11 +14,9 @@ use minijson::Json;
 
 use idna_replay::replayer::ReplayTrace;
 use idna_replay::timetravel::TimeTraveler;
-use idna_replay::vproc::{AccessSite, PairOrder, ReplayFailure, Vproc, VprocConfig};
+use idna_replay::vproc::{AccessSite, PairLiveOut, PairOrder, ReplayFailure};
 
-use crate::classify::{
-    ClassificationResult, ClassifiedRace, InstanceOutcome, ReplayCache, Verdict,
-};
+use crate::classify::{ClassificationResult, ClassifiedRace, InstanceOutcome, Verdict};
 use crate::detect::StaticRaceId;
 
 /// A short window of disassembled instructions around a racing access,
@@ -89,18 +87,13 @@ pub struct Report {
 }
 
 impl Report {
-    /// Builds the report. Each harmful race's first exposing instance needs
-    /// both ordered live-outs to render the difference; when the
-    /// classification carries a [`ReplayCache`] those replays are served
-    /// from it (under the same virtual-processor options the classifier
-    /// used), otherwise the virtual processor re-runs them.
+    /// Builds the report. A State-Change scenario's difference line renders
+    /// the two live-outs the classification kept for it
+    /// ([`ClassifiedRace::exposing_live_outs`]); nothing is replayed.
     #[must_use]
     pub fn build(trace: &ReplayTrace, result: &ClassificationResult) -> Self {
-        let cache = result.cache.as_deref();
-        let vproc_config = cache.map_or_else(VprocConfig::default, ReplayCache::vproc_config);
-        let vproc = Vproc::new(trace, vproc_config);
         let mut races: Vec<RaceReport> =
-            result.races.values().map(|race| build_entry(trace, &vproc, cache, race)).collect();
+            result.races.values().map(|race| build_entry(trace, race)).collect();
         races.sort_by_key(|r| (r.verdict != Verdict::PotentiallyHarmful, r.id));
         Report { races, log_damaged_races: result.log_damaged_races }
     }
@@ -384,12 +377,7 @@ fn scenario_from_json(doc: &Json) -> Result<ReplayScenario, String> {
     })
 }
 
-fn build_entry(
-    trace: &ReplayTrace,
-    vproc: &Vproc<'_>,
-    cache: Option<&ReplayCache>,
-    race: &ClassifiedRace,
-) -> RaceReport {
+fn build_entry(trace: &ReplayTrace, race: &ClassifiedRace) -> RaceReport {
     let scenario = race.first_exposing_instance().map(|ci| {
         let inst = &ci.instance;
         let program = trace.program();
@@ -400,7 +388,10 @@ fn build_entry(
         };
         let difference = match ci.outcome {
             InstanceOutcome::ReplayFailure(f) => format!("alternative replay failed: {f}"),
-            InstanceOutcome::StateChange => describe_difference(vproc, cache, inst),
+            InstanceOutcome::StateChange => match race.exposing_live_outs.as_deref() {
+                Some([x, y]) => describe_difference(x, y),
+                None => "live-outs differ".to_string(),
+            },
             InstanceOutcome::NoStateChange => "no difference".to_string(),
         };
         ReplayScenario {
@@ -475,23 +466,9 @@ fn registers_read(instr: &tvm::Instr) -> Vec<tvm::Reg> {
     regs
 }
 
-/// Obtains both ordered live-outs of an instance — from the classification's
-/// replay cache when available, else by re-running — and renders how they
+/// Renders how an instance's a-then-b (`x`) and b-then-a (`y`) live-outs
 /// differ.
-fn describe_difference(
-    vproc: &Vproc<'_>,
-    cache: Option<&ReplayCache>,
-    inst: &crate::detect::RaceInstance,
-) -> String {
-    let run = |order| match cache {
-        Some(c) => c.replay(vproc, &inst.a, &inst.b, order),
-        None => vproc.run_pair(&inst.a, &inst.b, order),
-    };
-    let fwd = run(PairOrder::AThenB);
-    let rev = run(PairOrder::BThenA);
-    let (Ok(x), Ok(y)) = (fwd, rev) else {
-        return "replay failure on re-examination".to_string();
-    };
+fn describe_difference(x: &PairLiveOut, y: &PairLiveOut) -> String {
     let mut parts = Vec::new();
     if x.a.fault != y.a.fault || x.b.fault != y.b.fault {
         parts.push(format!(
@@ -528,7 +505,7 @@ fn describe_difference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify_races, ClassifierConfig};
+    use crate::classify::{classify_races_with, ClassifierConfig};
     use crate::detect::{detect_races, DetectorConfig};
     use idna_replay::recorder::record;
     use idna_replay::replayer::replay;
@@ -542,7 +519,7 @@ mod tests {
         let rec = record(&program, &RunConfig::round_robin(1));
         let trace = replay(&program, &rec.log).unwrap();
         let detected = detect_races(&trace, &DetectorConfig::default());
-        let result = classify_races(&trace, &detected, &ClassifierConfig::default());
+        let result = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
         Report::build(&trace, &result)
     }
 

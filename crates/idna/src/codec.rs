@@ -231,7 +231,7 @@ fn get_fault(buf: &mut Reader<'_>) -> Result<Fault, CodecError> {
 /// Encodes a log into the compact binary form.
 ///
 /// Allocates a fresh buffer per call; repeated encoders (report building,
-/// the classifier cache, `loginfo`) should hold a [`LogWriter`] instead.
+/// `loginfo`) should hold a [`LogWriter`] instead.
 #[must_use]
 pub fn encode_log(log: &ReplayLog) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -1159,9 +1159,9 @@ pub fn measure(log: &ReplayLog) -> LogSizeReport {
 /// A reusable log encoder/compressor.
 ///
 /// Holds the raw and compressed output buffers plus the LZSS match finder's
-/// hash-chain scratch, so repeated encodes (report building, the classifier
-/// cache key, `loginfo`, the log-size study) stop reallocating: after the
-/// first call, encoding a log of similar size allocates nothing.
+/// hash-chain scratch, so repeated encodes (report building, `loginfo`, the
+/// log-size study) stop reallocating: after the first call, encoding a log
+/// of similar size allocates nothing.
 ///
 /// # Examples
 ///

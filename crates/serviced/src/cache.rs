@@ -1,83 +1,63 @@
-//! The persistent content-addressed replay cache.
+//! The persistent report cache: one record file per classified workload.
 //!
-//! A dual-order replay's live-out is a pure function of the program, the
-//! recorded trace, the virtual-processor options, and the replayed pair
-//! `(site a, site b, order)`. The service therefore addresses cached
-//! live-outs by exactly that content:
+//! A submission's report is a pure function of the assembled program, the
+//! submitted log container bytes, and the classifier options that can
+//! change it: the virtual processor's step budget and permissive flags,
+//! and the per-race instance budget (worker count and batching never
+//! change a report). The cache binds exactly those inputs into a
+//! [`WorkloadKey`] and keeps, per workload, one file
+//! `DIR/<32 hex digits>.rrr` holding the finished report JSON, so a hit
+//! skips log decode, replay, detection, classification and rendering.
 //!
-//! ```text
-//! key = program digest ‖ log digest ‖ vproc options ‖ site a ‖ site b ‖ order
-//! ```
-//!
-//! (the PR 8 in-memory cache's exact pair key, widened with the digests
-//! that bind it to one workload). Keys serialize to a fixed
-//! [`KEY_LEN`]-byte layout; values serialize the full
-//! `Result<PairLiveOut, ReplayFailure>`. Lookups compare the entire key,
-//! never just a hash, so distinct replays can not alias.
-//!
-//! # On-disk format
-//!
-//! The cache directory holds append-only segment files `cache-NNNNNN.rrc`,
-//! each beginning with [`SEGMENT_MAGIC`] and followed by records framed
-//! exactly like the v2 log format's per-thread frames:
+//! # Record format
 //!
 //! ```text
-//! [len u32 LE][fasthash checksum u64 LE][payload = key ‖ value]
+//! magic "RRREPRT1" ‖ checksum [16] ‖ identity [16] ‖ step budget u64 ‖
+//! permissive flags u8 ‖ max instances u64 ‖ log length u64 ‖
+//! program length u64 ‖ program ‖ report JSON (compact)
 //! ```
 //!
-//! Writes append whole records and the directory is the unit of recovery:
-//! on open, each segment is scanned and the longest clean prefix is
-//! salvaged — the tolerant-decode discipline from the corruption-hardened
-//! log reader. A torn tail (partial record from a crash mid-append, or a
-//! checksum mismatch from bit rot) silently ends that segment's scan; the
-//! entries before it stay valid because records are self-contained and
-//! appended atomically with respect to the in-process writer lock. Nothing
-//! in the format is ever updated in place.
+//! Integers are little-endian. The program is its canonical disassembly
+//! ([`tvm::asm::disassemble`]: instructions, threads, marks and globals,
+//! everything a report can quote). The identity is a 128-bit digest of
+//! program, log bytes and options; the checksum is the same digest over
+//! everything after it. A record is served only when magic, checksum,
+//! identity, options, log length and program bytes all match the request;
+//! anything else — a torn or flipped file, a record copied under another
+//! identity's name, a segment file of the per-pair format this replaced —
+//! is a miss, never an error or a wrong report.
 //!
-//! Compaction rewrites every live entry into a fresh segment written to a
-//! temporary name, syncs it, atomically renames it over a new segment
-//! number, and only then deletes the old segments — a crash at any point
-//! leaves either the old segments or a complete new one, never a mix.
+//! # Durability
 //!
-//! An LRU layer caches decoded values in memory (bounded by entry count);
-//! the full key → location index always stays resident, so a miss costs
-//! one seek and a hit costs nothing.
+//! A record is written once, before the server answers: to a uniquely
+//! named `.tmp` file, synced, renamed into place, and the directory
+//! synced. A client holding its answer therefore always hits on
+//! resubmission, and a crash leaves either no record or a whole one, plus
+//! at most a stray tmp file that [`ReportCache::open`] deletes. Records
+//! are never appended to or rewritten; a damaged one is replaced by the
+//! next successful classification of its workload.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::hash::Hasher;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::hash::{DefaultHasher, Hasher};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use idna_replay::vproc::{
-    AccessSite, PairLiveOut, PairOrder, ReplayFailure, ThreadLiveOut, VprocConfig,
-};
-use replay_race::classify::ReplayStore;
-use tvm::exec::AccessKind;
-use tvm::fasthash::{FastHashMap, FastHasher};
-use tvm::isa::NUM_REGS;
-use tvm::machine::Fault;
+use minijson::Json;
+use replay_race::classify::ClassifierConfig;
 use tvm::Program;
 
-/// Segment-file magic: `RRC` + format version `1`.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"RRCACHE1";
+/// Record-file magic: `RR` report record, format version `1`. Bump the
+/// version whenever the record layout changes or a pipeline change alters
+/// any report, or records written by an older build keep serving its
+/// bytes.
+pub const RECORD_MAGIC: &[u8; 8] = b"RRREPRT1";
 
-/// Serialized key length: two digests, the vproc options, two sites, and
-/// the order.
-pub const KEY_LEN: usize = 8 + 8 + 9 + SITE_LEN * 2 + 1;
+/// Record file extension.
+const RECORD_EXT: &str = "rrr";
 
-/// Serialized [`AccessSite`] length: region (tid, index), instr index, pc,
-/// addr, kind.
-const SITE_LEN: usize = 8 + 8 + 8 + 8 + 8 + 1;
-
-/// Per-record frame header: length + checksum.
-const RECORD_HEADER: usize = 4 + 8;
-
-/// Segments roll over past this payload size, bounding the data a torn
-/// tail can shadow and keeping compaction incremental.
-const SEGMENT_ROLL_BYTES: u64 = 4 << 20;
+/// Temporary-file extension; stray ones are deleted on open.
+const TMP_EXT: &str = "tmp";
 
 /// A cache failure (io, or a directory that cannot be prepared).
 #[derive(Debug)]
@@ -99,753 +79,202 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// Digest of an assembled program: its encoded instruction words plus the
-/// thread table (entries, args, names) — everything replay semantics can
-/// see.
-#[must_use]
-pub fn program_digest(program: &Program) -> u64 {
-    let mut h = FastHasher::default();
-    for word in tvm::encode::encode_program(program.instrs()) {
-        h.write_u64(word);
-    }
-    for t in program.threads() {
-        h.write_u64(t.entry as u64);
-        h.write_u64(t.args.len() as u64);
-        for &a in &t.args {
-            h.write_u64(a);
+/// A 128-bit digest from std alone: two domain-separated passes of
+/// `DefaultHasher` (SipHash with fixed keys, so stable across processes)
+/// over length-prefixed parts. A toolchain that changed the hasher would
+/// only turn every record into a miss.
+fn digest128(parts: &[&[u8]]) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (domain, half) in out.chunks_exact_mut(8).enumerate() {
+        let mut h = DefaultHasher::new();
+        h.write_u8(domain as u8);
+        for part in parts {
+            h.write_u64(part.len() as u64);
+            h.write(part);
         }
-        h.write(t.name.as_bytes());
-        h.write_u8(0xff);
+        half.copy_from_slice(&h.finish().to_le_bytes());
     }
-    h.finish()
+    out
 }
 
-/// Digest of the submitted log container bytes. The replay trace — and so
-/// every live-out — is a function of these bytes, which is why they are
-/// part of the cache key.
-#[must_use]
-pub fn log_digest(container_bytes: &[u8]) -> u64 {
-    let mut h = FastHasher::default();
-    h.write(container_bytes);
-    h.finish()
+/// One submitted workload's identity: everything its report depends on.
+#[derive(Clone, Debug)]
+pub struct WorkloadKey {
+    identity: [u8; 16],
+    /// The record bytes after the checksum and before the report: identity,
+    /// options, log length, program length and program.
+    header: Vec<u8>,
 }
 
-/// A fully bound cache key. Construction requires every input a live-out
-/// depends on; the byte layout is fixed so keys round-trip through segment
-/// files exactly.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey(pub [u8; KEY_LEN]);
-
-impl CacheKey {
-    /// Binds one replay's identity.
+impl WorkloadKey {
+    /// Binds an assembled program, the raw log container bytes and the
+    /// classifier options that can change the report.
     #[must_use]
-    pub fn new(
-        program: u64,
-        log: u64,
-        vproc: VprocConfig,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Self {
-        let mut buf = [0u8; KEY_LEN];
-        let mut at = 0;
-        let mut put = |bytes: &[u8]| {
-            buf[at..at + bytes.len()].copy_from_slice(bytes);
-            at += bytes.len();
-        };
-        put(&program.to_le_bytes());
-        put(&log.to_le_bytes());
-        put(&vproc.step_budget.to_le_bytes());
-        put(&[
-            u8::from(vproc.permissive_unknown_loads) | u8::from(vproc.permissive_control_flow) << 1
-        ]);
-        for site in [a, b] {
-            put(&(site.region.tid as u64).to_le_bytes());
-            put(&(site.region.index as u64).to_le_bytes());
-            put(&site.instr_index.to_le_bytes());
-            put(&(site.pc as u64).to_le_bytes());
-            put(&site.addr.to_le_bytes());
-            put(&[match site.kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-            }]);
-        }
-        put(&[match order {
-            PairOrder::AThenB => 0,
-            PairOrder::BThenA => 1,
-        }]);
-        debug_assert_eq!(at, KEY_LEN);
-        CacheKey(buf)
-    }
-}
-
-// --- value codec ------------------------------------------------------------
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_seq(buf: &mut Vec<u8>, it: impl ExactSizeIterator<Item = u64>) {
-    put_u64(buf, it.len() as u64);
-    for v in it {
-        put_u64(buf, v);
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.at..self.at + 8)?;
-        self.at += 8;
-        Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    pub fn new(program: &Program, log: &[u8], classifier: &ClassifierConfig) -> Self {
+        let program = tvm::asm::disassemble(program);
+        let vproc = classifier.vproc;
+        let mut options = Vec::with_capacity(17);
+        options.extend_from_slice(&vproc.step_budget.to_le_bytes());
+        options.push(
+            u8::from(vproc.permissive_unknown_loads) | u8::from(vproc.permissive_control_flow) << 1,
+        );
+        options.extend_from_slice(&(classifier.max_instances_per_race as u64).to_le_bytes());
+        let identity = digest128(&[program.as_bytes(), log, &options]);
+        let mut header = Vec::with_capacity(16 + options.len() + 16 + program.len());
+        header.extend_from_slice(&identity);
+        header.extend_from_slice(&options);
+        header.extend_from_slice(&(log.len() as u64).to_le_bytes());
+        header.extend_from_slice(&(program.len() as u64).to_le_bytes());
+        header.extend_from_slice(program.as_bytes());
+        WorkloadKey { identity, header }
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(b)
+    /// The record's file name: the identity in hex plus the extension.
+    #[must_use]
+    pub fn file_name(&self) -> String {
+        let hex: String = self.identity.iter().map(|b| format!("{b:02x}")).collect();
+        format!("{hex}.{RECORD_EXT}")
     }
 
-    fn seq(&mut self) -> Option<Vec<u64>> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        if len > self.buf.len().saturating_sub(self.at) / 8 {
-            return None; // declared length cannot fit the remaining bytes
-        }
-        (0..len).map(|_| self.u64()).collect()
+    /// The full record for `report`.
+    fn encode(&self, report: &Json) -> Vec<u8> {
+        let mut body = self.header.clone();
+        body.extend_from_slice(report.to_string_compact().as_bytes());
+        let mut record = Vec::with_capacity(RECORD_MAGIC.len() + 16 + body.len());
+        record.extend_from_slice(RECORD_MAGIC);
+        record.extend_from_slice(&digest128(&[&body]));
+        record.extend_from_slice(&body);
+        record
     }
-}
 
-fn encode_fault(buf: &mut Vec<u8>, fault: Option<Fault>) {
-    match fault {
-        None => buf.push(0),
-        Some(Fault::InvalidAccess { addr }) => {
-            buf.push(1);
-            put_u64(buf, addr);
+    /// The report a record holds for this workload, or `None` when the
+    /// bytes fail any check.
+    fn decode(&self, record: &[u8]) -> Option<Json> {
+        let rest = record.strip_prefix(RECORD_MAGIC)?;
+        let (checksum, body) = rest.split_at_checked(16)?;
+        if checksum != digest128(&[body]) {
+            return None;
         }
-        Some(Fault::UseAfterFree { addr }) => {
-            buf.push(2);
-            put_u64(buf, addr);
-        }
-        Some(Fault::InvalidFree { addr }) => {
-            buf.push(3);
-            put_u64(buf, addr);
-        }
-        Some(Fault::DivideByZero) => buf.push(4),
-        Some(Fault::CallStackOverflow) => buf.push(5),
-        Some(Fault::CallStackUnderflow) => buf.push(6),
-        Some(Fault::PcOutOfRange { pc }) => {
-            buf.push(7);
-            put_u64(buf, pc as u64);
-        }
+        let report = body.strip_prefix(self.header.as_slice())?;
+        Json::parse(std::str::from_utf8(report).ok()?).ok()
     }
-}
-
-fn decode_fault(c: &mut Cursor<'_>) -> Option<Option<Fault>> {
-    Some(match c.u8()? {
-        0 => None,
-        1 => Some(Fault::InvalidAccess { addr: c.u64()? }),
-        2 => Some(Fault::UseAfterFree { addr: c.u64()? }),
-        3 => Some(Fault::InvalidFree { addr: c.u64()? }),
-        4 => Some(Fault::DivideByZero),
-        5 => Some(Fault::CallStackOverflow),
-        6 => Some(Fault::CallStackUnderflow),
-        7 => Some(Fault::PcOutOfRange { pc: usize::try_from(c.u64()?).ok()? }),
-        _ => return None,
-    })
-}
-
-fn encode_thread(buf: &mut Vec<u8>, t: &ThreadLiveOut) {
-    put_u64(buf, t.tid as u64);
-    for &r in &t.regs {
-        put_u64(buf, r);
-    }
-    put_u64(buf, t.pc as u64);
-    put_seq(buf, t.call_stack.iter().map(|&p| p as u64));
-    encode_fault(buf, t.fault);
-    put_seq(buf, t.outputs.iter().copied());
-    put_u64(buf, t.instrs_executed);
-}
-
-fn decode_thread(c: &mut Cursor<'_>) -> Option<ThreadLiveOut> {
-    let tid = usize::try_from(c.u64()?).ok()?;
-    let mut regs = [0u64; NUM_REGS];
-    for r in &mut regs {
-        *r = c.u64()?;
-    }
-    let pc = usize::try_from(c.u64()?).ok()?;
-    let call_stack =
-        c.seq()?.into_iter().map(|p| usize::try_from(p).ok()).collect::<Option<Vec<_>>>()?;
-    let fault = decode_fault(c)?;
-    let outputs = c.seq()?;
-    let instrs_executed = c.u64()?;
-    Some(ThreadLiveOut { tid, regs, pc, call_stack, fault, outputs, instrs_executed })
-}
-
-/// Serializes a replay outcome (the record payload's value half).
-#[must_use]
-pub fn encode_outcome(out: &Result<PairLiveOut, ReplayFailure>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match out {
-        Ok(pair) => {
-            buf.push(0);
-            encode_thread(&mut buf, &pair.a);
-            encode_thread(&mut buf, &pair.b);
-            put_u64(&mut buf, pair.writes.len() as u64);
-            for (&k, &v) in &pair.writes {
-                put_u64(&mut buf, k);
-                put_u64(&mut buf, v);
-            }
-            put_seq(&mut buf, pair.freed.iter().copied());
-            put_seq(&mut buf, pair.allocated.iter().copied());
-        }
-        Err(f) => {
-            match f {
-                ReplayFailure::UnknownLoad { addr } => {
-                    buf.push(1);
-                    put_u64(&mut buf, *addr);
-                }
-                ReplayFailure::UnknownStore { addr } => {
-                    buf.push(2);
-                    put_u64(&mut buf, *addr);
-                }
-                ReplayFailure::UnknownFree { addr } => {
-                    buf.push(3);
-                    put_u64(&mut buf, *addr);
-                }
-                ReplayFailure::UnrecordedControlFlow { tid, pc } => {
-                    buf.push(4);
-                    put_u64(&mut buf, *tid as u64);
-                    put_u64(&mut buf, *pc as u64);
-                }
-                ReplayFailure::BudgetExhausted => buf.push(5),
-                ReplayFailure::LogDamage => buf.push(6),
-            };
-        }
-    }
-    buf
-}
-
-/// Decodes [`encode_outcome`]'s output. `None` means the payload is
-/// malformed — callers treat that as a miss, never an error.
-#[must_use]
-pub fn decode_outcome(bytes: &[u8]) -> Option<Result<PairLiveOut, ReplayFailure>> {
-    let mut c = Cursor { buf: bytes, at: 0 };
-    let tag = c.u8()?;
-    let out = match tag {
-        0 => {
-            let a = decode_thread(&mut c)?;
-            let b = decode_thread(&mut c)?;
-            let n = usize::try_from(c.u64()?).ok()?;
-            if n > bytes.len() / 16 {
-                return None;
-            }
-            let mut writes = BTreeMap::new();
-            for _ in 0..n {
-                let k = c.u64()?;
-                let v = c.u64()?;
-                writes.insert(k, v);
-            }
-            let freed = c.seq()?.into_iter().collect();
-            let allocated = c.seq()?.into_iter().collect();
-            Ok(PairLiveOut { a, b, writes, freed, allocated })
-        }
-        1 => Err(ReplayFailure::UnknownLoad { addr: c.u64()? }),
-        2 => Err(ReplayFailure::UnknownStore { addr: c.u64()? }),
-        3 => Err(ReplayFailure::UnknownFree { addr: c.u64()? }),
-        4 => Err(ReplayFailure::UnrecordedControlFlow {
-            tid: usize::try_from(c.u64()?).ok()?,
-            pc: usize::try_from(c.u64()?).ok()?,
-        }),
-        5 => Err(ReplayFailure::BudgetExhausted),
-        6 => Err(ReplayFailure::LogDamage),
-        _ => return None,
-    };
-    (c.at == bytes.len()).then_some(out)
-}
-
-fn record_checksum(payload: &[u8]) -> u64 {
-    let mut h = FastHasher::default();
-    h.write(payload);
-    h.finish()
-}
-
-// --- persistence ------------------------------------------------------------
-
-/// Where one record's value lives on disk.
-#[derive(Copy, Clone, Debug)]
-struct Slot {
-    segment: u64,
-    /// Offset of the value bytes within the segment file.
-    offset: u64,
-    len: u32,
 }
 
 /// Counters the service surfaces through `svc-stats`.
-#[derive(Default, Debug)]
-pub struct PersistentCacheStats {
-    /// Lookups answered from the in-memory LRU layer.
-    pub mem_hits: AtomicU64,
-    /// Lookups answered from a segment file (and promoted to memory).
-    pub persisted_hits: AtomicU64,
-    /// Lookups nothing answered.
-    pub misses: AtomicU64,
-    /// Records appended to segment files.
-    pub persisted_writes: AtomicU64,
-    /// Values evicted from the LRU layer (still on disk).
-    pub evictions: AtomicU64,
-    /// Bytes dropped by torn-tail salvage across all opens.
-    pub salvaged_dropped_bytes: AtomicU64,
-    /// Compactions performed.
-    pub compactions: AtomicU64,
-}
-
-/// Snapshot of [`PersistentCacheStats`] (plain integers).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStatsSnapshot {
+pub struct CacheCounts {
+    /// Record files in the directory.
     pub entries: u64,
-    pub segments: u64,
+    /// Their total size.
     pub disk_bytes: u64,
-    pub mem_entries: u64,
-    pub mem_hits: u64,
+    /// Lookups a record answered.
     pub persisted_hits: u64,
+    /// Lookups no valid record answered.
     pub misses: u64,
+    /// Records written.
     pub persisted_writes: u64,
-    pub evictions: u64,
-    pub salvaged_dropped_bytes: u64,
-    pub compactions: u64,
 }
 
-/// A bounded LRU map from key to decoded outcome. Classic ordering via a
-/// monotone use-stamp; eviction removes the stalest entry. Sizes here are
-/// hundreds to thousands of entries, so the O(n) stalest scan on eviction
-/// is cheaper than maintaining an intrusive list — and trivially correct.
-struct Lru {
-    capacity: usize,
-    stamp: u64,
-    map: FastHashMap<CacheKey, (Result<PairLiveOut, ReplayFailure>, u64)>,
-}
-
-impl Lru {
-    fn new(capacity: usize) -> Self {
-        Lru { capacity: capacity.max(1), stamp: 0, map: FastHashMap::default() }
-    }
-
-    fn get(&mut self, key: &CacheKey) -> Option<Result<PairLiveOut, ReplayFailure>> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let (value, used) = self.map.get_mut(key)?;
-        *used = stamp;
-        Some(value.clone())
-    }
-
-    /// Inserts and returns whether an entry was evicted.
-    fn put(&mut self, key: CacheKey, value: Result<PairLiveOut, ReplayFailure>) -> bool {
-        self.stamp += 1;
-        self.map.insert(key, (value, self.stamp));
-        if self.map.len() <= self.capacity {
-            return false;
-        }
-        let stalest = self
-            .map
-            .iter()
-            .min_by_key(|(_, (_, used))| *used)
-            .map(|(k, _)| k.clone())
-            .expect("map is non-empty");
-        self.map.remove(&stalest);
-        true
-    }
-}
-
-/// Mutable state behind the cache's writer lock.
-struct CacheInner {
-    index: FastHashMap<CacheKey, Slot>,
-    lru: Lru,
-    /// Open handle to the active (newest) segment, positioned at its end.
-    writer: std::io::BufWriter<fs::File>,
-    writer_segment: u64,
-    writer_len: u64,
-    /// Segment number → payload length on disk (salvaged length).
-    segments: BTreeMap<u64, u64>,
-}
-
-/// The persistent content-addressed replay cache. See the module docs for
-/// the format and crash-consistency argument.
-pub struct PersistentCache {
+/// The persistent report cache. See the module docs for the format and
+/// the crash-consistency argument.
+#[derive(Debug)]
+pub struct ReportCache {
     dir: PathBuf,
-    inner: Mutex<CacheInner>,
-    pub stats: PersistentCacheStats,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    writes: AtomicU64,
+    /// Makes tmp-file names unique within the process.
+    tmp_seq: AtomicU64,
 }
 
-fn segment_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("cache-{n:06}.rrc"))
-}
-
-impl PersistentCache {
-    /// Opens (or creates) the cache rooted at `dir`, salvaging every
-    /// segment's longest clean prefix. `mem_entries` bounds the LRU layer.
+impl ReportCache {
+    /// Opens (or creates) the cache rooted at `dir`, deleting stray tmp
+    /// files a crash mid-write left behind.
     ///
     /// # Errors
     ///
-    /// Fails when the directory cannot be created or a segment cannot be
-    /// read; torn or corrupt records are salvage, not errors.
-    pub fn open(dir: &Path, mem_entries: usize) -> Result<Self, CacheError> {
+    /// Fails when the directory cannot be created or listed.
+    pub fn open(dir: &Path) -> Result<Self, CacheError> {
         fs::create_dir_all(dir)?;
-        let stats = PersistentCacheStats::default();
-        let mut index = FastHashMap::default();
-        let mut segments = BTreeMap::new();
-        let mut numbers: Vec<u64> = Vec::new();
         for entry in fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(n) = name
-                .strip_prefix("cache-")
-                .and_then(|s| s.strip_suffix(".rrc"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                numbers.push(n);
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == TMP_EXT) {
+                let _ = fs::remove_file(&path);
             }
         }
-        numbers.sort_unstable();
-        for &n in &numbers {
-            let bytes = fs::read(segment_path(dir, n))?;
-            let salvaged = scan_segment(&bytes, n, &mut index);
-            stats
-                .salvaged_dropped_bytes
-                .fetch_add(bytes.len() as u64 - salvaged, Ordering::Relaxed);
-            segments.insert(n, salvaged);
+        Ok(ReportCache {
+            dir: dir.to_path_buf(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+            tmp_seq: AtomicU64::new(0),
+        })
+    }
+
+    fn path(&self, key: &WorkloadKey) -> PathBuf {
+        self.dir.join(key.file_name())
+    }
+
+    fn read(&self, key: &WorkloadKey) -> Option<Json> {
+        key.decode(&fs::read(self.path(key)).ok()?)
+    }
+
+    /// The workload's report, when a valid record holds it.
+    #[must_use]
+    pub fn lookup(&self, key: &WorkloadKey) -> Option<Json> {
+        let found = self.read(key);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Persists the workload's report unless a valid record already holds
+    /// it; returns whether a record was written. The record is synced and
+    /// in place when this returns.
+    ///
+    /// # Errors
+    ///
+    /// Fails on io errors. The record is then not known to be durable, and
+    /// the next miss on the key writes it again.
+    pub fn insert(&self, key: &WorkloadKey, report: &Json) -> Result<bool, CacheError> {
+        if self.read(key).is_some() {
+            return Ok(false);
         }
-        // Append to the newest segment (truncated back to its clean
-        // prefix, so a torn tail cannot shadow new records), or start
-        // segment 0.
-        let active = numbers.last().copied().unwrap_or(0);
-        let active_len = segments.get(&active).copied().unwrap_or(0);
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(segment_path(dir, active))?;
-        if active_len == 0 {
-            file.set_len(0)?;
-            let mut f = &file;
-            f.write_all(SEGMENT_MAGIC)?;
-        } else {
-            file.set_len(active_len)?;
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let tmp =
+            self.dir.join(format!("{}-{}-{seq}.{TMP_EXT}", key.file_name(), std::process::id()));
+        // The directory is synced after the rename so the new entry, not
+        // just the file's bytes, survives a power loss.
+        let written = fs::File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&key.encode(report))?;
+                file.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, self.path(key)))
+            .and_then(|()| fs::File::open(&self.dir)?.sync_all());
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(e.into());
         }
-        let mut writer = std::io::BufWriter::new(file);
-        let writer_len = writer.seek(SeekFrom::End(0))?;
-        segments.insert(active, writer_len);
-        let inner = CacheInner {
-            index,
-            lru: Lru::new(mem_entries),
-            writer,
-            writer_segment: active,
-            writer_len,
-            segments,
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(true)
+    }
+
+    /// The counters, with entries and bytes counted from the directory.
+    #[must_use]
+    pub fn counts(&self) -> CacheCounts {
+        let mut counts = CacheCounts {
+            persisted_hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            persisted_writes: self.writes.load(Ordering::Relaxed),
+            ..CacheCounts::default()
         };
-        Ok(PersistentCache { dir: dir.to_path_buf(), inner: Mutex::new(inner), stats })
-    }
-
-    /// Number of distinct keys resident (in the index).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().index.len()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of every counter plus index/segment totals.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        let inner = self.inner.lock().unwrap();
-        let s = &self.stats;
-        CacheStatsSnapshot {
-            entries: inner.index.len() as u64,
-            segments: inner.segments.len() as u64,
-            disk_bytes: inner.segments.values().sum(),
-            mem_entries: inner.lru.map.len() as u64,
-            mem_hits: s.mem_hits.load(Ordering::Relaxed),
-            persisted_hits: s.persisted_hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            persisted_writes: s.persisted_writes.load(Ordering::Relaxed),
-            evictions: s.evictions.load(Ordering::Relaxed),
-            salvaged_dropped_bytes: s.salvaged_dropped_bytes.load(Ordering::Relaxed),
-            compactions: s.compactions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Looks the key up: LRU first, then the segment files (verifying the
-    /// record checksum and the full key before trusting the value).
-    #[must_use]
-    pub fn lookup(&self, key: &CacheKey) -> Option<Result<PairLiveOut, ReplayFailure>> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(found) = inner.lru.get(key) {
-            self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        let Some(slot) = inner.index.get(key).copied() else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let value = self.read_slot(&mut inner, slot);
-        match value {
-            Some(value) => {
-                self.stats.persisted_hits.fetch_add(1, Ordering::Relaxed);
-                if inner.lru.put(key.clone(), value.clone()) {
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(value)
-            }
-            None => {
-                // The slot went bad on disk after the open-time scan (bit
-                // rot); drop it from the index and treat as a miss.
-                inner.index.remove(key);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            if entry.path().extension().is_some_and(|e| e == RECORD_EXT) {
+                counts.entries += 1;
+                counts.disk_bytes += entry.metadata().map_or(0, |m| m.len());
             }
         }
-    }
-
-    fn read_slot(
-        &self,
-        inner: &mut CacheInner,
-        slot: Slot,
-    ) -> Option<Result<PairLiveOut, ReplayFailure>> {
-        if slot.segment == inner.writer_segment {
-            // The value may still sit in the writer's buffer.
-            inner.writer.flush().ok()?;
-        }
-        let mut file = fs::File::open(segment_path(&self.dir, slot.segment)).ok()?;
-        file.seek(SeekFrom::Start(slot.offset)).ok()?;
-        let mut value = vec![0u8; slot.len as usize];
-        file.read_exact(&mut value).ok()?;
-        decode_outcome(&value)
-    }
-
-    /// Inserts an outcome: into the LRU layer and, if the key is new,
-    /// appended to the active segment. Re-inserting an existing key is a
-    /// no-op on disk (values are content-determined, so they never differ).
-    ///
-    /// # Errors
-    ///
-    /// Fails only on io errors while appending.
-    pub fn insert(
-        &self,
-        key: CacheKey,
-        value: &Result<PairLiveOut, ReplayFailure>,
-    ) -> Result<(), CacheError> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.lru.put(key.clone(), value.clone()) {
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        if inner.index.contains_key(&key) {
-            return Ok(());
-        }
-        let value_bytes = encode_outcome(value);
-        let mut payload = Vec::with_capacity(KEY_LEN + value_bytes.len());
-        payload.extend_from_slice(&key.0);
-        payload.extend_from_slice(&value_bytes);
-        let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
-        record.extend_from_slice(
-            &u32::try_from(payload.len()).expect("records are far below 4 GiB").to_le_bytes(),
-        );
-        record.extend_from_slice(&record_checksum(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-        inner.writer.write_all(&record)?;
-        let value_offset = inner.writer_len + (RECORD_HEADER + KEY_LEN) as u64;
-        inner.writer_len += record.len() as u64;
-        let (seg, len) = (inner.writer_segment, inner.writer_len);
-        inner.segments.insert(seg, len);
-        inner.index.insert(
-            key,
-            Slot {
-                segment: seg,
-                offset: value_offset,
-                len: u32::try_from(value_bytes.len()).expect("bounded by record size"),
-            },
-        );
-        self.stats.persisted_writes.fetch_add(1, Ordering::Relaxed);
-        if inner.writer_len >= SEGMENT_ROLL_BYTES {
-            self.roll_segment(&mut inner)?;
-        }
-        Ok(())
-    }
-
-    fn roll_segment(&self, inner: &mut CacheInner) -> Result<(), CacheError> {
-        inner.writer.flush()?;
-        inner.writer.get_ref().sync_all()?;
-        let next = inner.writer_segment + 1;
-        let file = fs::OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(&self.dir, next))?;
-        let mut writer = std::io::BufWriter::new(file);
-        writer.write_all(SEGMENT_MAGIC)?;
-        inner.writer = writer;
-        inner.writer_segment = next;
-        inner.writer_len = SEGMENT_MAGIC.len() as u64;
-        let (seg, len) = (next, inner.writer_len);
-        inner.segments.insert(seg, len);
-        Ok(())
-    }
-
-    /// Flushes buffered appends to the OS and syncs the active segment —
-    /// the drain-time durability point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates io failures.
-    pub fn flush(&self) -> Result<(), CacheError> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.writer.flush()?;
-        inner.writer.get_ref().sync_all()?;
-        Ok(())
-    }
-
-    /// Rewrites every live entry into one fresh segment and deletes the
-    /// old ones. Crash-safe: the new segment is written under a temporary
-    /// name, synced, then renamed into place before any old segment is
-    /// unlinked — at every instant the directory holds a complete copy of
-    /// the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates io failures; on failure the old segments are untouched.
-    pub fn compact(&self) -> Result<(), CacheError> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.writer.flush()?;
-        let next = inner.segments.keys().next_back().copied().unwrap_or(0) + 1;
-        let tmp_path = self.dir.join("cache-compact.tmp");
-        let final_path = segment_path(&self.dir, next);
-        let mut out = Vec::from(&SEGMENT_MAGIC[..]);
-        let mut new_index = FastHashMap::default();
-        // Deterministic rewrite order: walk the old segments in file order
-        // so compaction is a pure rearrangement.
-        let mut slots: Vec<(CacheKey, Slot)> =
-            inner.index.iter().map(|(k, s)| (k.clone(), *s)).collect();
-        slots.sort_by_key(|(_, s)| (s.segment, s.offset));
-        for (key, slot) in slots {
-            let Some(value) = self.read_slot(&mut inner, slot) else { continue };
-            let value_bytes = encode_outcome(&value);
-            let mut payload = Vec::with_capacity(KEY_LEN + value_bytes.len());
-            payload.extend_from_slice(&key.0);
-            payload.extend_from_slice(&value_bytes);
-            let value_offset = out.len() as u64 + RECORD_HEADER as u64 + KEY_LEN as u64;
-            out.extend_from_slice(&u32::try_from(payload.len()).expect("small").to_le_bytes());
-            out.extend_from_slice(&record_checksum(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-            new_index.insert(
-                key,
-                Slot {
-                    segment: next,
-                    offset: value_offset,
-                    len: u32::try_from(value_bytes.len()).expect("small"),
-                },
-            );
-        }
-        {
-            let mut tmp = fs::File::create(&tmp_path)?;
-            tmp.write_all(&out)?;
-            tmp.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        let old: Vec<u64> = inner.segments.keys().copied().collect();
-        for n in old {
-            let _ = fs::remove_file(segment_path(&self.dir, n));
-        }
-        inner.index = new_index;
-        inner.segments = BTreeMap::from([(next, out.len() as u64)]);
-        // Reopen the compacted segment as the active writer.
-        let file = fs::OpenOptions::new().read(true).write(true).open(&final_path)?;
-        let mut writer = std::io::BufWriter::new(file);
-        inner.writer_len = writer.seek(SeekFrom::End(0))?;
-        inner.writer = writer;
-        inner.writer_segment = next;
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-/// Scans one segment's bytes, adding every clean record to `index` and
-/// returning the salvaged prefix length (magic included). Scanning stops
-/// at the first damaged or torn record — the tolerant-decode discipline.
-fn scan_segment(bytes: &[u8], segment: u64, index: &mut FastHashMap<CacheKey, Slot>) -> u64 {
-    if !bytes.starts_with(SEGMENT_MAGIC) {
-        return 0;
-    }
-    let mut at = SEGMENT_MAGIC.len();
-    while let Some(header) = bytes.get(at..at + RECORD_HEADER) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let want = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-        let Some(payload) = bytes.get(at + RECORD_HEADER..at + RECORD_HEADER + len) else { break };
-        if len < KEY_LEN || record_checksum(payload) != want {
-            break;
-        }
-        let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&payload[..KEY_LEN]);
-        index.insert(
-            CacheKey(key),
-            Slot {
-                segment,
-                offset: (at + RECORD_HEADER + KEY_LEN) as u64,
-                len: u32::try_from(len - KEY_LEN).expect("fits"),
-            },
-        );
-        at += RECORD_HEADER + len;
-    }
-    at as u64
-}
-
-// --- classifier adapter -----------------------------------------------------
-
-/// Binds a [`PersistentCache`] to one workload (program, log, vproc
-/// options) as the classifier's [`ReplayStore`]: fetches become cache
-/// lookups, publishes become appends.
-pub struct WorkloadStore<'a> {
-    cache: &'a PersistentCache,
-    program: u64,
-    log: u64,
-    vproc: VprocConfig,
-}
-
-impl<'a> WorkloadStore<'a> {
-    /// Binds the store for one submitted workload.
-    #[must_use]
-    pub fn new(cache: &'a PersistentCache, program: u64, log: u64, vproc: VprocConfig) -> Self {
-        WorkloadStore { cache, program, log, vproc }
-    }
-
-    fn key(&self, a: &AccessSite, b: &AccessSite, order: PairOrder) -> CacheKey {
-        CacheKey::new(self.program, self.log, self.vproc, a, b, order)
-    }
-}
-
-impl ReplayStore for WorkloadStore<'_> {
-    fn fetch(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-    ) -> Option<Result<PairLiveOut, ReplayFailure>> {
-        self.cache.lookup(&self.key(a, b, order))
-    }
-
-    fn publish(
-        &self,
-        a: &AccessSite,
-        b: &AccessSite,
-        order: PairOrder,
-        outcome: &Result<PairLiveOut, ReplayFailure>,
-    ) {
-        // An append failure (disk full) degrades the cache, not the job.
-        let _ = self.cache.insert(self.key(a, b, order), outcome);
+        counts
     }
 }

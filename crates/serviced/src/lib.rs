@@ -12,10 +12,9 @@
 //!   request/response helpers with busy-retry.
 //! * [`proto`] — the wire format: length-prefixed, fasthash-checksummed
 //!   JSON frames, versioned like the v2 log format.
-//! * [`cache`] — the persistent content-addressed replay cache: live-outs
-//!   keyed by program digest, log digest, vproc options, and the exact
-//!   pair key; stored in append-only checksummed segment files that
-//!   tolerate torn writes and compact atomically.
+//! * [`cache`] — the persistent report cache: one checksummed record file
+//!   per workload (program, log and the options that change a report),
+//!   holding the finished report, written once before the answer goes out.
 //! * [`container`] — the on-disk log container format (moved here from
 //!   the CLI so the service can decode submissions without it).
 //!
@@ -30,5 +29,5 @@ pub mod container;
 pub mod proto;
 pub mod server;
 
-pub use cache::{log_digest, program_digest, CacheKey, PersistentCache, WorkloadStore};
+pub use cache::{ReportCache, WorkloadKey};
 pub use server::{Server, ServerConfig};

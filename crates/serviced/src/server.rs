@@ -14,13 +14,15 @@
 //! classification engine with `jobs = 1`: each worker *is* one engine
 //! lane, so a pool of N workers classifies N submissions concurrently
 //! without oversubscribing, and each worker's single [`Vproc`] reuses its
-//! snapshot arena across every replay of a job. All replay live-outs flow
-//! through the persistent [`PersistentCache`] (when configured), so a
-//! resubmitted workload classifies with zero virtual-processor executions.
+//! snapshot arena across every replay of a job. With a cache directory, a
+//! worker looks the workload up in the [`ReportCache`] as soon as the
+//! program is assembled and the log base64-decoded: a hit answers with the
+//! stored report and zero virtual-processor executions, and a miss
+//! persists its report before answering.
 //!
 //! Drain (SIGTERM/ctrl-c on unix, or a protocol `shutdown` request) stops
-//! the accept loop, lets the workers finish every queued job, flushes the
-//! cache segments, and returns.
+//! the accept loop, lets the workers finish every queued job, and
+//! returns.
 //!
 //! [`Vproc`]: idna_replay::vproc::Vproc
 
@@ -32,12 +34,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use minijson::Json;
-use replay_race::classify::{classify_races_stored, ClassifierConfig};
+use replay_race::classify::{classify_races_with, ClassifierConfig, TrustStatic};
 use replay_race::detect::{detect_races, DetectorConfig};
 use replay_race::report::Report;
 use tvm::asm::assemble;
 
-use crate::cache::{log_digest, program_digest, PersistentCache, WorkloadStore};
+use crate::cache::{ReportCache, WorkloadKey};
 use crate::container::log_from_bytes_mode;
 use crate::proto::{b64_decode, read_frame, write_frame, ProtoError};
 use idna_replay::codec::DecodeMode;
@@ -54,13 +56,11 @@ pub struct ServerConfig {
     /// Bounded queue depth; submissions beyond it are rejected with a
     /// retry hint.
     pub queue_capacity: usize,
-    /// Directory for the persistent replay cache; `None` disables
-    /// persistence (the in-run caches still work).
+    /// Directory for the persistent report cache; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// LRU bound on decoded values held in memory.
-    pub mem_cache_entries: usize,
     /// The classification engine configuration. `jobs` is forced to 1 per
-    /// worker — the pool is the parallelism.
+    /// worker — the pool is the parallelism. `trust_static` must stay off:
+    /// the service classifies without static predictions.
     pub classifier: ClassifierConfig,
 }
 
@@ -71,7 +71,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             cache_dir: None,
-            mem_cache_entries: 4096,
             classifier: ClassifierConfig::default(),
         }
     }
@@ -106,7 +105,7 @@ struct Shared {
     available: Condvar,
     draining: AtomicBool,
     counters: Counters,
-    cache: Option<PersistentCache>,
+    cache: Option<ReportCache>,
     started: Instant,
 }
 
@@ -168,9 +167,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails when the address cannot be bound or the cache directory is
-    /// unusable.
+    /// Fails when the classifier asks for a static trust tier (the service
+    /// has no static predictions to honor it with), the address cannot be
+    /// bound, or the cache directory is unusable.
     pub fn bind(mut config: ServerConfig) -> Result<Server, String> {
+        if config.classifier.trust_static != TrustStatic::Off {
+            return Err("the service accepts only `--trust-static off`: it classifies without \
+                 static predictions, so a skip tier could not be honored"
+                .into());
+        }
         config.workers = config.workers.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         config.classifier.jobs = 1;
@@ -178,7 +183,7 @@ impl Server {
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
         let cache = match &config.cache_dir {
             Some(dir) => Some(
-                PersistentCache::open(dir, config.mem_cache_entries)
+                ReportCache::open(dir)
                     .map_err(|e| format!("cannot open cache at {}: {e}", dir.display()))?,
             ),
             None => None,
@@ -204,9 +209,8 @@ impl Server {
         self.listener.local_addr().map_err(|e| e.to_string())
     }
 
-    /// Runs the accept loop until drain, then finishes queued jobs,
-    /// flushes the cache, and returns. Installs SIGINT/SIGTERM latches on
-    /// unix.
+    /// Runs the accept loop until drain, then finishes queued jobs and
+    /// returns. Installs SIGINT/SIGTERM latches on unix.
     ///
     /// # Errors
     ///
@@ -247,9 +251,6 @@ impl Server {
             // Drain: wake every worker; each exits once the queue is dry.
             shared.available.notify_all();
         });
-        if let Some(cache) = &shared.cache {
-            cache.flush().map_err(|e| e.to_string())?;
-        }
         Ok(())
     }
 }
@@ -336,17 +337,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                 respond_error(&mut job.stream, &message);
             }
         }
-        if let Some(cache) = &shared.cache {
-            // Durability point per job: a crash later never loses replays
-            // the client already paid for.
-            let _ = cache.flush();
-        }
     }
 }
 
 /// Classifies one submission: assemble, decode, replay, detect, classify
-/// (through the persistent cache), and render the same report JSON value
-/// as one-shot `racerep races --format json`.
+/// and render the same report JSON value as one-shot `racerep races
+/// --format json`. With a cache, a stored report for the same workload
+/// answers right after assembly and base64 decoding; a fresh report is
+/// persisted before the answer goes out.
 fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     let counters = &shared.counters;
     let source = doc
@@ -357,6 +355,15 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
         .get("log")
         .and_then(Json::as_str)
         .ok_or_else(|| String::from("submit needs a \"log\" field (base64 log container)"))?;
+    let classifier = shared.config.classifier;
+    let response = |report: Json, replays: u64, store_hits: u64| {
+        Json::obj(vec![
+            ("type", Json::str("result")),
+            ("report", report),
+            ("replays", Json::from(replays)),
+            ("store_hits", Json::from(store_hits)),
+        ])
+    };
 
     let start = Instant::now();
     let program =
@@ -366,6 +373,14 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     }
     let program = Arc::new(program);
     let container = b64_decode(log_b64).map_err(|e: ProtoError| e.message)?;
+    let cache = shared
+        .cache
+        .as_ref()
+        .map(|cache| (cache, WorkloadKey::new(&program, &container, &classifier)));
+    if let Some(report) = cache.as_ref().and_then(|(cache, key)| cache.lookup(key)) {
+        counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        return Ok(response(report, 0, 1));
+    }
     let (log, _schedule, _decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
     counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
@@ -378,35 +393,18 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     counters.detect_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let classifier = shared.config.classifier;
-    let store = shared.cache.as_ref().map(|cache| {
-        WorkloadStore::new(
-            cache,
-            program_digest(&program),
-            log_digest(&container),
-            classifier.vproc,
-        )
-    });
-    let classification = classify_races_stored(
-        &trace,
-        &detected,
-        &classifier,
-        None,
-        store.as_ref().map(|s| s as &dyn replay_race::classify::ReplayStore),
-    );
+    let classification = classify_races_with(&trace, &detected, &classifier, None);
     counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let report = Report::build(&trace, &classification);
-    let report_json = report.to_json_value();
+    let report = Report::build(&trace, &classification).to_json_value();
+    if let Some((cache, key)) = &cache {
+        // A failed write (disk full) degrades the cache, not the job.
+        let _ = cache.insert(key, &report);
+    }
     counters.report_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-    Ok(Json::obj(vec![
-        ("type", Json::str("result")),
-        ("report", report_json),
-        ("replays", Json::from(classification.vproc_replays)),
-        ("store_hits", Json::from(classification.store_hits)),
-    ]))
+    Ok(response(report, classification.vproc_replays, 0))
 }
 
 /// The `stats` response document.
@@ -441,21 +439,15 @@ fn stats_json(shared: &Shared) -> Json {
         ),
     ];
     if let Some(cache) = &shared.cache {
-        let s = cache.snapshot();
+        let s = cache.counts();
         fields.push((
             "cache",
             Json::obj(vec![
                 ("entries", Json::from(s.entries)),
-                ("segments", Json::from(s.segments)),
                 ("disk_bytes", Json::from(s.disk_bytes)),
-                ("mem_entries", Json::from(s.mem_entries)),
-                ("mem_hits", Json::from(s.mem_hits)),
                 ("persisted_hits", Json::from(s.persisted_hits)),
                 ("misses", Json::from(s.misses)),
                 ("persisted_writes", Json::from(s.persisted_writes)),
-                ("evictions", Json::from(s.evictions)),
-                ("salvaged_dropped_bytes", Json::from(s.salvaged_dropped_bytes)),
-                ("compactions", Json::from(s.compactions)),
             ]),
         ));
     }

@@ -1,18 +1,15 @@
-//! Property tests for the persistent replay cache: seeded entries are
-//! written, the segment file is crash-truncated at every byte boundary,
-//! and the reopened cache must salvage exactly the clean prefix — with
-//! every salvaged hit equal to the originally computed value.
+//! Property tests for the persistent report cache: seeded workloads get
+//! one record file each, and every way a record can go wrong on disk —
+//! truncation at any byte, a flipped bit, a file under another identity's
+//! name, a leftover segment of the old per-pair format, a stray tmp file —
+//! must read back as a miss, never as an error or a wrong report.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use idna_replay::region::RegionId;
-use idna_replay::vproc::{
-    AccessSite, PairLiveOut, PairOrder, ReplayFailure, ThreadLiveOut, VprocConfig,
-};
-use serviced::cache::{CacheKey, PersistentCache, SEGMENT_MAGIC};
-use tvm::exec::AccessKind;
-use tvm::isa::NUM_REGS;
-use tvm::machine::Fault;
+use idna_replay::vproc::VprocConfig;
+use minijson::Json;
+use replay_race::classify::ClassifierConfig;
+use serviced::cache::{ReportCache, WorkloadKey, RECORD_MAGIC};
 
 /// xorshift64* — deterministic, no external crates.
 struct Rng(u64);
@@ -32,75 +29,57 @@ impl Rng {
     }
 }
 
-fn site(rng: &mut Rng) -> AccessSite {
-    AccessSite {
-        region: RegionId { tid: rng.below(4) as usize, index: rng.below(16) as usize },
-        instr_index: rng.below(1000),
-        pc: rng.below(200) as usize,
-        addr: 0x1000 + rng.below(64) * 8,
-        kind: if rng.below(2) == 0 { AccessKind::Read } else { AccessKind::Write },
-    }
+/// A report-shaped document with escapes, unicode and large integers.
+fn report(rng: &mut Rng) -> Json {
+    let races = (0..1 + rng.below(4))
+        .map(|_| {
+            Json::obj(vec![
+                ("pc_lo", Json::from(rng.below(500))),
+                ("pc_hi", Json::from(rng.next())),
+                (
+                    "verdict",
+                    Json::str(["PotentiallyBenign", "PotentiallyHarmful"][rng.below(2) as usize]),
+                ),
+                (
+                    "difference",
+                    Json::str(format!(
+                        "memory differs at [{:#x}]=\"{}\" ✓\n",
+                        rng.below(64),
+                        rng.next()
+                    )),
+                ),
+                (
+                    "scenario",
+                    if rng.below(2) == 0 { Json::Null } else { Json::Arr(vec![Json::from(true)]) },
+                ),
+            ])
+        })
+        .collect();
+    Json::obj(vec![("races", Json::Arr(races)), ("log_damaged_races", Json::from(rng.below(3)))])
 }
 
-fn thread_live_out(rng: &mut Rng) -> ThreadLiveOut {
-    let mut regs = [0u64; NUM_REGS];
-    for r in &mut regs {
-        *r = rng.next();
-    }
-    let fault = match rng.below(9) {
-        0 => Some(Fault::InvalidAccess { addr: rng.next() }),
-        1 => Some(Fault::UseAfterFree { addr: rng.next() }),
-        2 => Some(Fault::DivideByZero),
-        3 => Some(Fault::PcOutOfRange { pc: rng.below(500) as usize }),
-        _ => None,
-    };
-    ThreadLiveOut {
-        tid: rng.below(4) as usize,
-        regs,
-        pc: rng.below(300) as usize,
-        call_stack: (0..rng.below(4)).map(|_| rng.below(100) as usize).collect(),
-        fault,
-        outputs: (0..rng.below(5)).map(|_| rng.next()).collect(),
-        instrs_executed: rng.below(10_000),
-    }
-}
-
-fn outcome(rng: &mut Rng) -> Result<PairLiveOut, ReplayFailure> {
-    match rng.below(8) {
-        0 => Err(ReplayFailure::UnknownLoad { addr: rng.next() }),
-        1 => Err(ReplayFailure::UnrecordedControlFlow {
-            tid: rng.below(4) as usize,
-            pc: rng.below(200) as usize,
-        }),
-        2 => Err(ReplayFailure::BudgetExhausted),
-        3 => Err(ReplayFailure::LogDamage),
-        _ => Ok(PairLiveOut {
-            a: thread_live_out(rng),
-            b: thread_live_out(rng),
-            writes: (0..rng.below(6)).map(|_| (0x2000 + rng.below(32) * 8, rng.next())).collect(),
-            freed: (0..rng.below(3)).map(|_| 0x10_0000 + rng.below(8) * 64).collect(),
-            allocated: (0..rng.below(3)).map(|_| 0x20_0000 + rng.below(8) * 64).collect(),
-        }),
-    }
-}
-
-fn seeded_entries(seed: u64, n: usize) -> Vec<(CacheKey, Result<PairLiveOut, ReplayFailure>)> {
+/// Distinct workloads: programs, logs and options all vary.
+fn seeded_entries(seed: u64, n: usize) -> Vec<(WorkloadKey, Json)> {
     let mut rng = Rng(seed | 1);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    while out.len() < n {
-        let (a, b) = (site(&mut rng), site(&mut rng));
-        let order = if rng.below(2) == 0 { PairOrder::AThenB } else { PairOrder::BThenA };
-        let key = CacheKey::new(rng.below(3), rng.below(3), VprocConfig::default(), &a, &b, order);
-        if !seen.insert(key.0) {
-            continue; // content-addressed: duplicate keys would collapse
-        }
-        out.push((key, outcome(&mut rng)));
-    }
-    out
+    (0..n)
+        .map(|i| {
+            let source =
+                format!(".thread t{i}\n  movi r1, {}\n  st [r15+8], r1\n  halt\n", rng.next());
+            let program = tvm::asm::assemble(&source).unwrap();
+            let log: Vec<u8> = (0..16 + rng.below(48)).map(|_| rng.next() as u8).collect();
+            let vproc =
+                if rng.below(2) == 0 { VprocConfig::default() } else { VprocConfig::permissive() };
+            let classifier = ClassifierConfig {
+                vproc,
+                max_instances_per_race: 1 + rng.below(3000) as usize,
+                ..ClassifierConfig::default()
+            };
+            (WorkloadKey::new(&program, &log, &classifier), report(&mut rng))
+        })
+        .collect()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("racerepd-cache-props-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -108,159 +87,138 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn single_segment_bytes(dir: &Path) -> std::path::PathBuf {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rrc"))
-        .collect();
-    segments.sort();
-    assert_eq!(segments.len(), 1, "test writes fit one segment");
-    segments.remove(0)
+fn filled(dir: &Path, entries: &[(WorkloadKey, Json)]) -> ReportCache {
+    let cache = ReportCache::open(dir).unwrap();
+    for (key, report) in entries {
+        assert!(cache.insert(key, report).unwrap(), "a fresh workload writes a record");
+    }
+    cache
 }
 
-/// Write N entries, then crash-truncate the segment at *every* byte
-/// boundary: the reopened cache must hold exactly the records whose bytes
-/// fully survive, each hit byte-equal to the original, and must treat
-/// everything after the tear as a miss.
+/// Cut each record at *every* byte boundary: only the whole file serves,
+/// and it serves the original report.
 #[test]
-fn crash_truncation_salvages_exact_prefix() {
-    let entries = seeded_entries(0x5eed_cafe, 40);
+fn truncation_at_every_byte_is_a_miss() {
+    let entries = seeded_entries(0x5eed_cafe, 3);
     let dir = temp_dir("truncate");
-    {
-        let cache = PersistentCache::open(&dir, 8).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
+    let cache = filled(&dir, &entries);
+    for (key, report) in &entries {
+        let path = dir.join(key.file_name());
+        let full = std::fs::read(&path).unwrap();
+        assert!(full.starts_with(RECORD_MAGIC));
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            assert_eq!(cache.lookup(key), None, "cut at byte {cut} of {}", full.len());
         }
-        cache.flush().unwrap();
-    }
-    let seg_path = single_segment_bytes(&dir);
-    let full = std::fs::read(&seg_path).unwrap();
-
-    // Record boundaries: prefix ends after magic, then after each record.
-    let mut boundaries = vec![SEGMENT_MAGIC.len()];
-    let mut at = SEGMENT_MAGIC.len();
-    while at < full.len() {
-        let len = u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
-        at += 4 + 8 + len;
-        boundaries.push(at);
-    }
-    assert_eq!(at, full.len(), "clean file parses exactly");
-    assert_eq!(boundaries.len(), entries.len() + 1);
-
-    let work = temp_dir("truncate-work");
-    for cut in 0..=full.len() {
-        // How many whole records survive a tear at `cut`?
-        let survivors = boundaries.iter().filter(|&&b| b <= cut).count().saturating_sub(1);
-        let expect: usize = if cut < SEGMENT_MAGIC.len() { 0 } else { survivors };
-        let seg = work.join("cache-000000.rrc");
-        std::fs::write(&seg, &full[..cut]).unwrap();
-        let cache = PersistentCache::open(&work, 4).unwrap();
-        assert_eq!(cache.len(), expect, "cut at byte {cut}");
-        for (i, (key, value)) in entries.iter().enumerate() {
-            let got = cache.lookup(key);
-            if i < expect {
-                assert_eq!(got.as_ref(), Some(value), "entry {i} after cut {cut}");
-            } else {
-                assert_eq!(got, None, "entry {i} must be lost after cut {cut}");
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&work);
-}
-
-/// A reopened cache keeps serving every entry (through the tiny LRU and
-/// from disk), and re-inserting is idempotent on disk.
-#[test]
-fn reopen_roundtrip_and_idempotent_insert() {
-    let entries = seeded_entries(0xd1ce_f00d, 60);
-    let dir = temp_dir("reopen");
-    {
-        let cache = PersistentCache::open(&dir, 4).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
-        }
-        cache.flush().unwrap();
-    }
-    let cache = PersistentCache::open(&dir, 4).unwrap();
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
-    }
-    let snap = cache.snapshot();
-    assert!(snap.persisted_hits >= (entries.len() as u64 - 4), "LRU holds at most 4");
-    assert_eq!(snap.salvaged_dropped_bytes, 0, "clean file loses nothing");
-    // Idempotent: re-inserting existing keys appends nothing.
-    let bytes_before = cache.snapshot().disk_bytes;
-    for (key, value) in &entries {
-        cache.insert(key.clone(), value).unwrap();
-    }
-    cache.flush().unwrap();
-    assert_eq!(cache.snapshot().disk_bytes, bytes_before);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Compaction rewrites every live entry into one fresh segment without
-/// changing a single lookup result.
-#[test]
-fn compaction_preserves_every_entry() {
-    let entries = seeded_entries(0xabad_1dea, 50);
-    let dir = temp_dir("compact");
-    let cache = PersistentCache::open(&dir, 16).unwrap();
-    for (key, value) in &entries {
-        cache.insert(key.clone(), value).unwrap();
-    }
-    cache.compact().unwrap();
-    assert_eq!(cache.snapshot().segments, 1);
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
-    }
-    // And the compacted file reopens clean.
-    drop(cache);
-    let cache = PersistentCache::open(&dir, 16).unwrap();
-    assert_eq!(cache.len(), entries.len());
-    for (key, value) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(value));
+        std::fs::write(&path, &full).unwrap();
+        assert_eq!(cache.lookup(key).as_ref(), Some(report));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A bit flip inside a record's payload drops that record and everything
-/// after it (the tolerant-decode discipline), never a wrong value.
+/// A flipped bit anywhere in a record — magic, checksum, identity,
+/// options, program or report — turns it into a miss; the cache heals by
+/// rewriting the record on the next insert.
 #[test]
 fn bit_flip_never_serves_damaged_values() {
-    let entries = seeded_entries(0xfeed_beef, 20);
+    let entries = seeded_entries(0xfeed_beef, 4);
     let dir = temp_dir("bitflip");
-    {
-        let cache = PersistentCache::open(&dir, 8).unwrap();
-        for (key, value) in &entries {
-            cache.insert(key.clone(), value).unwrap();
-        }
-        cache.flush().unwrap();
-    }
-    let seg_path = single_segment_bytes(&dir);
-    let full = std::fs::read(&seg_path).unwrap();
-    let work = temp_dir("bitflip-work");
+    let cache = filled(&dir, &entries);
     let mut rng = Rng(0x0dd_b17 | 1);
     for _ in 0..200 {
-        let pos =
-            SEGMENT_MAGIC.len() + rng.below((full.len() - SEGMENT_MAGIC.len()) as u64) as usize;
+        let (key, report) = &entries[rng.below(entries.len() as u64) as usize];
+        let path = dir.join(key.file_name());
+        let full = std::fs::read(&path).unwrap();
         let mut damaged = full.clone();
-        damaged[pos] ^= 1 << rng.below(8);
-        std::fs::write(work.join("cache-000000.rrc"), &damaged).unwrap();
-        let cache = PersistentCache::open(&work, 8).unwrap();
-        // Every salvaged answer must exactly match its original value.
-        let mut salvaged = 0;
-        for (key, value) in &entries {
-            if let Some(got) = cache.lookup(key) {
-                assert_eq!(&got, value);
-                salvaged += 1;
-            }
-        }
-        assert!(salvaged < entries.len(), "a flipped bit must cost at least its record");
+        damaged[rng.below(full.len() as u64) as usize] ^= 1 << rng.below(8);
+        std::fs::write(&path, &damaged).unwrap();
+        assert_eq!(cache.lookup(key), None, "a damaged record must not serve");
+        assert!(cache.insert(key, report).unwrap(), "a damaged record is rewritten");
+        assert_eq!(std::fs::read(&path).unwrap(), full);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A reopened cache serves every record, and re-inserting writes nothing.
+#[test]
+fn reopen_roundtrip_and_idempotent_insert() {
+    let entries = seeded_entries(0xd1ce_f00d, 12);
+    let dir = temp_dir("reopen");
+    drop(filled(&dir, &entries));
+    let cache = ReportCache::open(&dir).unwrap();
+    for (key, report) in &entries {
+        assert_eq!(cache.lookup(key).as_ref(), Some(report));
+    }
+    let counts = cache.counts();
+    assert_eq!(counts.entries, entries.len() as u64, "one record per workload");
+    assert_eq!((counts.persisted_hits, counts.misses), (entries.len() as u64, 0));
+    let bytes: Vec<Vec<u8>> =
+        entries.iter().map(|(key, _)| std::fs::read(dir.join(key.file_name())).unwrap()).collect();
+    for (key, report) in &entries {
+        assert!(!cache.insert(key, report).unwrap(), "an existing record is kept");
+    }
+    assert_eq!(cache.counts().persisted_writes, 0);
+    assert_eq!(cache.counts().disk_bytes, counts.disk_bytes);
+    for ((key, _), before) in entries.iter().zip(&bytes) {
+        assert_eq!(&std::fs::read(dir.join(key.file_name())).unwrap(), before);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A whole, valid record copied under another workload's file name is a
+/// miss for that workload: the identity, options, log length and program
+/// stored inside must match the request, not just the file name.
+#[test]
+fn a_record_under_another_identity_is_a_miss() {
+    let entries = seeded_entries(0xabad_1dea, 6);
+    let dir = temp_dir("identity");
+    let cache = filled(&dir, &entries);
+    let originals: Vec<Vec<u8>> =
+        entries.iter().map(|(key, _)| std::fs::read(dir.join(key.file_name())).unwrap()).collect();
+    for (i, (key, _)) in entries.iter().enumerate() {
+        let other = &originals[(i + 1) % entries.len()];
+        std::fs::write(dir.join(key.file_name()), other).unwrap();
+        assert_eq!(cache.lookup(key), None, "entry {i} served another workload's report");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment of the per-pair replay format this cache replaced is left
+/// alone and never read: it counts as no entry and answers nothing.
+#[test]
+fn old_replay_segments_are_ignored() {
+    let entries = seeded_entries(0x01d5_e6e5, 2);
+    let dir = temp_dir("segments");
+    let segment = dir.join("cache-000000.rrc");
+    let mut old = b"RRCACHE1".to_vec();
+    old.extend_from_slice(&[7u8; 300]);
+    std::fs::write(&segment, &old).unwrap();
+    let cache = ReportCache::open(&dir).unwrap();
+    assert_eq!(cache.counts().entries, 0);
+    for (key, report) in &entries {
+        assert_eq!(cache.lookup(key), None);
+        assert!(cache.insert(key, report).unwrap());
+        assert_eq!(cache.lookup(key).as_ref(), Some(report));
+    }
+    assert_eq!(cache.counts().entries, entries.len() as u64);
+    assert_eq!(std::fs::read(&segment).unwrap(), old, "the old segment is not touched");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tmp file left by a crash mid-write never serves — even one holding a
+/// complete record — and opening the cache deletes it.
+#[test]
+fn stray_tmp_files_are_ignored() {
+    let entries = seeded_entries(0x7e4b_7e4b, 1);
+    let (key, report) = &entries[0];
+    let dir = temp_dir("tmp");
+    let record = dir.join(key.file_name());
+    let stray = dir.join(format!("{}-1-0.tmp", key.file_name()));
+    assert!(ReportCache::open(&dir).unwrap().insert(key, report).unwrap());
+    std::fs::rename(&record, &stray).unwrap();
+    let cache = ReportCache::open(&dir).unwrap();
+    assert!(!stray.exists(), "open deletes stray tmp files");
+    assert_eq!(cache.lookup(key), None);
+    assert_eq!(cache.counts().entries, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

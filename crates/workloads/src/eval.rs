@@ -85,7 +85,7 @@ pub fn run_corpus() -> CorpusReport {
 }
 
 /// [`run_corpus`] with explicit classifier options — the hook for the
-/// parallelism/cache ablations, which must hold the corpus fixed while
+/// parallelism/batching ablations, which must hold the corpus fixed while
 /// varying only the engine knobs.
 ///
 /// # Panics

@@ -2,8 +2,8 @@
 //! (`DESIGN.md` §D12): for every corpus pattern and for a seeded fuzz
 //! population of generated programs, classifying with
 //! [`BatchMode::Shared`] is bit-for-bit identical to the unbatched
-//! engine at any job count — same races, same outcomes, same replay and
-//! cache accounting. Batching may only change *cost*, never results.
+//! engine at any job count — same races, same outcomes, same replay
+//! accounting. Batching may only change *cost*, never results.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -11,7 +11,9 @@ use std::sync::Arc;
 use bench::genprog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
-use replay_race::classify::{classify_races, BatchMode, ClassificationResult, ClassifierConfig};
+use replay_race::classify::{
+    classify_races_with, BatchMode, ClassificationResult, ClassifierConfig,
+};
 use replay_race::detect::{detect_races, DetectedRaces, DetectorConfig};
 use tvm::rng::SplitMix64;
 use tvm::scheduler::RunConfig;
@@ -34,16 +36,15 @@ fn classify_with(
     batching: BatchMode,
 ) -> ClassificationResult {
     let config = ClassifierConfig { jobs, batching, ..ClassifierConfig::default() };
-    classify_races(trace, detected, &config)
+    classify_races_with(trace, detected, &config, None)
 }
 
 /// Byte-equality of everything the classification *means*: the races with
-/// their instance outcomes, plus the replay and cache accounting. The
-/// batch counters are cost telemetry and deliberately excluded.
+/// their instance outcomes and kept live-outs, plus the replay accounting.
+/// The batch counters are cost telemetry and deliberately excluded.
 fn assert_identical(a: &ClassificationResult, b: &ClassificationResult, what: &str) {
     assert_eq!(a.races, b.races, "{what}: classified races differ");
     assert_eq!(a.vproc_replays, b.vproc_replays, "{what}: replay counts differ");
-    assert_eq!(a.cache_stats, b.cache_stats, "{what}: cache accounting differs");
     assert_eq!(a.log_damaged_races, b.log_damaged_races, "{what}: damage accounting differs");
 }
 

@@ -1,14 +1,14 @@
-//! Determinism guarantees of the parallel, memoized classification engine:
-//! for every workloads pattern, the classification is bit-for-bit identical
-//! at any job count and with the exact replay cache on or off, and merging
-//! split classifications equals classifying everything at once.
+//! Determinism guarantees of the parallel classification engine: for every
+//! workloads pattern, the classification is bit-for-bit identical at any
+//! job count, every analyzed instance costs exactly two replays, and
+//! merging split classifications equals classifying everything at once.
 
 use std::collections::BTreeSet;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
 use replay_race::classify::{
-    classify_races, merge_classifications, CacheMode, ClassificationResult, ClassifierConfig,
+    classify_races_with, merge_classifications, ClassificationResult, ClassifierConfig,
 };
 use replay_race::detect::{detect_races, DetectedRaces, DetectorConfig};
 use tvm::scheduler::RunConfig;
@@ -28,18 +28,16 @@ fn classify_with(
     trace: &ReplayTrace,
     detected: &DetectedRaces,
     jobs: usize,
-    cache: CacheMode,
 ) -> ClassificationResult {
-    let config = ClassifierConfig { jobs, cache, ..ClassifierConfig::default() };
-    classify_races(trace, detected, &config)
+    let config = ClassifierConfig { jobs, ..ClassifierConfig::default() };
+    classify_races_with(trace, detected, &config, None)
 }
 
 /// Full bit-for-bit equality of two classifications (races, instance
-/// outcomes, replay and cache accounting).
+/// outcomes, kept live-outs, replay accounting).
 fn assert_identical(a: &ClassificationResult, b: &ClassificationResult, what: &str) {
     assert_eq!(a.races, b.races, "{what}: classified races differ");
     assert_eq!(a.vproc_replays, b.vproc_replays, "{what}: replay counts differ");
-    assert_eq!(a.cache_stats, b.cache_stats, "{what}: cache accounting differs");
 }
 
 /// The schedules the matrix runs under: one deterministic round-robin and
@@ -56,9 +54,9 @@ fn every_pattern_classifies_identically_at_any_job_count() {
     for id in instance_ids() {
         for schedule in schedules() {
             let (trace, detected) = pattern_trace(id, &schedule);
-            let sequential = classify_with(&trace, &detected, 1, CacheMode::Off);
+            let sequential = classify_with(&trace, &detected, 1);
             for jobs in [2, 0] {
-                let parallel = classify_with(&trace, &detected, jobs, CacheMode::Off);
+                let parallel = classify_with(&trace, &detected, jobs);
                 assert_identical(&sequential, &parallel, &format!("{id} jobs={jobs}"));
             }
         }
@@ -66,54 +64,18 @@ fn every_pattern_classifies_identically_at_any_job_count() {
 }
 
 #[test]
-fn exact_cache_never_changes_a_classification() {
+fn vproc_replays_are_two_per_analyzed_instance() {
+    // The detector emits each dynamic access pair once, so no two planned
+    // replays share an identity: every analyzed instance costs exactly its
+    // two orders, and a cache keyed on that identity could never hit.
     for id in instance_ids() {
         for schedule in schedules() {
             let (trace, detected) = pattern_trace(id, &schedule);
-            let uncached = classify_with(&trace, &detected, 1, CacheMode::Off);
             for jobs in [1, 2, 0] {
-                let cached = classify_with(&trace, &detected, jobs, CacheMode::Exact);
-                assert_eq!(
-                    uncached.races, cached.races,
-                    "{id}: exact cache must not change the classification (jobs={jobs})"
-                );
-                // Exact keys are unique within one classification, so the
-                // same replays run whether the cache is on or off.
-                assert_eq!(uncached.vproc_replays, cached.vproc_replays, "{id}");
-                assert!(cached.cache.is_some(), "{id}: exact mode keeps the cache handle");
+                let result = classify_with(&trace, &detected, jobs);
+                let analyzed: usize = result.races.values().map(|r| r.counts.analyzed).sum();
+                assert_eq!(result.vproc_replays, 2 * analyzed as u64, "{id} jobs={jobs}");
             }
-        }
-    }
-}
-
-#[test]
-fn coarse_cache_is_deterministic_and_accounts_for_every_replay() {
-    // Coarse caching is an approximation (live-outs are reused across loop
-    // iterations), so classifications may legitimately differ from the
-    // uncached run. What must still hold: the same race set, deterministic
-    // results at any job count, and replay accounting that balances.
-    for id in instance_ids() {
-        let schedule = RunConfig::chunked(9, 1, 6).with_max_steps(400_000);
-        let (trace, detected) = pattern_trace(id, &schedule);
-        let uncached = classify_with(&trace, &detected, 1, CacheMode::Off);
-        let coarse = classify_with(&trace, &detected, 1, CacheMode::Coarse);
-        assert_eq!(
-            uncached.races.keys().collect::<Vec<_>>(),
-            coarse.races.keys().collect::<Vec<_>>(),
-            "{id}: coarse caching must not add or drop races"
-        );
-        let stats = coarse.cache_stats;
-        assert_eq!(stats.hits, stats.saved_replays, "{id}");
-        assert_eq!(coarse.vproc_replays, stats.misses, "{id}");
-        let analyzed: usize = coarse.races.values().map(|r| r.counts.analyzed).sum();
-        assert_eq!(
-            stats.hits + stats.misses,
-            2 * analyzed as u64,
-            "{id}: every planned replay is a hit or a miss"
-        );
-        for jobs in [2, 0] {
-            let parallel = classify_with(&trace, &detected, jobs, CacheMode::Coarse);
-            assert_identical(&coarse, &parallel, &format!("{id} coarse jobs={jobs}"));
         }
     }
 }
@@ -139,21 +101,16 @@ fn split_detected(detected: &DetectedRaces) -> (DetectedRaces, DetectedRaces) {
 fn merging_split_executions_equals_classifying_everything_at_once() {
     // §4.3 accounting reconciliation: classifying two halves of the
     // instance evidence and merging must equal classifying it all at once —
-    // including the replay and cache-savings counters.
+    // including the replay counter and each race's kept live-outs.
     for id in ["ax_s1", "us_h1", "hf_rc", "rw2"] {
         let schedule = RunConfig::chunked(9, 1, 6).with_max_steps(400_000);
         let (trace, detected) = pattern_trace(id, &schedule);
-        for cache in [CacheMode::Off, CacheMode::Exact] {
-            let whole = classify_with(&trace, &detected, 2, cache);
-            let (first, second) = split_detected(&detected);
-            let merged = merge_classifications(&[
-                classify_with(&trace, &first, 2, cache),
-                classify_with(&trace, &second, 2, cache),
-            ]);
-            assert_eq!(whole.races, merged.races, "{id} ({cache:?})");
-            assert_eq!(whole.vproc_replays, merged.vproc_replays, "{id} ({cache:?})");
-            assert_eq!(whole.cache_stats, merged.cache_stats, "{id} ({cache:?})");
-            assert!(merged.cache.is_none(), "merged results drop the per-trace cache");
-        }
+        let whole = classify_with(&trace, &detected, 2);
+        let (first, second) = split_detected(&detected);
+        let merged = merge_classifications(&[
+            classify_with(&trace, &first, 2),
+            classify_with(&trace, &second, 2),
+        ]);
+        assert_identical(&whole, &merged, id);
     }
 }

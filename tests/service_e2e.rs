@@ -2,15 +2,18 @@
 //! on an ephemeral port, submits workloads from four concurrent client
 //! threads, and checks every response is byte-identical to the one-shot
 //! `racerep races --format json` report. A second server generation over
-//! the same cache directory then proves warm submissions classify with
-//! zero virtual-processor replays, served from the persistent cache.
+//! the same cache directory then proves warm submissions are answered from
+//! their report records with zero virtual-processor replays, and a third,
+//! permissive server over that directory proves the records are keyed on
+//! the replay options.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use idna_replay::vproc::VprocConfig;
 use minijson::Json;
 use racerep::{cmd_races, cmd_record, cmd_submit, parse_schedule, FailOn};
-use replay_race::classify::ClassifierConfig;
+use replay_race::classify::{ClassifierConfig, TrustStatic};
 use serviced::{client, Server, ServerConfig};
 
 fn sample(name: &str) -> PathBuf {
@@ -33,13 +36,17 @@ struct Workload {
     expected_json: String,
 }
 
-fn prepare(work: &Path, name: &'static str, schedule: &str) -> Workload {
+fn prepare(
+    work: &Path,
+    name: &'static str,
+    schedule: &str,
+    classifier: &ClassifierConfig,
+) -> Workload {
     let program_path = sample(name);
-    let log_path = work.join(format!("{name}.idna"));
+    let log_path = work.join(format!("{name}-{schedule}.idna"));
     cmd_record(&program_path, &log_path, parse_schedule(schedule).unwrap()).unwrap();
     let expected_json =
-        cmd_races(&program_path, &log_path, true, &ClassifierConfig::default(), None, false, false)
-            .unwrap();
+        cmd_races(&program_path, &log_path, true, classifier, None, false, false).unwrap();
     Workload {
         name,
         source: std::fs::read_to_string(&program_path).unwrap(),
@@ -48,13 +55,16 @@ fn prepare(work: &Path, name: &'static str, schedule: &str) -> Workload {
     }
 }
 
-fn boot(cache_dir: &Path) -> (String, std::thread::JoinHandle<Result<(), String>>) {
+fn boot(
+    cache_dir: &Path,
+    classifier: ClassifierConfig,
+) -> (String, std::thread::JoinHandle<Result<(), String>>) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
         queue_capacity: 16,
         cache_dir: Some(cache_dir.to_path_buf()),
-        ..ServerConfig::default()
+        classifier,
     })
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
@@ -73,12 +83,12 @@ fn service_matches_one_shot_and_serves_warm_resubmits_from_cache() {
         ("idiom_double_check.tasm", "rr:2"),
     ]
     .into_iter()
-    .map(|(name, schedule)| prepare(&work, name, schedule))
+    .map(|(name, schedule)| prepare(&work, name, schedule, &ClassifierConfig::default()))
     .collect();
     let workloads = Arc::new(workloads);
 
     // Generation 1 (cold): four concurrent clients, one workload each.
-    let (addr, handle) = boot(&cache_dir);
+    let (addr, handle) = boot(&cache_dir, ClassifierConfig::default());
     std::thread::scope(|scope| {
         for w in workloads.iter() {
             let addr = addr.clone();
@@ -92,6 +102,7 @@ fn service_matches_one_shot_and_serves_warm_resubmits_from_cache() {
                 );
                 let got = response.get("report").unwrap().to_string_pretty();
                 assert_eq!(got, w.expected_json, "{}: cold response differs from one-shot", w.name);
+                assert_eq!(count(&response, "store_hits"), 0, "{}: cold submit hit", w.name);
             });
         }
     });
@@ -104,25 +115,70 @@ fn service_matches_one_shot_and_serves_warm_resubmits_from_cache() {
     handle.join().unwrap().expect("server drains cleanly");
 
     // Generation 2 (warm): a fresh process-equivalent over the same cache
-    // directory. Every replay outcome must come from disk: zero vproc
-    // replays, byte-identical reports.
-    let (addr, handle) = boot(&cache_dir);
+    // directory. Every report must come from its record on disk: zero
+    // vproc replays, one store hit, byte-identical reports.
+    let (addr, handle) = boot(&cache_dir, ClassifierConfig::default());
     for w in workloads.iter() {
         let response = client::submit(&addr, &w.source, &w.container, 40).unwrap();
         let got = response.get("report").unwrap().to_string_pretty();
         assert_eq!(got, w.expected_json, "{}: warm response differs from one-shot", w.name);
-        let replays = response.get("replays").and_then(Json::as_u64).unwrap();
-        assert_eq!(replays, 0, "{}: warm submission must not replay", w.name);
+        assert_eq!(count(&response, "replays"), 0, "{}: warm submission must not replay", w.name);
+        assert_eq!(count(&response, "store_hits"), 1, "{}: warm submit missed", w.name);
     }
     let stats = client::stats(&addr).unwrap();
-    let persisted_hits =
-        stats.get("cache").unwrap().get("persisted_hits").and_then(Json::as_u64).unwrap();
-    assert!(persisted_hits > 0, "warm hits must be served from the persistent segments");
+    let cache = stats.get("cache").unwrap();
+    assert_eq!(count(cache, "persisted_hits"), workloads.len() as u64);
+    assert_eq!(count(cache, "entries"), workloads.len() as u64, "one record per workload");
+
+    // refcount.tasm on rr:1 replays differently under permissive control
+    // flow (ReplayFailure by default, StateChange permissive). The default
+    // server records its report; a permissive server over the same
+    // directory must classify afresh, not serve that record.
+    let default = prepare(&work, "refcount.tasm", "rr:1", &ClassifierConfig::default());
+    let permissive_config =
+        ClassifierConfig { vproc: VprocConfig::permissive(), ..ClassifierConfig::default() };
+    let permissive = prepare(&work, "refcount.tasm", "rr:1", &permissive_config);
+    assert_eq!(default.container, permissive.container);
+    assert_ne!(default.expected_json, permissive.expected_json);
+    let response = client::submit(&addr, &default.source, &default.container, 40).unwrap();
+    assert_eq!(response.get("report").unwrap().to_string_pretty(), default.expected_json);
+    client::shutdown(&addr).unwrap();
+    handle.join().unwrap().expect("server drains cleanly");
+
+    let (addr, handle) = boot(&cache_dir, permissive_config);
+    for store_hits in [0, 1] {
+        let response =
+            client::submit(&addr, &permissive.source, &permissive.container, 40).unwrap();
+        let got = response.get("report").unwrap().to_string_pretty();
+        assert_eq!(got, permissive.expected_json, "permissive server served the wrong record");
+        assert_eq!(count(&response, "store_hits"), store_hits);
+    }
     client::shutdown(&addr).unwrap();
     handle.join().unwrap().expect("server drains cleanly");
 
     let _ = std::fs::remove_dir_all(&work);
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+fn count(doc: &Json, key: &str) -> u64 {
+    doc.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("{key} missing in {doc:?}"))
+}
+
+/// The service classifies without static predictions, so it refuses a
+/// trust tier it could not honor instead of silently ignoring it.
+#[test]
+fn bind_refuses_a_trust_static_tier() {
+    for trust_static in
+        [TrustStatic::SkipAgreedBenign, TrustStatic::SkipUnreachable, TrustStatic::SkipBoth]
+    {
+        let result = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            classifier: ClassifierConfig { trust_static, ..ClassifierConfig::default() },
+            ..ServerConfig::default()
+        });
+        let message = result.err().expect("a trust tier must be refused");
+        assert!(message.contains("--trust-static"), "{message}");
+    }
 }
 
 /// `racerep submit --fail-on harmful` gates the exit code on the remote
@@ -131,7 +187,7 @@ fn service_matches_one_shot_and_serves_warm_resubmits_from_cache() {
 fn submit_fail_on_harmful_sets_the_exit_code() {
     let work = temp_dir("failon");
     let cache_dir = temp_dir("failon-cache");
-    let (addr, handle) = boot(&cache_dir);
+    let (addr, handle) = boot(&cache_dir, ClassifierConfig::default());
 
     // stats.tasm: racy counters classify potentially harmful (the paper's
     // approximate-computation pattern).

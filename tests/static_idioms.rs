@@ -16,7 +16,7 @@ use std::sync::Arc;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use replay_race::classify::{
-    classify_races, classify_races_with, predictions_by_id, ClassifierConfig, OutcomeGroup,
+    classify_races_with, predictions_by_id, ClassifierConfig, OutcomeGroup,
 };
 use replay_race::detect::{detect_races, DetectorConfig};
 use tvm::scheduler::RunConfig;
@@ -41,7 +41,7 @@ fn high_confidence_benign_predictions_are_never_replayed_harmful() {
             let recording = record(&program, &schedule);
             let trace = replay(&program, &recording.log).expect("fresh recordings replay");
             let detected = detect_races(&trace, &DetectorConfig::default());
-            let result = classify_races(&trace, &detected, &ClassifierConfig::default());
+            let result = classify_races_with(&trace, &detected, &ClassifierConfig::default(), None);
             for (race_id, race) in &result.races {
                 if predictions.get(race_id).is_some_and(|p| p.predicted.high_confidence_benign()) {
                     assert_eq!(
@@ -108,7 +108,7 @@ fn idiom_tagging_and_prefilter_leave_detector_and_classifier_output_identical() 
             // Predictions are advisory: with trust off they must not change
             // one bit of the classification.
             let config = ClassifierConfig::default();
-            let without = classify_races(&trace, &unfiltered, &config);
+            let without = classify_races_with(&trace, &unfiltered, &config, None);
             let with = classify_races_with(&trace, &unfiltered, &config, Some(&predictions));
             assert_eq!(without.races, with.races, "{id}: predictions changed verdicts");
             assert_eq!(without.vproc_replays, with.vproc_replays, "{id}: replay counts differ");
