@@ -1,5 +1,6 @@
-//! A small, self-contained JSON library: a value type, a strict parser,
-//! and compact/pretty printers.
+//! A small, self-contained JSON library: a value type, a strict parser
+//! with an allocation-free validating twin ([`Json::validate`]), and
+//! compact/pretty printers.
 //!
 //! The workspace builds in fully offline environments, so it cannot pull
 //! `serde`/`serde_json` from a registry. The handful of places that need
@@ -29,6 +30,11 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the cap bounds its stack on hostile
+/// input; the documents this workspace writes nest at most 7 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure with byte offset and description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -45,16 +51,18 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Parses a JSON document; trailing non-whitespace is an error.
+    /// Parses a JSON document; trailing non-whitespace, and arrays and
+    /// objects nested deeper than [`MAX_DEPTH`], are errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(value)
+        Parser::<true>::new(text).document()
+    }
+
+    /// Checks that `text` is a document [`Json::parse`] accepts, without
+    /// building it: a well-formed document is checked with no heap
+    /// allocation, so a caller holding JSON text can vouch for it and pass
+    /// the text on as is.
+    pub fn validate(text: &str) -> Result<(), JsonError> {
+        Parser::<false>::new(text).document().map(drop)
     }
 
     /// Builds an object from `(key, value)` pairs.
@@ -308,12 +316,34 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The parser behind [`Json::parse`] (`BUILD`) and [`Json::validate`]
+/// (`!BUILD`): one grammar walk. Without `BUILD` every string, array and
+/// object comes back as an empty placeholder that never touched the heap,
+/// so the two accept exactly the same documents.
+struct Parser<'a, const BUILD: bool> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    fn new(text: &'a str) -> Self {
+        Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// One whole document; trailing non-whitespace is an error.
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, message: message.into() }
     }
@@ -352,8 +382,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected byte `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -370,7 +407,10 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if BUILD {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -398,7 +438,9 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            if BUILD {
+                pairs.push((key, value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -415,66 +457,69 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of plain bytes, multi-byte UTF-8 included, ends at a
+            // quote, a backslash or a control byte: all ASCII, so the run
+            // is whole characters and copies in one step.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            if BUILD {
+                out.push_str(&self.text[start..self.pos]);
+            }
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                // Multi-byte UTF-8: the input is a &str, so bytes >= 0x80
-                // are part of valid sequences; copy them through.
-                b if b >= 0x80 => {
-                    let start = self.pos - 1;
-                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
-                b if b < 0x20 => return Err(self.err("control character in string")),
-                b => out.push(b as char),
+                b'\\' => self.escape(&mut out)?,
+                _ => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// The escape after a backslash, appended to `out` when building.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        let c = match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        if BUILD {
+            out.push(c);
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -490,12 +535,18 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let digits_start = self.pos;
+        // Exact while at most 18 digits: 10^18 - 1 < u64::MAX.
+        let mut magnitude = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
+        let digits = self.pos - digits_start;
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
@@ -514,11 +565,14 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>().map(Json::Float).map_err(|_| self.err("invalid number"))
+        } else if (1..=18).contains(&digits) {
+            let magnitude = i128::from(magnitude);
+            Ok(Json::Int(if negative { -magnitude } else { magnitude }))
         } else {
+            // No digits (a lone `-`), or too many for the exact fast path.
             text.parse::<i128>().map(Json::Int).map_err(|_| self.err("invalid number"))
         }
     }

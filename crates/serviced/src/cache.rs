@@ -12,7 +12,7 @@
 //! # Record format
 //!
 //! ```text
-//! magic "RRREPRT1" ‖ checksum [16] ‖ identity [16] ‖ step budget u64 ‖
+//! magic "RRREPRT2" ‖ checksum [16] ‖ identity [16] ‖ step budget u64 ‖
 //! permissive flags u8 ‖ max instances u64 ‖ log length u64 ‖
 //! program length u64 ‖ program ‖ report JSON (compact)
 //! ```
@@ -22,10 +22,13 @@
 //! everything a report can quote). The identity is a 128-bit digest of
 //! program, log bytes and options; the checksum is the same digest over
 //! everything after it. A record is served only when magic, checksum,
-//! identity, options, log length and program bytes all match the request;
-//! anything else — a torn or flipped file, a record copied under another
-//! identity's name, a segment file of the per-pair format this replaced —
-//! is a miss, never an error or a wrong report.
+//! identity, options, log length and program bytes all match the request
+//! and the report is UTF-8 and well-formed JSON; anything else — a torn or
+//! flipped file, a record copied under another identity's name, a segment
+//! file of the per-pair format this replaced — is a miss, never an error
+//! or a wrong report. A hit returns the report as the record's own text,
+//! checked by [`Json::validate`] but never parsed into a tree, so the
+//! server answers with those bytes as they are.
 //!
 //! # Durability
 //!
@@ -47,11 +50,12 @@ use minijson::Json;
 use replay_race::classify::ClassifierConfig;
 use tvm::Program;
 
-/// Record-file magic: `RR` report record, format version `1`. Bump the
+/// Record-file magic: `RR` report record, format version `2`. Bump the
 /// version whenever the record layout changes or a pipeline change alters
 /// any report, or records written by an older build keep serving its
-/// bytes.
-pub const RECORD_MAGIC: &[u8; 8] = b"RRREPRT1";
+/// bytes. Version 2 reports quote a pc that carries several marks by its
+/// smallest name.
+pub const RECORD_MAGIC: &[u8; 8] = b"RRREPRT2";
 
 /// Record file extension.
 const RECORD_EXT: &str = "rrr";
@@ -136,27 +140,31 @@ impl WorkloadKey {
         format!("{hex}.{RECORD_EXT}")
     }
 
-    /// The full record for `report`.
-    fn encode(&self, report: &Json) -> Vec<u8> {
-        let mut body = self.header.clone();
-        body.extend_from_slice(report.to_string_compact().as_bytes());
-        let mut record = Vec::with_capacity(RECORD_MAGIC.len() + 16 + body.len());
+    /// The full record for `report`, compact JSON text.
+    fn encode(&self, report: &str) -> Vec<u8> {
+        let body_start = RECORD_MAGIC.len() + 16;
+        let mut record = Vec::with_capacity(body_start + self.header.len() + report.len());
         record.extend_from_slice(RECORD_MAGIC);
-        record.extend_from_slice(&digest128(&[&body]));
-        record.extend_from_slice(&body);
+        record.extend_from_slice(&[0; 16]);
+        record.extend_from_slice(&self.header);
+        record.extend_from_slice(report.as_bytes());
+        let checksum = digest128(&[&record[body_start..]]);
+        record[RECORD_MAGIC.len()..body_start].copy_from_slice(&checksum);
         record
     }
 
-    /// The report a record holds for this workload, or `None` when the
-    /// bytes fail any check.
-    fn decode(&self, record: &[u8]) -> Option<Json> {
+    /// The report text a record holds for this workload, in the record's
+    /// own buffer, or `None` when the bytes fail any check.
+    fn decode(&self, mut record: Vec<u8>) -> Option<String> {
         let rest = record.strip_prefix(RECORD_MAGIC)?;
         let (checksum, body) = rest.split_at_checked(16)?;
-        if checksum != digest128(&[body]) {
+        if checksum != digest128(&[body]) || !body.starts_with(&self.header) {
             return None;
         }
-        let report = body.strip_prefix(self.header.as_slice())?;
-        Json::parse(std::str::from_utf8(report).ok()?).ok()
+        record.drain(..RECORD_MAGIC.len() + 16 + self.header.len());
+        let report = String::from_utf8(record).ok()?;
+        Json::validate(&report).ok()?;
+        Some(report)
     }
 }
 
@@ -215,28 +223,29 @@ impl ReportCache {
         self.dir.join(key.file_name())
     }
 
-    fn read(&self, key: &WorkloadKey) -> Option<Json> {
-        key.decode(&fs::read(self.path(key)).ok()?)
+    fn read(&self, key: &WorkloadKey) -> Option<String> {
+        key.decode(fs::read(self.path(key)).ok()?)
     }
 
-    /// The workload's report, when a valid record holds it.
+    /// The workload's report as compact JSON text, when a valid record
+    /// holds it.
     #[must_use]
-    pub fn lookup(&self, key: &WorkloadKey) -> Option<Json> {
+    pub fn lookup(&self, key: &WorkloadKey) -> Option<String> {
         let found = self.read(key);
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Persists the workload's report unless a valid record already holds
-    /// it; returns whether a record was written. The record is synced and
-    /// in place when this returns.
+    /// Persists the workload's report, its compact JSON text, unless a
+    /// valid record already holds it; returns whether a record was written.
+    /// The record is synced and in place when this returns.
     ///
     /// # Errors
     ///
     /// Fails on io errors. The record is then not known to be durable, and
     /// the next miss on the key writes it again.
-    pub fn insert(&self, key: &WorkloadKey, report: &Json) -> Result<bool, CacheError> {
+    pub fn insert(&self, key: &WorkloadKey, report: &str) -> Result<bool, CacheError> {
         if self.read(key).is_some() {
             return Ok(false);
         }

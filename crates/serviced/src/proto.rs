@@ -67,25 +67,46 @@ pub fn payload_checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Bytes before the payload: magic, version, length and checksum.
+const HEADER_LEN: usize = 4 + 1 + 4 + 8;
+
 /// Writes one frame carrying `doc` (compact JSON) to `w`.
 ///
 /// # Errors
 ///
 /// Propagates io failures; rejects payloads over [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), ProtoError> {
-    let payload = doc.to_string_compact().into_bytes();
-    if payload.len() > MAX_FRAME {
-        return perr(format!("frame payload {} bytes exceeds {MAX_FRAME}", payload.len()));
-    }
-    let mut frame = Vec::with_capacity(4 + 1 + 4 + 8 + payload.len());
-    frame.extend_from_slice(FRAME_MAGIC);
-    frame.push(PROTO_VERSION);
-    frame.extend_from_slice(&u32::try_from(payload.len()).expect("bounded above").to_le_bytes());
-    frame.extend_from_slice(&payload_checksum(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let frame = frame_parts(&[doc.to_string_compact().as_bytes()])?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
+}
+
+/// The frame whose payload is `parts` concatenated, which the caller
+/// guarantees is one JSON document. It is assembled in a single buffer and
+/// its length and checksum filled in over the contiguous payload, so the
+/// bytes equal [`write_frame`] of the parsed document whenever `parts` is
+/// that document's compact rendering.
+///
+/// # Errors
+///
+/// Rejects payloads over [`MAX_FRAME`].
+pub(crate) fn frame_parts(parts: &[&[u8]]) -> Result<Vec<u8>, ProtoError> {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    if len > MAX_FRAME {
+        return perr(format!("frame payload {len} bytes exceeds {MAX_FRAME}"));
+    }
+    let mut frame = Vec::with_capacity(HEADER_LEN + len);
+    frame.extend_from_slice(FRAME_MAGIC);
+    frame.push(PROTO_VERSION);
+    frame.extend_from_slice(&u32::try_from(len).expect("bounded above").to_le_bytes());
+    frame.extend_from_slice(&[0; 8]);
+    for part in parts {
+        frame.extend_from_slice(part);
+    }
+    let check = payload_checksum(&frame[HEADER_LEN..]);
+    frame[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&check.to_le_bytes());
+    Ok(frame)
 }
 
 /// Reads one frame from `r` and parses its JSON payload.
@@ -95,7 +116,7 @@ pub fn write_frame(w: &mut impl Write, doc: &Json) -> Result<(), ProtoError> {
 /// Fails on truncated streams, bad magic, version skew, checksum mismatch,
 /// oversized frames, and malformed JSON.
 pub fn read_frame(r: &mut impl Read) -> Result<Json, ProtoError> {
-    let mut header = [0u8; 4 + 1 + 4 + 8];
+    let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     if &header[..4] != FRAME_MAGIC {
         return perr("bad frame magic (not a racerepd peer?)");

@@ -3,7 +3,8 @@
 //!
 //! # Shape
 //!
-//! One acceptor thread (the caller of [`Server::run`]) owns the listener;
+//! One acceptor thread (the caller of [`Server::run`]) owns the listener
+//! and blocks in `accept`, so a request is read the moment it connects;
 //! cheap requests (`stats`, `shutdown`) are answered inline, `submit`
 //! requests go through explicit admission control into a bounded queue.
 //! When the queue is full the client is told to come back
@@ -17,17 +18,21 @@
 //! snapshot arena across every replay of a job. With a cache directory, a
 //! worker looks the workload up in the [`ReportCache`] as soon as the
 //! program is assembled and the log base64-decoded: a hit answers with the
-//! stored report and zero virtual-processor executions, and a miss
-//! persists its report before answering.
+//! record's report text, spliced into the response frame unparsed, and
+//! zero virtual-processor executions; a miss renders its report once and
+//! sends that text to both its new record and the response.
 //!
 //! Drain (SIGTERM/ctrl-c on unix, or a protocol `shutdown` request) stops
 //! the accept loop, lets the workers finish every queued job, and
-//! returns.
+//! returns. The acceptor answers `shutdown` itself and stops; a signal is
+//! noticed by a watcher thread, which releases the blocked `accept` with
+//! one connection of its own. A connection accepted once drain has begun
+//! is closed unread.
 //!
 //! [`Vproc`]: idna_replay::vproc::Vproc
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,7 +46,7 @@ use tvm::asm::assemble;
 
 use crate::cache::{ReportCache, WorkloadKey};
 use crate::container::log_from_bytes_mode;
-use crate::proto::{b64_decode, read_frame, write_frame, ProtoError};
+use crate::proto::{b64_decode, frame_parts, read_frame, write_frame, ProtoError};
 use idna_replay::codec::DecodeMode;
 use idna_replay::replayer::replay;
 
@@ -118,8 +123,9 @@ pub struct Server {
 /// Milliseconds a rejected client should wait before retrying.
 const RETRY_AFTER_MS: u64 = 250;
 
-/// Accept-loop poll interval while idle (the loop must notice drain flags
-/// promptly without busy-spinning).
+/// How often the watcher looks for a drain signal, and how long the
+/// acceptor backs off after a failed `accept` (so an error such as EMFILE
+/// cannot spin a core).
 const POLL: Duration = Duration::from_millis(25);
 
 #[cfg(unix)]
@@ -218,40 +224,63 @@ impl Server {
     /// answered on the wire and logged to the counters.
     pub fn run(self) -> Result<(), String> {
         signals::install();
-        self.listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+        let wake = wake_addr(&self.listener).map_err(|e| e.to_string())?;
         let shared = self.shared;
         std::thread::scope(|scope| {
             for _ in 0..shared.config.workers {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || worker_loop(&shared));
             }
+            let watcher = scope.spawn(|| watch_signals(&shared, wake));
             loop {
-                if signals::requested() {
-                    shared.draining.store(true, Ordering::SeqCst);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        stream.set_nonblocking(false).ok();
+                        if shared.draining.load(Ordering::SeqCst) {
+                            break;
+                        }
                         handle_connection(&shared, stream);
+                        if shared.draining.load(Ordering::SeqCst) {
+                            break;
+                        }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
-                    Err(e) => {
-                        // Transient accept errors (aborted handshakes)
-                        // should not kill the service.
-                        let _ = e;
-                        std::thread::sleep(POLL);
-                    }
+                    // Transient accept errors (aborted handshakes, fd
+                    // exhaustion) should not kill the service.
+                    Err(_) => std::thread::sleep(POLL),
                 }
             }
-            // Drain: wake every worker; each exits once the queue is dry.
+            // Drain: stop the watcher and wake every worker; each exits
+            // once the queue is dry.
+            watcher.thread().unpark();
             shared.available.notify_all();
         });
         Ok(())
+    }
+}
+
+/// Where a connection reaches `listener`: its own address, with an
+/// unspecified IP (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_addr(listener: &TcpListener) -> std::io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    Ok(addr)
+}
+
+/// Turns a SIGINT/SIGTERM into drain: sets `draining`, then connects to
+/// the listener once so the acceptor, blocked in `accept`, sees it.
+/// Returns when draining, however it began; the acceptor unparks it when
+/// a `shutdown` request ends the loop.
+fn watch_signals(shared: &Shared, wake: SocketAddr) {
+    while !shared.draining.load(Ordering::SeqCst) {
+        if signals::requested() {
+            shared.draining.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            return;
+        }
+        std::thread::park_timeout(POLL);
     }
 }
 
@@ -326,26 +355,56 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = q;
             }
         };
-        let Some(mut job) = job else { return };
-        match run_submission(shared, &job.doc) {
-            Ok(response) => {
+        let Some(Job { mut stream, doc }) = job else { return };
+        let answer = run_submission(shared, &doc);
+        drop(doc);
+        match answer {
+            Ok(answer) => {
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut job.stream, &response);
+                // The frame holds a copy of the report: free the record
+                // before the client can be handed the bytes.
+                let frame = result_frame(&answer);
+                drop(answer);
+                match frame {
+                    Ok(frame) => {
+                        let _ = stream.write_all(&frame);
+                    }
+                    Err(e) => respond_error(&mut stream, &e.message),
+                }
             }
             Err(message) => {
                 shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                respond_error(&mut job.stream, &message);
+                respond_error(&mut stream, &message);
             }
         }
     }
 }
 
+/// A classified submission.
+struct Answer {
+    /// The report, compact JSON text: what one-shot `racerep races
+    /// --format json` prints, before pretty-printing.
+    report: String,
+    /// Virtual-processor replays run for it.
+    replays: u64,
+    /// 1 when a report record answered it, else 0.
+    store_hits: u64,
+}
+
+/// The `result` response frame for `answer`, with the report text
+/// spliced in unparsed: the bytes equal [`write_frame`] of the `{type,
+/// report, replays, store_hits}` document.
+fn result_frame(answer: &Answer) -> Result<Vec<u8>, ProtoError> {
+    let tail = format!(",\"replays\":{},\"store_hits\":{}}}", answer.replays, answer.store_hits);
+    frame_parts(&[b"{\"type\":\"result\",\"report\":", answer.report.as_bytes(), tail.as_bytes()])
+}
+
 /// Classifies one submission: assemble, decode, replay, detect, classify
-/// and render the same report JSON value as one-shot `racerep races
-/// --format json`. With a cache, a stored report for the same workload
-/// answers right after assembly and base64 decoding; a fresh report is
-/// persisted before the answer goes out.
-fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
+/// and render the same report JSON as one-shot `racerep races --format
+/// json`. With a cache, a stored report for the same workload answers
+/// right after assembly and base64 decoding; a fresh report is persisted
+/// before the answer goes out.
+fn run_submission(shared: &Shared, doc: &Json) -> Result<Answer, String> {
     let counters = &shared.counters;
     let source = doc
         .get("program")
@@ -356,14 +415,6 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
         .and_then(Json::as_str)
         .ok_or_else(|| String::from("submit needs a \"log\" field (base64 log container)"))?;
     let classifier = shared.config.classifier;
-    let response = |report: Json, replays: u64, store_hits: u64| {
-        Json::obj(vec![
-            ("type", Json::str("result")),
-            ("report", report),
-            ("replays", Json::from(replays)),
-            ("store_hits", Json::from(store_hits)),
-        ])
-    };
 
     let start = Instant::now();
     let program =
@@ -379,7 +430,7 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
         .map(|cache| (cache, WorkloadKey::new(&program, &container, &classifier)));
     if let Some(report) = cache.as_ref().and_then(|(cache, key)| cache.lookup(key)) {
         counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        return Ok(response(report, 0, 1));
+        return Ok(Answer { report, replays: 0, store_hits: 1 });
     }
     let (log, _schedule, _decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
     counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -397,14 +448,14 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Json, String> {
     counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let report = Report::build(&trace, &classification).to_json_value();
+    let report = Report::build(&trace, &classification).to_json_value().to_string_compact();
     if let Some((cache, key)) = &cache {
         // A failed write (disk full) degrades the cache, not the job.
         let _ = cache.insert(key, &report);
     }
     counters.report_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-    Ok(response(report, classification.vproc_replays, 0))
+    Ok(Answer { report, replays: classification.vproc_replays, store_hits: 0 })
 }
 
 /// The `stats` response document.
@@ -452,4 +503,42 @@ fn stats_json(shared: &Shared) -> Json {
         ));
     }
     Json::obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::read_frame;
+
+    /// A spliced `result` frame is byte-identical to writing the envelope
+    /// document, so a client cannot tell a record's text from a fresh
+    /// render.
+    #[test]
+    fn spliced_result_frame_equals_the_envelope_document() {
+        let report = Json::obj(vec![
+            (
+                "races",
+                Json::Arr(vec![Json::obj(vec![
+                    ("mark_a", Json::str("a \"quoted\" ✓ \\ mark\n")),
+                    ("pc", Json::from(u64::MAX)),
+                    ("scenario", Json::Null),
+                ])]),
+            ),
+            ("log_damaged_races", Json::from(0u64)),
+        ]);
+        for (replays, store_hits) in [(0u64, 1u64), (16_136, 0)] {
+            let answer = Answer { report: report.to_string_compact(), replays, store_hits };
+            let spliced = result_frame(&answer).unwrap();
+            let envelope = Json::obj(vec![
+                ("type", Json::str("result")),
+                ("report", report.clone()),
+                ("replays", Json::from(replays)),
+                ("store_hits", Json::from(store_hits)),
+            ]);
+            let mut written = Vec::new();
+            write_frame(&mut written, &envelope).unwrap();
+            assert_eq!(spliced, written);
+            assert_eq!(read_frame(&mut spliced.as_slice()).unwrap(), envelope);
+        }
+    }
 }

@@ -1,8 +1,10 @@
 //! Property tests for the persistent report cache: seeded workloads get
-//! one record file each, and every way a record can go wrong on disk —
-//! truncation at any byte, a flipped bit, a file under another identity's
-//! name, a leftover segment of the old per-pair format, a stray tmp file —
-//! must read back as a miss, never as an error or a wrong report.
+//! one record file each, a hit serves exactly the compact report text
+//! inserted, and every way a record can go wrong on disk — truncation at
+//! any byte, a flipped bit, a file under another identity's name, a record
+//! of the previous format version, a report that is not JSON, a leftover
+//! segment of the old per-pair format, a stray tmp file — must read back
+//! as a miss, never as an error or a wrong report.
 
 use std::path::{Path, PathBuf};
 
@@ -58,8 +60,9 @@ fn report(rng: &mut Rng) -> Json {
     Json::obj(vec![("races", Json::Arr(races)), ("log_damaged_races", Json::from(rng.below(3)))])
 }
 
-/// Distinct workloads: programs, logs and options all vary.
-fn seeded_entries(seed: u64, n: usize) -> Vec<(WorkloadKey, Json)> {
+/// Distinct workloads: programs, logs and options all vary. Each report is
+/// its compact text, as the server renders it.
+fn seeded_entries(seed: u64, n: usize) -> Vec<(WorkloadKey, String)> {
     let mut rng = Rng(seed | 1);
     (0..n)
         .map(|i| {
@@ -74,7 +77,7 @@ fn seeded_entries(seed: u64, n: usize) -> Vec<(WorkloadKey, Json)> {
                 max_instances_per_race: 1 + rng.below(3000) as usize,
                 ..ClassifierConfig::default()
             };
-            (WorkloadKey::new(&program, &log, &classifier), report(&mut rng))
+            (WorkloadKey::new(&program, &log, &classifier), report(&mut rng).to_string_compact())
         })
         .collect()
 }
@@ -87,7 +90,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn filled(dir: &Path, entries: &[(WorkloadKey, Json)]) -> ReportCache {
+fn filled(dir: &Path, entries: &[(WorkloadKey, String)]) -> ReportCache {
     let cache = ReportCache::open(dir).unwrap();
     for (key, report) in entries {
         assert!(cache.insert(key, report).unwrap(), "a fresh workload writes a record");
@@ -111,7 +114,7 @@ fn truncation_at_every_byte_is_a_miss() {
             assert_eq!(cache.lookup(key), None, "cut at byte {cut} of {}", full.len());
         }
         std::fs::write(&path, &full).unwrap();
-        assert_eq!(cache.lookup(key).as_ref(), Some(report));
+        assert_eq!(cache.lookup(key).as_deref(), Some(report.as_str()));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -147,7 +150,7 @@ fn reopen_roundtrip_and_idempotent_insert() {
     drop(filled(&dir, &entries));
     let cache = ReportCache::open(&dir).unwrap();
     for (key, report) in &entries {
-        assert_eq!(cache.lookup(key).as_ref(), Some(report));
+        assert_eq!(cache.lookup(key).as_deref(), Some(report.as_str()));
     }
     let counts = cache.counts();
     assert_eq!(counts.entries, entries.len() as u64, "one record per workload");
@@ -183,6 +186,45 @@ fn a_record_under_another_identity_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record of the previous format version is a miss even when every
+/// other byte is intact: version 1 records may quote another mark name
+/// for a pc that carries several.
+#[test]
+fn a_previous_version_record_is_a_miss() {
+    let entries = seeded_entries(0x2e2e_a1a1, 3);
+    let dir = temp_dir("version");
+    let cache = filled(&dir, &entries);
+    for (key, report) in &entries {
+        let path = dir.join(key.file_name());
+        let full = std::fs::read(&path).unwrap();
+        let mut old = full.clone();
+        old[..8].copy_from_slice(b"RRREPRT1");
+        std::fs::write(&path, &old).unwrap();
+        assert_eq!(cache.lookup(key), None, "an RRREPRT1 record served");
+        assert!(cache.insert(key, report).unwrap(), "the old record is replaced");
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record whose checksum holds but whose report is not one well-formed
+/// JSON document never serves; a valid insert replaces it.
+#[test]
+fn a_record_holding_malformed_json_is_a_miss() {
+    let entries = seeded_entries(0xbad_150e, 2);
+    let dir = temp_dir("malformed");
+    let cache = ReportCache::open(&dir).unwrap();
+    for (key, report) in &entries {
+        for bad in ["", "{", "{\"races\":[1,]}", "[] []", &report[..report.len() - 1]] {
+            assert!(cache.insert(key, bad).unwrap(), "a record that does not serve is rewritten");
+            assert_eq!(cache.lookup(key), None, "served {bad:?}");
+        }
+        assert!(cache.insert(key, report).unwrap());
+        assert_eq!(cache.lookup(key).as_deref(), Some(report.as_str()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A segment of the per-pair replay format this cache replaced is left
 /// alone and never read: it counts as no entry and answers nothing.
 #[test]
@@ -198,7 +240,7 @@ fn old_replay_segments_are_ignored() {
     for (key, report) in &entries {
         assert_eq!(cache.lookup(key), None);
         assert!(cache.insert(key, report).unwrap());
-        assert_eq!(cache.lookup(key).as_ref(), Some(report));
+        assert_eq!(cache.lookup(key).as_deref(), Some(report.as_str()));
     }
     assert_eq!(cache.counts().entries, entries.len() as u64);
     assert_eq!(std::fs::read(&segment).unwrap(), old, "the old segment is not touched");

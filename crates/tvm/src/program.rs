@@ -102,10 +102,12 @@ impl Program {
         &self.marks
     }
 
-    /// The name of the mark placed at instruction `pc`, if any.
+    /// The name of the mark placed at instruction `pc`, if any; the
+    /// smallest name when several marks share it, so the answer does not
+    /// depend on hash-map order.
     #[must_use]
     pub fn mark_at(&self, pc: usize) -> Option<&str> {
-        self.marks.iter().find_map(|(name, &p)| (p == pc).then_some(name.as_str()))
+        self.marks.iter().filter(|&(_, &p)| p == pc).map(|(name, _)| name.as_str()).min()
     }
 
     /// Initial global-memory image.
@@ -158,6 +160,17 @@ mod tests {
         assert_eq!(p.mark_at(1), None);
         assert!(matches!(p.instr(1), Some(Instr::Halt)));
         assert!(p.instr(2).is_none());
+    }
+
+    /// Hash maps iterate in a different order per instance, even within
+    /// one process; several marks on one pc must still name it the same
+    /// way every time.
+    #[test]
+    fn mark_at_picks_the_smallest_of_several_names() {
+        for _ in 0..64 {
+            let p = crate::asm::assemble(".thread t\n.mark zeta\n.mark alpha\n  halt\n").unwrap();
+            assert_eq!(p.mark_at(0), Some("alpha"));
+        }
     }
 
     #[test]

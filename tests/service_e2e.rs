@@ -5,15 +5,21 @@
 //! the same cache directory then proves warm submissions are answered from
 //! their report records with zero virtual-processor replays, and a third,
 //! permissive server over that directory proves the records are keyed on
-//! the replay options.
+//! the replay options. Further tests pin the front end: round trips wait
+//! on no accept poll, and a hostile, deeply nested frame is refused
+//! without taking the service down.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use idna_replay::vproc::VprocConfig;
 use minijson::Json;
 use racerep::{cmd_races, cmd_record, cmd_submit, parse_schedule, FailOn};
 use replay_race::classify::{ClassifierConfig, TrustStatic};
+use serviced::proto::{payload_checksum, read_frame, FRAME_MAGIC, PROTO_VERSION};
 use serviced::{client, Server, ServerConfig};
 
 fn sample(name: &str) -> PathBuf {
@@ -207,6 +213,59 @@ fn submit_fail_on_harmful_sets_the_exit_code() {
     let (_, code) = cmd_submit(&benign_prog, &benign_log, &addr, false, FailOn::Harmful).unwrap();
     assert_eq!(code, 0, "benign-only reports must not trip the gate");
 
+    client::shutdown(&addr).unwrap();
+    handle.join().unwrap().expect("server drains cleanly");
+    let _ = std::fs::remove_dir_all(&work);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// The acceptor blocks in `accept`, so a round trip costs its own work and
+/// no poll interval: 40 sequential `stats` requests take well under
+/// 400 ms, where an acceptor sleeping 25 ms between polls needs about a
+/// second.
+#[test]
+fn sequential_round_trips_wait_on_no_accept_poll() {
+    let cache_dir = temp_dir("latency-cache");
+    let (addr, handle) = boot(&cache_dir, ClassifierConfig::default());
+    client::stats(&addr).unwrap();
+    let start = Instant::now();
+    for _ in 0..40 {
+        client::stats(&addr).unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_millis(400), "40 stats round trips took {elapsed:?}");
+    client::shutdown(&addr).unwrap();
+    handle.join().unwrap().expect("server drains cleanly");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A frame with valid magic, length and checksum whose payload opens
+/// 200,000 arrays is answered with an `error` (the parser caps nesting)
+/// instead of overflowing the acceptor's stack; the service keeps
+/// answering, byte-identically to one-shot `races`.
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_service_keeps_serving() {
+    let work = temp_dir("nested");
+    let cache_dir = temp_dir("nested-cache");
+    let workload = prepare(&work, "stats.tasm", "rr:2", &ClassifierConfig::default());
+    let (addr, handle) = boot(&cache_dir, ClassifierConfig::default());
+
+    let payload = vec![b'['; 200_000];
+    let mut frame = FRAME_MAGIC.to_vec();
+    frame.push(PROTO_VERSION);
+    frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    frame.extend_from_slice(&payload_checksum(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.write_all(&frame).unwrap();
+    let response = read_frame(&mut stream).unwrap();
+    assert_eq!(response.get("type").and_then(Json::as_str), Some("error"), "{response:?}");
+    let message = response.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("nesting"), "{message}");
+
+    client::stats(&addr).expect("stats answers after the hostile frame");
+    let response = client::submit(&addr, &workload.source, &workload.container, 40).unwrap();
+    assert_eq!(response.get("report").unwrap().to_string_pretty(), workload.expected_json);
     client::shutdown(&addr).unwrap();
     handle.join().unwrap().expect("server drains cleanly");
     let _ = std::fs::remove_dir_all(&work);
