@@ -19,6 +19,7 @@
 //! (round, schedule) pair, so a run is replayable from its seed alone.
 //! Exits non-zero on any violation.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bench::genprog;
@@ -42,6 +43,7 @@ struct Tally {
 fn check_static(
     program: &tvm::Program,
     analysis: &racecheck::Analysis,
+    pruned: &BTreeMap<(usize, usize), racecheck::PruneReason>,
     base: &racecheck::Analysis,
 ) -> Vec<String> {
     let mut violations = Vec::new();
@@ -53,7 +55,7 @@ fn check_static(
         }
     }
     // A pair is pruned or a candidate, never both.
-    for (&(lo, hi), reason) in &analysis.pruned {
+    for (&(lo, hi), reason) in pruned {
         if analysis.candidates.contains(lo, hi) {
             violations.push(format!("({lo}, {hi}) both pruned ({}) and a candidate", reason.tag()));
         }
@@ -89,12 +91,13 @@ fn main() {
         let mut rng = SplitMix64::new(seed.wrapping_add(round.wrapping_mul(0x9E37)));
         let program = Arc::new(genprog::generate(&mut rng));
         let analysis = racecheck::analyze(&program);
+        let pruned = analysis.pruned();
         let base = racecheck::analyze_without_order(&program);
         tally.programs += 1;
         tally.candidates += analysis.stats.candidate_pairs as u64;
         tally.order_pruned += analysis.stats.pruned_statically_ordered;
 
-        for v in check_static(&program, &analysis, &base) {
+        for v in check_static(&program, &analysis, &pruned, &base) {
             tally.violations += 1;
             println!("VIOLATION [round {round}, static]: {v}");
         }
@@ -118,7 +121,7 @@ fn main() {
                 let id = instance.static_id();
                 if !candidates.contains(id.pc_lo, id.pc_hi) {
                     tally.violations += 1;
-                    let pruned = analysis.pruned.get(&(id.pc_lo, id.pc_hi));
+                    let pruned = pruned.get(&(id.pc_lo, id.pc_hi));
                     println!(
                         "VIOLATION [round {round}, schedule {si}]: dynamic race {id} \
                          not a static candidate (pruned: {pruned:?})"

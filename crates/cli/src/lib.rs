@@ -77,6 +77,7 @@
 //! The library half exists so the command implementations are unit-testable
 //! without spawning processes.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -422,13 +423,17 @@ pub fn cmd_races(
         }
         Err(e) => return err(e.to_string()),
     };
+    // The damage profile and the trust-static predictions share one static
+    // analysis, run only if either needs it.
+    let static_analysis = OnceCell::new();
+    let analysis = || static_analysis.get_or_init(|| racecheck::analyze(&program));
     if tolerant && damaged {
-        trace.set_damage(damage_profile(&program, &decode_report));
+        trace.set_damage(damage_profile(&program, analysis(), &decode_report));
     }
     let detected =
         replay_race::detect::detect_races(&trace, &replay_race::detect::DetectorConfig::default());
-    let predictions = (classifier.trust_static != TrustStatic::Off)
-        .then(|| predictions_by_id(&racecheck::analyze(&program)));
+    let predictions =
+        (classifier.trust_static != TrustStatic::Off).then(|| predictions_by_id(analysis()));
     let classification = replay_race::classify::classify_races_with(
         &trace,
         &detected,

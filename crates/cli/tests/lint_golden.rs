@@ -1,19 +1,15 @@
-//! Pins the `racerep lint --format json` output for the four Table 2 idiom
-//! exemplars against committed golden files, locking both the extended
-//! schema (`idiom`, `predicted`, `confidence`, `impact`, `sink_chain`) and
-//! the stable warning order (sorted by `(pc_lo, pc_hi)`, i.e. lowest
-//! address class first).
+//! Pins the `racerep lint --format json` output of every sample program in
+//! `examples/asm/` against its committed golden file, locking both the
+//! extended schema (`idiom`, `predicted`, `confidence`, `impact`,
+//! `sink_chain`, `pruned_pairs`) and the stable warning order (sorted by
+//! `(pc_lo, pc_hi)`, i.e. lowest address class first).
 //!
-//! To refresh after an intentional schema or recognizer change:
+//! To refresh after an intentional schema or analysis change:
 //!
 //! ```sh
-//! for f in spin_wait double_check redundant_write disjoint_bits; do
-//!   cargo run -p racerep -- lint examples/asm/idiom_$f.tasm --format json \
-//!     > examples/asm/golden/idiom_$f.lint.json
-//! done
-//! for f in handoff_valid handoff_broken impact_dead impact_sink; do
-//!   cargo run -p racerep -- lint examples/asm/$f.tasm --format json \
-//!     > examples/asm/golden/$f.lint.json
+//! for f in examples/asm/*.tasm; do
+//!   cargo run -p racerep -- lint "$f" --format json \
+//!     > "examples/asm/golden/$(basename "$f" .tasm).lint.json"
 //! done
 //! ```
 
@@ -28,23 +24,22 @@ const EXEMPLARS: [(&str, &str, &str); 4] = [
     ("idiom_disjoint_bits", "disjoint-bits", "high"),
 ];
 
-/// Order-pass exemplars (DESIGN.md D11), pinned by golden file only: the
-/// valid handoff lints clean (no warnings to tag), the broken one keeps
-/// its candidate warning.
-const HANDOFFS: [&str; 2] = ["handoff_valid", "handoff_broken"];
-
-/// Value-impact exemplars (DESIGN.md D13): a race whose tainted registers
-/// die before anything observable, and one whose value flows into
-/// `sys.print`.
-const IMPACTS: [&str; 2] = ["impact_dead", "impact_sink"];
-
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }
 
 #[test]
 fn lint_json_matches_committed_goldens() {
-    for name in EXEMPLARS.iter().map(|(name, _, _)| *name).chain(HANDOFFS).chain(IMPACTS) {
+    let mut samples: Vec<String> = std::fs::read_dir(repo_path("examples/asm"))
+        .expect("examples/asm is readable")
+        .filter_map(|e| {
+            let name = e.expect("directory entry").file_name().into_string().ok()?;
+            name.strip_suffix(".tasm").map(str::to_owned)
+        })
+        .collect();
+    samples.sort();
+    assert!(!samples.is_empty(), "no sample programs in examples/asm");
+    for name in &samples {
         let asm = repo_path(&format!("examples/asm/{name}.tasm"));
         let golden = repo_path(&format!("examples/asm/golden/{name}.lint.json"));
         let (out, _) = cmd_lint(&asm, true, FailOn::None).unwrap_or_else(|e| panic!("{name}: {e}"));

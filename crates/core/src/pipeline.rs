@@ -183,16 +183,20 @@ pub fn run_pipeline(
 }
 
 /// Refines a tolerant decode's damage report into a per-thread damage
-/// horizon using the static analyzer: a damaged thread only taints the
-/// global addresses it may write (and the heap only if it can reach heap
-/// traffic), so races between intact threads on unrelated state keep
-/// their clean verdicts. Falls back to "may write anything" for a
-/// damaged thread the analysis cannot bound.
+/// horizon using `analysis`, the static analysis of `program`: a damaged
+/// thread only taints the global addresses it may write (and the heap only
+/// if it can reach heap traffic), so races between intact threads on
+/// unrelated state keep their clean verdicts. Falls back to "may write
+/// anything" for a damaged thread the analysis cannot bound.
 ///
 /// The caller attaches the result to the trace with
 /// [`ReplayTrace::set_damage`] before detection and classification.
 #[must_use]
-pub fn damage_profile(program: &Program, report: &DecodeReport) -> TraceDamage {
+pub fn damage_profile(
+    program: &Program,
+    analysis: &racecheck::Analysis,
+    report: &DecodeReport,
+) -> TraceDamage {
     if report.is_clean() {
         return TraceDamage::default();
     }
@@ -205,7 +209,6 @@ pub fn damage_profile(program: &Program, report: &DecodeReport) -> TraceDamage {
             Instr::Syscall { call: SysCall::Alloc } | Instr::Syscall { call: SysCall::Free }
         )
     });
-    let analysis = racecheck::analyze(program);
     let threads = report
         .frames
         .iter()

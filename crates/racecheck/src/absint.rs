@@ -186,6 +186,9 @@ pub struct Transfer {
     pub access: Option<AccessFact>,
     /// The lock-discipline event recognized here, if any.
     pub event: Option<LockEvent>,
+    /// The exact global a load looked up in the stable-global map, if any:
+    /// the only way the transfer depends on that map.
+    pub(crate) lookup: Option<u64>,
 }
 
 /// Abstractly executes the instruction at `pc` on `state`, with no
@@ -233,8 +236,9 @@ pub fn transfer_with(
             let loc = AbsLoc::resolve(state.reg(base), offset);
             out.access =
                 Some(AccessFact { loc, reads: true, writes: false, atomic: false, stored: None });
-            let loaded = loc
-                .exact_global()
+            out.lookup = loc.exact_global();
+            let loaded = out
+                .lookup
                 .and_then(|g| consts.get(&g))
                 .map_or(AbsVal::Top, |&v| AbsVal::constant(v));
             next.set_reg(dst, loaded);
@@ -472,7 +476,11 @@ fn exclude_reg(state: &mut State, r: Reg, v: u64) -> bool {
 #[derive(Clone, Debug)]
 pub struct ThreadFlow {
     /// In-state per reachable pc.
-    pub states: std::collections::BTreeMap<usize, State>,
+    pub states: BTreeMap<usize, State>,
+    /// Every global the run's loads looked up in the stable-global map. The
+    /// run is a deterministic function of the answers those lookups got, so
+    /// a map that answers the same for each of them yields the same run.
+    pub(crate) lookups: BTreeSet<u64>,
 }
 
 /// Runs the worklist fixpoint for the thread entering at `cfg.entry` with
@@ -484,7 +492,9 @@ pub fn fixpoint(program: &Program, cfg: &Cfg, args: &[u64]) -> ThreadFlow {
 
 /// [`fixpoint`] with a stable-global constant map (see [`transfer_with`]).
 /// pcs only reachable through contradictory branch edges receive no state —
-/// they are semantically dead for this program's initial globals.
+/// they are semantically dead for this program's initial globals. The flow
+/// records which globals the run looked up in `consts`
+/// (`ThreadFlow::lookups`).
 #[must_use]
 pub fn fixpoint_with(
     program: &Program,
@@ -492,8 +502,9 @@ pub fn fixpoint_with(
     args: &[u64],
     consts: &BTreeMap<u64, u64>,
 ) -> ThreadFlow {
-    let mut states: std::collections::BTreeMap<usize, State> = std::collections::BTreeMap::new();
-    let mut visits: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
+    let mut states: BTreeMap<usize, State> = BTreeMap::new();
+    let mut visits: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut lookups: BTreeSet<u64> = BTreeSet::new();
     let mut work: Vec<usize> = Vec::new();
     if cfg.entry < program.len() {
         states.insert(cfg.entry, State::entry(args));
@@ -501,7 +512,9 @@ pub fn fixpoint_with(
     }
     while let Some(pc) = work.pop() {
         let state = states.get(&pc).expect("queued pc has a state").clone();
-        for (succ, out) in transfer_with(program, cfg, pc, &state, consts).succs {
+        let transfer = transfer_with(program, cfg, pc, &state, consts);
+        lookups.extend(transfer.lookup);
+        for (succ, out) in transfer.succs {
             match states.get_mut(&succ) {
                 None => {
                     states.insert(succ, out);
@@ -526,7 +539,7 @@ pub fn fixpoint_with(
             }
         }
     }
-    ThreadFlow { states }
+    ThreadFlow { states, lookups }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tvm::program::Program;
+use tvm::program::{Program, ThreadSpec};
 
 use crate::absint::{fixpoint_with, transfer_with, LockEvent, ThreadFlow};
 use crate::cfg::Cfg;
@@ -132,9 +132,9 @@ impl Demotion {
     }
 }
 
-/// Why an access pair was statically refuted. Exactly one reason is
-/// recorded per pruned `(pc_lo, pc_hi)` pair (the first rule that fired),
-/// and no reason survives for pairs that stay candidates.
+/// Why an access pair was statically refuted. [`Analysis::pruned`] reports
+/// exactly one reason per pruned `(pc_lo, pc_hi)` pair (the first rule that
+/// fired), and no reason for pairs that stay candidates.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PruneReason {
     /// The abstract locations cannot alias.
@@ -328,109 +328,101 @@ pub struct Analysis {
     pub candidates: CandidateSet,
     /// The static order analysis: handoffs, edges, and the MHP query.
     pub order: OrderAnalysis,
-    /// Why each refuted `(pc_lo, pc_hi)` pair was pruned. Exactly one
-    /// reason per pruned pair; pairs that stay candidates never appear.
-    pub pruned: BTreeMap<(usize, usize), PruneReason>,
-    /// Aggregate counters.
+    /// Aggregate counters, including how many access pairs each prune rule
+    /// refuted; [`Analysis::pruned`] names the reason per pc pair.
     pub stats: AnalysisStats,
 }
 
-struct ThreadFacts {
+/// One thread's fixpoint run and what the analysis harvests from it.
+struct ThreadRun {
+    flow: ThreadFlow,
     summary: ThreadSummary,
     /// Raw must-locksets per access index (before validity masking).
     raw_locks: Vec<BTreeSet<u64>>,
+    /// Lock-discipline events, in pc order.
+    events: Vec<(usize, LockEvent)>,
 }
 
-/// Everything one pass over all threads produces, before lock validation.
-struct Collected {
-    facts: Vec<ThreadFacts>,
-    flows: Vec<(Cfg, ThreadFlow)>,
-    acquires: BTreeMap<u64, BTreeSet<usize>>,
-    releases: BTreeMap<u64, BTreeSet<usize>>,
-    unheld_releases: BTreeMap<u64, usize>,
-    reachable_pcs: BTreeSet<usize>,
-    memory_pcs: BTreeSet<usize>,
-}
-
-/// Runs the per-thread fixpoints and harvests accesses and lock events,
-/// with loads of the globals in `consts` folded to their pinned values.
-fn collect_threads(
+/// Runs one thread's fixpoint, with loads of the globals in `consts` folded
+/// to their pinned values, and harvests its accesses and lock events.
+fn run_thread(
     program: &Program,
+    spec: &ThreadSpec,
+    cfg: &Cfg,
     barriers: &BTreeSet<usize>,
     consts: &BTreeMap<u64, u64>,
-) -> Collected {
-    let mut facts: Vec<ThreadFacts> = Vec::new();
-    let mut flows: Vec<(Cfg, ThreadFlow)> = Vec::new();
-    let mut acquires: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
-    let mut releases: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
-    let mut unheld_releases: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut reachable_pcs: BTreeSet<usize> = BTreeSet::new();
-    let mut memory_pcs: BTreeSet<usize> = BTreeSet::new();
-
-    for spec in program.threads() {
-        let cfg = Cfg::build(program, spec.entry);
-        let flow = fixpoint_with(program, &cfg, &spec.args, consts);
-        let mut accesses = Vec::new();
-        let mut raw_locks = Vec::new();
-        for (&pc, state) in &flow.states {
-            reachable_pcs.insert(pc);
-            let t = transfer_with(program, &cfg, pc, state, consts);
-            if let Some(a) = t.access {
-                memory_pcs.insert(pc);
-                accesses.push(Access {
-                    pc,
-                    loc: a.loc,
-                    reads: a.reads,
-                    writes: a.writes,
-                    atomic: a.atomic,
-                    locks: BTreeSet::new(), // masked by validity below
-                    idiom: idioms::access_facts(program, &flow, barriers, pc, &a),
-                });
-                raw_locks.push(state.locks.clone());
-            }
-            match t.event {
-                Some(LockEvent::Acquire(lock)) => {
-                    acquires.entry(lock).or_default().insert(pc);
-                }
-                Some(LockEvent::Release { lock, held }) => {
-                    releases.entry(lock).or_default().insert(pc);
-                    if !held {
-                        unheld_releases.entry(lock).or_insert(pc);
-                    }
-                }
-                None => {}
-            }
+) -> ThreadRun {
+    let flow = fixpoint_with(program, cfg, &spec.args, consts);
+    let mut accesses = Vec::new();
+    let mut raw_locks = Vec::new();
+    let mut events = Vec::new();
+    for (&pc, state) in &flow.states {
+        let t = transfer_with(program, cfg, pc, state, consts);
+        if let Some(a) = t.access {
+            accesses.push(Access {
+                pc,
+                loc: a.loc,
+                reads: a.reads,
+                writes: a.writes,
+                atomic: a.atomic,
+                locks: BTreeSet::new(), // masked by validity below
+                idiom: idioms::access_facts(program, &flow, barriers, pc, &a),
+            });
+            raw_locks.push(state.locks.clone());
         }
-        facts.push(ThreadFacts {
-            summary: ThreadSummary {
-                name: spec.name.clone(),
-                entry: spec.entry,
-                reachable: cfg.reachable.len(),
-                accesses,
-            },
-            raw_locks,
-        });
-        flows.push((cfg, flow));
+        events.extend(t.event.map(|e| (pc, e)));
     }
-
-    Collected { facts, flows, acquires, releases, unheld_releases, reachable_pcs, memory_pcs }
+    let summary = ThreadSummary {
+        name: spec.name.clone(),
+        entry: spec.entry,
+        reachable: cfg.reachable.len(),
+        accesses,
+    };
+    ThreadRun { flow, summary, raw_locks, events }
 }
 
 /// The globals no reachable access of any thread may write: their initial
 /// image value is the value every load observes.
-fn stable_globals(program: &Program, facts: &[ThreadFacts]) -> BTreeMap<u64, u64> {
+fn stable_globals(program: &Program, runs: &[ThreadRun]) -> BTreeMap<u64, u64> {
     program
         .globals()
         .iter()
         .filter(|&(&addr, _)| {
             let word = AbsLoc::Global { lo: addr, hi: addr };
-            !facts
+            !runs
                 .iter()
-                .flat_map(|f| &f.summary.accesses)
+                .flat_map(|r| &r.summary.accesses)
                 .any(|a| a.writes && a.loc.may_alias(word))
         })
         .map(|(&addr, &value)| (addr, value))
         .collect()
+}
+
+/// The first prune rule that refutes the access pair `a` (thread `i`) /
+/// `b` (thread `j`), or `None` when the pair may race. The rules are tried
+/// in a fixed order, so every caller names the same reason for a pair.
+fn prune_reason(
+    order: &OrderAnalysis,
+    i: usize,
+    a: &Access,
+    j: usize,
+    b: &Access,
+) -> Option<PruneReason> {
+    if !a.loc.may_alias(b.loc) {
+        Some(PruneReason::NoAlias)
+    } else if !a.writes && !b.writes {
+        Some(PruneReason::ReadRead)
+    } else if a.atomic && b.atomic {
+        Some(PruneReason::AtomicAtomic)
+    } else if a.locks.intersection(&b.locks).next().is_some() {
+        Some(PruneReason::CommonLock)
+    } else if order.statically_ordered(i, a.pc, j, b.pc)
+        || order.statically_ordered(j, b.pc, i, a.pc)
+    {
+        Some(PruneReason::StaticallyOrdered)
+    } else {
+        None
+    }
 }
 
 /// Statically analyzes every thread of the program and cross-products the
@@ -449,6 +441,10 @@ pub fn analyze_without_order(program: &Program) -> Analysis {
 
 fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     let barriers = idioms::control_barriers(program);
+    let specs = program.threads();
+    // A thread's CFG depends only on the program and its entry pc, so it is
+    // built once, outside the constant loop below.
+    let cfgs: Vec<Cfg> = specs.iter().map(|spec| Cfg::build(program, spec.entry)).collect();
 
     // Stable-global constant propagation: a global word no reachable
     // instruction of any thread may write holds its image value forever, so
@@ -467,19 +463,54 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     // stability. The step function is antitone-free (fewer consts ⇒ more
     // reachable writes ⇒ fewer stable words), so the downward iteration
     // terminates in at most |globals| rounds.
+    //
+    // A later round re-runs only the threads that looked up a global the new
+    // map answers differently for. This is exact: a thread's run depends on
+    // the map only through its loads' lookups (`ThreadFlow::lookups`), so a
+    // thread whose lookups all get the same answers would re-run to the very
+    // same flow, accesses and lock events.
     let mut consts: BTreeMap<u64, u64> =
         program.globals().iter().map(|(&addr, &value)| (addr, value)).collect();
-    let mut collected = collect_threads(program, &barriers, &consts);
+    let mut runs: Vec<ThreadRun> = specs
+        .iter()
+        .zip(&cfgs)
+        .map(|(spec, cfg)| run_thread(program, spec, cfg, &barriers, &consts))
+        .collect();
     loop {
-        let stable = stable_globals(program, &collected.facts);
+        let stable = stable_globals(program, &runs);
         if stable == consts {
             break;
         }
+        for ((run, spec), cfg) in runs.iter_mut().zip(specs).zip(&cfgs) {
+            if run.flow.lookups.iter().any(|g| stable.get(g) != consts.get(g)) {
+                *run = run_thread(program, spec, cfg, &barriers, &stable);
+            }
+        }
         consts = stable;
-        collected = collect_threads(program, &barriers, &consts);
     }
-    let Collected { facts, flows, acquires, releases, unheld_releases, reachable_pcs, memory_pcs } =
-        collected;
+
+    // Gather lock events in thread order, so the first unheld release of a
+    // lock is the one a thread-by-thread scan meets first.
+    let mut acquires: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+    let mut releases: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+    let mut unheld_releases: BTreeMap<u64, usize> = BTreeMap::new();
+    for &(pc, event) in runs.iter().flat_map(|r| &r.events) {
+        match event {
+            LockEvent::Acquire(lock) => {
+                acquires.entry(lock).or_default().insert(pc);
+            }
+            LockEvent::Release { lock, held } => {
+                releases.entry(lock).or_default().insert(pc);
+                if !held {
+                    unheld_releases.entry(lock).or_insert(pc);
+                }
+            }
+        }
+    }
+    let reachable_pcs: BTreeSet<usize> =
+        runs.iter().flat_map(|r| r.flow.states.keys().copied()).collect();
+    let memory_pcs: BTreeSet<usize> =
+        runs.iter().flat_map(|r| r.summary.accesses.iter().map(|a| a.pc)).collect();
 
     // Validate lock candidates: a lock is trustworthy only if its word is
     // written exclusively by recognized acquire/release sites and every
@@ -490,8 +521,8 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
         let mut demoted = unheld_releases.get(&addr).map(|&pc| Demotion::ReleaseWithoutHold { pc });
         if demoted.is_none() {
             let word = AbsLoc::Global { lo: addr, hi: addr };
-            'scan: for f in &facts {
-                for a in &f.summary.accesses {
+            'scan: for r in &runs {
+                for a in &r.summary.accesses {
                     if a.writes
                         && !acq.contains(&a.pc)
                         && !rel.contains(&a.pc)
@@ -508,19 +539,20 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     let valid: BTreeSet<u64> = locks.iter().filter(|l| l.valid()).map(|l| l.addr).collect();
 
     // Mask every access's lockset down to the valid locks.
-    let mut threads: Vec<ThreadSummary> = Vec::new();
-    for mut f in facts {
-        for (a, raw) in f.summary.accesses.iter_mut().zip(&f.raw_locks) {
+    let mut threads: Vec<ThreadSummary> = Vec::with_capacity(runs.len());
+    let mut flows: Vec<ThreadFlow> = Vec::with_capacity(runs.len());
+    for mut r in runs {
+        for (a, raw) in r.summary.accesses.iter_mut().zip(&r.raw_locks) {
             a.locks = raw.intersection(&valid).copied().collect();
         }
-        threads.push(f.summary);
+        threads.push(r.summary);
+        flows.push(r.flow);
     }
 
-    // Segment the CFGs and validate flag handoffs before the cross-product
-    // so the `StaticallyOrdered` rule can consult the closed order edges.
+    // Validate flag handoffs before the cross-product so the
+    // `StaticallyOrdered` rule can consult the closed order edges.
     let order = if use_order {
-        let per_thread: Vec<Vec<Access>> = threads.iter().map(|t| t.accesses.clone()).collect();
-        analyze_order(program, &flows, &per_thread)
+        analyze_order(program, &cfgs, &flows, &threads)
     } else {
         OrderAnalysis::default()
     };
@@ -545,38 +577,20 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
         ..AnalysisStats::default()
     };
     let mut warnings: BTreeMap<(usize, usize), RaceWarning> = BTreeMap::new();
-    let mut pruned: BTreeMap<(usize, usize), PruneReason> = BTreeMap::new();
-    let mut impact = ImpactAnalyzer::new(program, flows.iter().map(|(cfg, _)| cfg).collect());
+    let mut impact = ImpactAnalyzer::new(program, &cfgs);
     for (i, ta) in threads.iter().enumerate() {
         for (j, tb) in threads.iter().enumerate().skip(i + 1) {
             for a in &ta.accesses {
                 for b in &tb.accesses {
-                    let key = (a.pc.min(b.pc), a.pc.max(b.pc));
-                    if !a.loc.may_alias(b.loc) {
-                        stats.pruned_no_alias += 1;
-                        pruned.entry(key).or_insert(PruneReason::NoAlias);
-                        continue;
-                    }
-                    if !a.writes && !b.writes {
-                        stats.pruned_read_read += 1;
-                        pruned.entry(key).or_insert(PruneReason::ReadRead);
-                        continue;
-                    }
-                    if a.atomic && b.atomic {
-                        stats.pruned_atomic_atomic += 1;
-                        pruned.entry(key).or_insert(PruneReason::AtomicAtomic);
-                        continue;
-                    }
-                    if a.locks.intersection(&b.locks).next().is_some() {
-                        stats.pruned_common_lock += 1;
-                        pruned.entry(key).or_insert(PruneReason::CommonLock);
-                        continue;
-                    }
-                    if order.statically_ordered(i, a.pc, j, b.pc)
-                        || order.statically_ordered(j, b.pc, i, a.pc)
-                    {
-                        stats.pruned_statically_ordered += 1;
-                        pruned.entry(key).or_insert(PruneReason::StaticallyOrdered);
+                    if let Some(reason) = prune_reason(&order, i, a, j, b) {
+                        let counter = match reason {
+                            PruneReason::NoAlias => &mut stats.pruned_no_alias,
+                            PruneReason::ReadRead => &mut stats.pruned_read_read,
+                            PruneReason::AtomicAtomic => &mut stats.pruned_atomic_atomic,
+                            PruneReason::CommonLock => &mut stats.pruned_common_lock,
+                            PruneReason::StaticallyOrdered => &mut stats.pruned_statically_ordered,
+                        };
+                        *counter += 1;
                         continue;
                     }
                     candidates.insert(a.pc, b.pc);
@@ -589,9 +603,6 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     }
     stats.candidate_pairs = candidates.len();
     stats.monitored_pcs = candidates.monitored.len();
-    // A pair pruned for one access combination may surface as a candidate
-    // through another; only fully refuted pairs keep their reason.
-    pruned.retain(|key, _| !candidates.pairs.contains(key));
 
     // The BTreeMap already iterates by `(pc_lo, pc_hi)`, but the emission
     // order is part of the lint JSON contract: sort explicitly by
@@ -605,7 +616,7 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     stats.impact_possible = warnings.iter().filter(|w| w.impact.reach == Reach::Possible).count();
     stats.impact_proven = warnings.iter().filter(|w| w.impact.reach == Reach::Proven).count();
 
-    Analysis { threads, locks, warnings, candidates, order, pruned, stats }
+    Analysis { threads, locks, warnings, candidates, order, stats }
 }
 
 /// Ordering class of a warning's addresses: resolved globals sort before
@@ -621,12 +632,31 @@ fn addr_class(w: &RaceWarning) -> u8 {
 }
 
 impl Analysis {
-    /// The per-warning predictions keyed by normalized `(pc_lo, pc_hi)` —
-    /// the join key consumers use to meet static predictions with dynamic
-    /// race ids.
+    /// Why each refuted `(pc_lo, pc_hi)` pair was pruned: the reason the
+    /// cross product met first for that pair. A pair pruned for one access
+    /// combination may surface as a candidate through another; only fully
+    /// refuted pairs appear. Computed on each call by walking the thread
+    /// summaries again, so bind the result rather than calling this in a
+    /// loop.
     #[must_use]
-    pub fn predictions(&self) -> BTreeMap<(usize, usize), PredictedVerdict> {
-        self.warnings.iter().map(|w| ((w.lo.pc, w.hi.pc), w.predicted)).collect()
+    pub fn pruned(&self) -> BTreeMap<(usize, usize), PruneReason> {
+        let mut pruned = BTreeMap::new();
+        for (i, ta) in self.threads.iter().enumerate() {
+            for (j, tb) in self.threads.iter().enumerate().skip(i + 1) {
+                for a in &ta.accesses {
+                    for b in &tb.accesses {
+                        let key = (a.pc.min(b.pc), a.pc.max(b.pc));
+                        if self.candidates.pairs.contains(&key) {
+                            continue;
+                        }
+                        if let Some(reason) = prune_reason(&self.order, i, a, j, b) {
+                            pruned.entry(key).or_insert(reason);
+                        }
+                    }
+                }
+            }
+        }
+        pruned
     }
 }
 

@@ -35,6 +35,7 @@
 //! * **Unreachable** — no seed survives to any sink: both replay orders are
 //!   guaranteed to produce identical live-outs, i.e. No-State-Change.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 
 use tvm::isa::{BinOp, Instr, Reg, SysCall};
@@ -126,20 +127,26 @@ fn is_sequencer(program: &Program, pc: usize) -> bool {
 /// once per racy load, not once per pair.
 pub(crate) struct ImpactAnalyzer<'a> {
     program: &'a Program,
-    cfgs: Vec<&'a Cfg>,
-    /// Region-block id per reachable pc, per thread. A block is the set of
-    /// pcs connected without crossing a sequencer point — a static
+    cfgs: &'a [Cfg],
+    /// Region-block id per reachable pc, per thread, partitioned the first
+    /// time a pair in that thread asks for it. A block is the set of pcs
+    /// connected without crossing a sequencer point — a static
     /// over-approximation of any dynamic replay region through those pcs.
     /// Sequencer pcs are singleton blocks (they bound regions and form
     /// single-instruction regions of their own).
-    blocks: Vec<BTreeMap<usize, usize>>,
+    blocks: Vec<OnceCell<BTreeMap<usize, usize>>>,
     memo: BTreeMap<(usize, usize), ImpactVerdict>,
 }
 
 impl<'a> ImpactAnalyzer<'a> {
-    pub(crate) fn new(program: &'a Program, cfgs: Vec<&'a Cfg>) -> Self {
-        let blocks = cfgs.iter().map(|cfg| region_blocks(program, cfg)).collect();
+    pub(crate) fn new(program: &'a Program, cfgs: &'a [Cfg]) -> Self {
+        let blocks = cfgs.iter().map(|_| OnceCell::new()).collect();
         ImpactAnalyzer { program, cfgs, blocks, memo: BTreeMap::new() }
+    }
+
+    /// The thread's region blocks, partitioned on first use.
+    fn blocks(&self, thread: usize) -> &BTreeMap<usize, usize> {
+        self.blocks[thread].get_or_init(|| region_blocks(self.program, &self.cfgs[thread]))
     }
 
     /// The impact verdict for one cross-thread access pair: fold the taint
@@ -154,20 +161,15 @@ impl<'a> ImpactAnalyzer<'a> {
         accesses_a: &[Access],
         accesses_b: &[Access],
     ) -> ImpactVerdict {
-        let (Some(&block_a), Some(&block_b)) =
-            (self.blocks[thread_a].get(&a.pc), self.blocks[thread_b].get(&b.pc))
-        else {
+        let (blocks_a, blocks_b) = (self.blocks(thread_a), self.blocks(thread_b));
+        let (Some(&block_a), Some(&block_b)) = (blocks_a.get(&a.pc), blocks_b.get(&b.pc)) else {
             // An access at an unpartitioned pc should not happen; widen.
             return ImpactVerdict::sink(Reach::Possible, vec![a.pc]);
         };
-        let in_a: Vec<&Access> = accesses_a
-            .iter()
-            .filter(|x| self.blocks[thread_a].get(&x.pc) == Some(&block_a))
-            .collect();
-        let in_b: Vec<&Access> = accesses_b
-            .iter()
-            .filter(|y| self.blocks[thread_b].get(&y.pc) == Some(&block_b))
-            .collect();
+        let in_a: Vec<&Access> =
+            accesses_a.iter().filter(|x| blocks_a.get(&x.pc) == Some(&block_a)).collect();
+        let in_b: Vec<&Access> =
+            accesses_b.iter().filter(|y| blocks_b.get(&y.pc) == Some(&block_b)).collect();
         let mut verdict = ImpactVerdict::UNREACHABLE;
         for x in &in_a {
             for y in &in_b {
@@ -214,7 +216,7 @@ impl<'a> ImpactAnalyzer<'a> {
     /// register and push the taint mask through the CFG until every path
     /// kills it (Unreachable) or some path hits a sink.
     fn taint_walk(&self, thread: usize, seed_pc: usize) -> ImpactVerdict {
-        let cfg = self.cfgs[thread];
+        let cfg = &self.cfgs[thread];
         let Some(&Instr::Load { dst, .. }) = self.program.instr(seed_pc) else {
             return ImpactVerdict::sink(Reach::Possible, vec![seed_pc]);
         };

@@ -202,6 +202,28 @@ spin{n}:\n\
     }
 
     #[test]
+    fn stable_global_chain_unfolds_over_three_rounds() {
+        // Round 1 folds both gates to 0, so t1's and t3's stores are dead.
+        // t2 writes 0x10, so round 2 unfolds t1's load and brings its store
+        // to 0x18 alive; that unfolds 0x18, so only round 3 brings t3's
+        // store to 0x20 alive. A loop that stops early, or that keeps a
+        // thread's old run after one of its folded loads lost its
+        // constant, misses a candidate.
+        let p = prog(
+            ".global 0x10 0\n.global 0x18 0\n\
+             .thread t1\n  ld r1, [r15+16]\n  beq r1, r15, skip1\n  movi r2, 1\n  \
+             st [r15+24], r2\nskip1:\n  halt\n\
+             .thread t2\n  movi r1, 1\n  st [r15+16], r1\n  halt\n\
+             .thread t3\n  ld r3, [r15+24]\n  beq r3, r15, skip3\n  movi r2, 7\n  \
+             st [r15+32], r2\nskip3:\n  halt\n\
+             .thread t4\n  ld r4, [r15+32]\n  halt\n",
+        );
+        let a = crate::analyze(&p);
+        let pairs: Vec<(usize, usize)> = a.candidates.iter().collect();
+        assert_eq!(pairs, vec![(0, 6), (3, 8), (11, 13)]);
+    }
+
+    #[test]
     fn report_renders_text_and_json() {
         let a = crate::analyze(&prog(
             ".thread a\n  movi r1, 1\n  st [r15+32], r1\n  halt\n\

@@ -7,10 +7,11 @@
 //! begins in the recorded sequencer total order. This pass reconstructs
 //! that graph statically:
 //!
-//! 1. **Segmentation** — each thread's CFG is cut at sequencer points.
-//!    Every reachable pc gets a *region-start signature* (the set of
-//!    sequencer pcs that can be the last one executed before it) and a
-//!    *region-end signature* (the set of sequencer pcs that can come next).
+//! 1. **Segmentation** — a thread's CFG is cut at sequencer points. Every
+//!    reachable pc gets a *region-start signature* (the set of sequencer
+//!    pcs that can be the last one executed before it). Only the acquire
+//!    thread of a closed order edge is segmented, when its post-region is
+//!    first needed; the release side's pre-region is its own fixpoint.
 //! 2. **Handoff recognition** — a *release site* is an atomic that
 //!    provably stores a non-zero constant to one exact global flag word
 //!    (`xchg`/`lock.or` of a non-zero constant, or a `cas 0 -> nonzero`).
@@ -52,7 +53,7 @@ use tvm::isa::{Cond, Instr, Reg, RmwOp};
 use tvm::program::Program;
 
 use crate::absint::ThreadFlow;
-use crate::analysis::{Access, Demotion};
+use crate::analysis::{Demotion, ThreadSummary};
 use crate::cfg::Cfg;
 
 /// Instructions scanned past the acquire atomic for its zero-test branch,
@@ -106,8 +107,6 @@ struct Segmentation {
     /// last one executed before this pc, plus whether an entirely
     /// sequencer-free path from the entry reaches it.
     start: BTreeMap<usize, (BTreeSet<usize>, bool)>,
-    /// Number of distinct region-start signatures (the thread's segments).
-    segments: usize,
 }
 
 /// The full order analysis: validated handoffs, closed edges, and the
@@ -119,9 +118,7 @@ pub struct OrderAnalysis {
     pub handoffs: Vec<HandoffReport>,
     /// Validated, transitively closed order edges.
     pub edges: Vec<OrderEdge>,
-    /// Total segments across all threads (point segments excluded).
-    pub segments: usize,
-    /// `ordered[i]` holds, per direct or chained edge `i`, the release-side
+    /// `spans[i]` holds, per direct or chained edge `i`, the release-side
     /// pre-region and acquire-side post-region pc sets.
     spans: Vec<OrderSpan>,
 }
@@ -176,27 +173,25 @@ struct AcquireSite {
     thread: usize,
 }
 
-/// Builds the order analysis. `threads` pairs each `ThreadSpec` (by index)
-/// with its CFG and fixpoint flow; `accesses` carries every thread's memory
-/// accesses for the rogue-write scan.
+/// Builds the order analysis. `cfgs`, `flows` and `threads` hold each
+/// `ThreadSpec`'s (by index) CFG, fixpoint flow and access summary; the
+/// accesses feed the rogue-write scan.
 #[must_use]
 pub fn analyze_order(
     program: &Program,
-    threads: &[(Cfg, ThreadFlow)],
-    accesses: &[Vec<Access>],
+    cfgs: &[Cfg],
+    flows: &[ThreadFlow],
+    threads: &[ThreadSummary],
 ) -> OrderAnalysis {
-    let segs: Vec<Segmentation> =
-        threads.iter().map(|(cfg, _)| segment_thread(program, cfg)).collect();
     let mut releases: BTreeMap<u64, Vec<ReleaseSite>> = BTreeMap::new();
     let mut acquires: BTreeMap<u64, Vec<AcquireSite>> = BTreeMap::new();
     let mut exit_on_zero: BTreeMap<u64, usize> = BTreeMap::new();
 
-    for (ti, (cfg, flow)) in threads.iter().enumerate() {
+    for (ti, flow) in flows.iter().enumerate() {
         for (&pc, state) in &flow.states {
             if let Some(addr) = release_shape(program, pc, state) {
                 releases.entry(addr).or_default().push(ReleaseSite { pc, thread: ti });
             }
-            let _ = cfg;
             match acquire_shape(program, flow, pc, state) {
                 AcquireShape::Spin(addr) => {
                     acquires.entry(addr).or_default().push(AcquireSite { pc, thread: ti });
@@ -235,7 +230,7 @@ pub fn analyze_order(
         }
         if demoted.is_none() {
             if let Some(r) = rel.first() {
-                demoted = validate_release(program, threads, r);
+                demoted = validate_release(program, cfgs, r);
             }
         }
         if demoted.is_none() {
@@ -245,8 +240,8 @@ pub fn analyze_order(
             let allowed: BTreeSet<usize> =
                 acq.iter().map(|a| a.pc).chain(rel.first().map(|r| r.pc)).collect();
             let word = crate::domain::AbsLoc::Global { lo: addr, hi: addr };
-            'scan: for per_thread in accesses {
-                for a in per_thread {
+            'scan: for thread in threads {
+                for a in &thread.accesses {
                     if a.writes && !allowed.contains(&a.pc) && a.loc.may_alias(word) {
                         demoted = Some(Demotion::RogueWrite { pc: a.pc });
                         break 'scan;
@@ -296,7 +291,7 @@ pub fn analyze_order(
         }
         for next in &direct {
             if next.release_thread == e.acquire_thread
-                && dominates(program, &threads[e.acquire_thread].0, e.acquire_pc, next.release_pc)
+                && dominates(program, &cfgs[e.acquire_thread], e.acquire_pc, next.release_pc)
             {
                 work.push(OrderEdge {
                     addr: next.addr,
@@ -309,15 +304,21 @@ pub fn analyze_order(
         }
     }
 
+    // Segment a thread only when a span first needs its post-region.
+    let mut segs: BTreeMap<usize, Segmentation> = BTreeMap::new();
     for &(rt, rp, at, ap) in &closed {
-        let pre = pre_region(program, &threads[rt].0, rp);
-        let post = post_region(program, &threads[at].0, &segs[at], ap);
-        if !pre.is_empty() && !post.is_empty() {
+        let pre = pre_region(program, &cfgs[rt], rp);
+        if pre.is_empty() {
+            continue;
+        }
+        let seg = segs.entry(at).or_insert_with(|| segment_thread(program, &cfgs[at]));
+        let post = post_region(program, &cfgs[at], seg, ap);
+        if !post.is_empty() {
             spans.push(OrderSpan { release_thread: rt, pre, acquire_thread: at, post });
         }
     }
 
-    OrderAnalysis { handoffs, edges, segments: segs.iter().map(|s| s.segments).sum(), spans }
+    OrderAnalysis { handoffs, edges, spans }
 }
 
 /// Whether the atomic at `pc` provably stores a non-zero constant to one
@@ -440,16 +441,12 @@ fn instr_dst(i: &Instr) -> Option<Reg> {
 
 /// Release-site validation: must execute at most once (not on a CFG
 /// cycle) and be reachable by exactly one thread.
-fn validate_release(
-    program: &Program,
-    threads: &[(Cfg, ThreadFlow)],
-    r: &ReleaseSite,
-) -> Option<Demotion> {
-    let owners = threads.iter().filter(|(cfg, _)| cfg.reachable.contains(&r.pc)).count();
+fn validate_release(program: &Program, cfgs: &[Cfg], r: &ReleaseSite) -> Option<Demotion> {
+    let owners = cfgs.iter().filter(|cfg| cfg.reachable.contains(&r.pc)).count();
     if owners != 1 {
         return Some(Demotion::RepeatableRelease { pc: r.pc });
     }
-    let cfg = &threads[r.thread].0;
+    let cfg = &cfgs[r.thread];
     // On a cycle iff the release is reachable from its own successors.
     let mut seen = BTreeSet::new();
     let mut work = cfg.successors(program, r.pc);
@@ -580,9 +577,6 @@ fn segment_thread(program: &Program, cfg: &Cfg) -> Segmentation {
             }
         }
     }
-    let signatures: BTreeSet<(Vec<usize>, bool)> =
-        seg.start.values().map(|(s, u)| (s.iter().copied().collect(), *u)).collect();
-    seg.segments = signatures.len();
     seg
 }
 

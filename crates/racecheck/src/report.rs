@@ -257,7 +257,7 @@ pub fn render_json(analysis: &Analysis) -> Json {
         })
         .collect();
     let pruned_pairs: Vec<Json> = analysis
-        .pruned
+        .pruned()
         .iter()
         .map(|(&(lo, hi), reason)| {
             Json::obj(vec![

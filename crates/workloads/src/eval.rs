@@ -532,10 +532,10 @@ pub fn run_static_eval() -> StaticEval {
         aggregate_monitored_no_order += no_order.stats.monitored_pcs;
         order_pruned.extend(
             exec_analysis
-                .pruned
-                .iter()
-                .filter(|(_, r)| **r == racecheck::PruneReason::StaticallyOrdered)
-                .map(|(&k, _)| k),
+                .pruned()
+                .into_iter()
+                .filter(|&(_, r)| r == racecheck::PruneReason::StaticallyOrdered)
+                .map(|(k, _)| k),
         );
         let rec = record(&program, &exec.schedule);
         let trace = replay(&program, &rec.log).expect("corpus recording must replay");

@@ -222,7 +222,7 @@ fn handoff_exemplars_round_trip() {
     let valid = race_id(&program, "ho_x1.publish", "ho_x1.consume");
     let key = (valid.pc_lo, valid.pc_hi);
     assert_eq!(
-        analysis.pruned.get(&key),
+        analysis.pruned().get(&key),
         Some(&racecheck::PruneReason::StaticallyOrdered),
         "ho_x1 data pair must be pruned as statically ordered"
     );

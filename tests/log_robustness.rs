@@ -191,7 +191,7 @@ fn degraded_classification_never_flips_undamaged_verdicts() {
         Ok(trace) => trace,
         Err(_) => replay(&program, &strip_damaged(&log, &report)).expect("stripped replay"),
     };
-    trace.set_damage(damage_profile(&program, &report));
+    trace.set_damage(damage_profile(&program, &racecheck::analyze(&program), &report));
     let detected = detect_races(&trace, &DetectorConfig::default());
     let damaged = classify_races_with(&trace, &detected, &config, None);
 

@@ -108,7 +108,8 @@ fn order_pruning_is_sound_per_execution() {
                 exec.name
             );
         }
-        for (&(lo, hi), reason) in &analysis.pruned {
+        let pruned = analysis.pruned();
+        for (&(lo, hi), reason) in &pruned {
             assert!(
                 !analysis.candidates.contains(lo, hi),
                 "{}: ({lo}, {hi}) both pruned ({}) and a candidate",
@@ -147,7 +148,7 @@ fn order_pruning_is_sound_per_execution() {
                     "{}: dynamic race {id} missing from the per-execution candidates \
                      (pruned: {:?})",
                     exec.name,
-                    analysis.pruned.get(&(id.pc_lo, id.pc_hi))
+                    pruned.get(&(id.pc_lo, id.pc_hi))
                 );
             }
         }
