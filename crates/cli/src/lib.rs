@@ -18,7 +18,7 @@
 //! racerep doctor    run.idna
 //! racerep disasm    prog.tasm
 //! racerep serve     [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
-//!                   [--permissive]
+//!                   [--permissive] [--trust-static MODE]
 //! racerep submit    prog.tasm run.idna [--addr HOST:PORT] [--format text|json]
 //!                   [--fail-on none|harmful|warnings]
 //! racerep svc-stats    [--addr HOST:PORT] [--format text|json]
@@ -48,7 +48,7 @@
 //! batch/fork/prefix figures — to the text report, or as a `replay_stats`
 //! object in `--format json`.
 //!
-//! `--trust-static MODE` (ablation) lets `races` and `classify` skip
+//! `--trust-static MODE` (ablation) lets `races`, `classify` and `serve` skip
 //! dual-order replays on static authority, recording the skipped races as
 //! No-State-Change without running them. `skip-benign` trusts the idiom
 //! pass's high-confidence benign predictions; `skip-unreachable` trusts
@@ -66,8 +66,10 @@
 //! `serve` runs the racerepd classification service (DESIGN.md D14): a
 //! long-lived server with a bounded job queue, a worker pool, and a
 //! persistent report cache under `--cache-dir` (one record per
-//! program, log and replay options). It takes `--permissive` but refuses
-//! `--trust-static`: the service classifies without static predictions.
+//! program, log and analysis options). It honors `--permissive` and
+//! `--trust-static` as `races` does, and its records are keyed on both.
+//! `races`, `classify` and the service all run the one analysis path,
+//! [`replay_race::pipeline::analyze_log`].
 //! `submit` classifies a recorded workload through it — the JSON output
 //! is byte-identical to one-shot `races --format json`, the text trailer
 //! says whether the cache answered, and `--fail-on harmful` gates the
@@ -77,7 +79,6 @@
 //! The library half exists so the command implementations are unit-testable
 //! without spawning processes.
 
-use std::cell::OnceCell;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -86,17 +87,18 @@ use std::sync::Arc;
 use minijson::Json;
 
 use idna_replay::codec::{
-    decode_log_mode, decompress, frame_spans, strip_damaged, with_log_writer, DecodeMode,
-    DecodeReport, LogWriter,
+    decode_log_mode, decompress, frame_spans, with_log_writer, DecodeMode, DecodeReport,
 };
 use idna_replay::event::ReplayLog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{
-    predictions_by_id, BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
+    BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
 };
-use replay_race::pipeline::{damage_profile, run_pipeline, PipelineConfig};
+use replay_race::detect::DetectorConfig;
+use replay_race::pipeline::{analyze_log, run_pipeline, PipelineConfig};
+use replay_race::report::Report;
 use replay_race::triage::{ManualVerdict, TriageDb};
 use tvm::asm::{assemble, disassemble_annotated};
 use tvm::machine::Machine;
@@ -185,75 +187,19 @@ pub fn load_program(path: &Path) -> Result<Arc<Program>, CliError> {
     Ok(Arc::new(program))
 }
 
-/// Serializes a replay log plus the schedule that produced it into the
-/// on-disk container format (the schedule enables fidelity verification on
-/// replay).
-#[must_use]
-pub fn log_to_bytes(log: &ReplayLog, schedule: &RunConfig) -> Vec<u8> {
-    with_log_writer(|writer| log_to_bytes_with(log, schedule, writer))
-}
-
-/// [`log_to_bytes`] with a caller-provided [`LogWriter`], so repeated
-/// serializations reuse the writer's encode/compress buffers.
-#[must_use]
-pub fn log_to_bytes_with(log: &ReplayLog, schedule: &RunConfig, writer: &mut LogWriter) -> Vec<u8> {
-    serviced::container::log_to_bytes_with(log, schedule, writer)
-}
-
-/// Parses the log-file header's schedule.
-fn schedule_from_json(doc: &Json) -> Result<RunConfig, String> {
-    serviced::container::schedule_from_json(doc)
-}
-
-/// Parses the on-disk container format.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] on bad magic or a corrupt payload.
-pub fn log_from_bytes(bytes: &[u8]) -> Result<(ReplayLog, RunConfig), CliError> {
-    let (log, schedule, _report) = log_from_bytes_mode(bytes, DecodeMode::Strict)?;
-    Ok((log, schedule))
-}
-
-/// [`log_from_bytes`] with an explicit [`DecodeMode`], returning the
-/// decoder's [`DecodeReport`] alongside the log. The container framing
-/// (magic, schedule header, compression) must be intact even in tolerant
-/// mode — only the per-thread frames inside the compressed payload can
-/// degrade.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] on bad magic or a corrupt payload (strict), or
-/// when not even one salvageable byte of log survives (tolerant).
-pub fn log_from_bytes_mode(
-    bytes: &[u8],
-    mode: DecodeMode,
-) -> Result<(ReplayLog, RunConfig, DecodeReport), CliError> {
-    serviced::container::log_from_bytes_mode(bytes, mode).map_err(|message| CliError { message })
-}
-
-/// Loads a log file.
+/// Reads and decodes a log file in the given [`DecodeMode`], returning the
+/// decoder's [`DecodeReport`] alongside the log and its schedule.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] on io or decode failure.
-pub fn load_log(path: &Path) -> Result<(ReplayLog, RunConfig), CliError> {
-    let (log, schedule, _report) = load_log_mode(path, DecodeMode::Strict)?;
-    Ok((log, schedule))
-}
-
-/// [`load_log`] with an explicit [`DecodeMode`].
-///
-/// # Errors
-///
-/// Returns a [`CliError`] on io or decode failure.
-pub fn load_log_mode(
+pub fn load_log(
     path: &Path,
     mode: DecodeMode,
 ) -> Result<(ReplayLog, RunConfig, DecodeReport), CliError> {
     let bytes = fs::read(path)
         .map_err(|e| CliError { message: format!("cannot read {}: {e}", path.display()) })?;
-    log_from_bytes_mode(&bytes, mode)
+    serviced::container::log_from_bytes_mode(&bytes, mode).map_err(|message| CliError { message })
 }
 
 /// `racerep run`: executes the program natively and renders the outcome.
@@ -304,7 +250,7 @@ pub fn cmd_record(path: &Path, out_path: &Path, schedule: RunConfig) -> Result<S
     let program = load_program(path)?;
     let recording = record(&program, &schedule);
     let (bytes, sizes) = with_log_writer(|writer| {
-        let bytes = log_to_bytes_with(&recording.log, &schedule, writer);
+        let bytes = serviced::container::log_to_bytes_with(&recording.log, &schedule, writer);
         (bytes, writer.measure(&recording.log))
     });
     fs::write(out_path, &bytes)?;
@@ -327,7 +273,7 @@ pub fn cmd_record(path: &Path, out_path: &Path, schedule: RunConfig) -> Result<S
 /// Fails if the log does not replay against the program.
 pub fn cmd_replay(path: &Path, log_path: &Path) -> Result<String, CliError> {
     let program = load_program(path)?;
-    let (log, schedule) = load_log(log_path)?;
+    let (log, schedule, _) = load_log(log_path, DecodeMode::Strict)?;
     let trace = replay(&program, &log).map_err(|e| CliError { message: e.to_string() })?;
     let mut out = format!(
         "replayed {} instructions, {} sequencing regions across {} threads\n",
@@ -365,35 +311,45 @@ fn replay_stats_text(classification: &ClassificationResult) -> String {
     )
 }
 
-/// The same counters as a JSON value (the `replay_stats` object of
-/// `races --replay-stats --format json`).
-fn replay_stats_json(classification: &ClassificationResult) -> Json {
-    let batching = classification.batch_stats;
-    Json::obj(vec![
-        ("vproc_replays", Json::from(classification.vproc_replays)),
-        (
-            "batching",
-            Json::obj(vec![
-                ("batches", Json::from(batching.batches)),
-                ("forks", Json::from(batching.forks)),
-                ("prefix_executions", Json::from(batching.prefix_executions)),
-                ("prefix_instrs_saved", Json::from(batching.prefix_instrs_saved)),
-                ("live_in_index_hits", Json::from(batching.live_in_index_hits)),
-            ]),
-        ),
-    ])
+/// The JSON document `races` and `classify` print: the report is the
+/// root, and with `replay_stats` the same counters as
+/// [`replay_stats_text`] follow as a `replay_stats` sibling of "races".
+fn report_json(
+    report: &Report,
+    classification: &ClassificationResult,
+    replay_stats: bool,
+) -> String {
+    let mut doc = report.to_json_value();
+    if replay_stats {
+        let batching = classification.batch_stats;
+        let stats = Json::obj(vec![
+            ("vproc_replays", Json::from(classification.vproc_replays)),
+            (
+                "batching",
+                Json::obj(vec![
+                    ("batches", Json::from(batching.batches)),
+                    ("forks", Json::from(batching.forks)),
+                    ("prefix_executions", Json::from(batching.prefix_executions)),
+                    ("prefix_instrs_saved", Json::from(batching.prefix_instrs_saved)),
+                    ("live_in_index_hits", Json::from(batching.live_in_index_hits)),
+                ]),
+            ),
+        ]);
+        if let Json::Obj(fields) = &mut doc {
+            fields.push(("replay_stats".into(), stats));
+        }
+    }
+    doc.to_string_pretty()
 }
 
 /// `racerep races`: detects and classifies the races in a recorded log and
-/// renders the developer report.
+/// renders the developer report, through
+/// [`replay_race::pipeline::analyze_log`].
 ///
 /// With `tolerant`, a damaged log degrades instead of failing: intact
-/// frames are salvaged, the decode report is refined into a per-thread
-/// damage profile via the static analyzer, and races whose live-in state
-/// was lost come back as replay failures (potentially harmful). If the
-/// salvaged bytes themselves poison the replay, the damaged threads are
-/// stripped to placeholders and the replay is retried — classification
-/// then proceeds on the intact threads alone.
+/// frames are salvaged, and races whose evidence was lost come back as
+/// replay failures (potentially harmful). The text report then opens with
+/// a damage banner.
 ///
 /// # Errors
 ///
@@ -409,51 +365,21 @@ pub fn cmd_races(
 ) -> Result<String, CliError> {
     let program = load_program(path)?;
     let mode = if tolerant { DecodeMode::Tolerant } else { DecodeMode::Strict };
-    let (log, _schedule, decode_report) = load_log_mode(log_path, mode)?;
-    let damaged = !decode_report.is_clean();
-    let mut trace = match replay(&program, &log) {
-        Ok(trace) => trace,
-        Err(_) if tolerant && damaged => {
-            // A salvaged prefix can still hold silently corrupted values
-            // that derail the replay (checksums detect damage, they do
-            // not localize it). Placeholder-only damaged threads always
-            // replay — each thread replays purely from its own log.
-            let stripped = strip_damaged(&log, &decode_report);
-            replay(&program, &stripped).map_err(|e| CliError { message: e.to_string() })?
-        }
-        Err(e) => return err(e.to_string()),
-    };
-    // The damage profile and the trust-static predictions share one static
-    // analysis, run only if either needs it.
-    let static_analysis = OnceCell::new();
-    let analysis = || static_analysis.get_or_init(|| racecheck::analyze(&program));
-    if tolerant && damaged {
-        trace.set_damage(damage_profile(&program, analysis(), &decode_report));
-    }
-    let detected =
-        replay_race::detect::detect_races(&trace, &replay_race::detect::DetectorConfig::default());
-    let predictions =
-        (classifier.trust_static != TrustStatic::Off).then(|| predictions_by_id(analysis()));
-    let classification = replay_race::classify::classify_races_with(
-        &trace,
-        &detected,
+    let (log, _schedule, decode_report) = load_log(log_path, mode)?;
+    let analysis = analyze_log(
+        &Arc::new(DecodedProgram::new(program)),
+        &log,
+        &decode_report,
+        &DetectorConfig::default(),
         classifier,
-        predictions.as_ref(),
-    );
-    let report = replay_race::report::Report::build(&trace, &classification);
+        None,
+    )
+    .map_err(|e| CliError { message: e.to_string() })?;
     let mut out = if json {
-        // The report is the document root; --replay-stats grafts the
-        // engine counters on as a sibling of "races".
-        let mut doc = report.to_json_value();
-        if replay_stats {
-            if let Json::Obj(fields) = &mut doc {
-                fields.push(("replay_stats".into(), replay_stats_json(&classification)));
-            }
-        }
-        doc.to_string_pretty()
+        report_json(&analysis.report, &analysis.classification, replay_stats)
     } else {
         let mut text = String::new();
-        if damaged {
+        if !decode_report.is_clean() {
             text.push_str(&format!(
                 "!!! log damage: {} of {} frame(s) damaged, {} byte(s) dropped (decoded with --tolerant)\n\n",
                 decode_report.damaged_frames(),
@@ -461,16 +387,16 @@ pub fn cmd_races(
                 decode_report.bytes_dropped,
             ));
         }
-        text.push_str(&report.to_text());
+        text.push_str(&analysis.report.to_text());
         if replay_stats {
             text.push('\n');
-            text.push_str(&replay_stats_text(&classification));
+            text.push_str(&replay_stats_text(&analysis.classification));
         }
         text
     };
     if let Some(db_path) = triage_db {
         let db = TriageDb::load(db_path).map_err(|e| CliError { message: e.to_string() })?;
-        let queue = db.queue(&classification);
+        let queue = db.queue(&analysis.classification);
         out.push('\n');
         out.push_str(&queue.to_string());
     }
@@ -515,24 +441,16 @@ pub fn cmd_classify(
     replay_stats: bool,
 ) -> Result<String, CliError> {
     let program = load_program(path)?;
-    let mut config = PipelineConfig { classifier: *classifier, ..PipelineConfig::new(schedule) };
-    if classifier.trust_static != TrustStatic::Off {
-        config.static_predictions =
-            Some(Arc::new(predictions_by_id(&racecheck::analyze(&program))));
-    }
+    // `classify` prints no phase timings, so it skips the native baseline.
+    let config = PipelineConfig {
+        classifier: *classifier,
+        measure_native: false,
+        ..PipelineConfig::new(schedule)
+    };
     let result =
         run_pipeline(&program, &config).map_err(|e| CliError { message: e.to_string() })?;
     Ok(if json {
-        // Same document shape as `races --format json`: the report is the
-        // root; --replay-stats grafts the engine counters on as a sibling
-        // of "races".
-        let mut doc = result.report.to_json_value();
-        if replay_stats {
-            if let Json::Obj(fields) = &mut doc {
-                fields.push(("replay_stats".into(), replay_stats_json(&result.classification)));
-            }
-        }
-        doc.to_string_pretty()
+        report_json(&result.report, &result.classification, replay_stats)
     } else {
         let mut out = result.report.to_text();
         out.push_str(&format!(
@@ -558,8 +476,7 @@ pub fn cmd_classify(
 ///
 /// Fails on io or decode errors.
 pub fn cmd_loginfo(log_path: &Path) -> Result<String, CliError> {
-    let (log, schedule) = load_log(log_path)?;
-    let _ = &schedule;
+    let (log, _, _) = load_log(log_path, DecodeMode::Strict)?;
     let sizes = with_log_writer(|writer| writer.measure(&log));
     let mut out = format!(
         "{} threads, {} instructions, {} events, {} sequencers\n",
@@ -620,7 +537,7 @@ pub fn cmd_doctor(log_path: &Path) -> Result<String, CliError> {
     let schedule_ok = std::str::from_utf8(&payload[4..4 + hlen])
         .map_err(|e| e.to_string())
         .and_then(|h| Json::parse(h).map_err(|e| e.to_string()))
-        .and_then(|doc| schedule_from_json(&doc));
+        .and_then(|doc| serviced::container::schedule_from_json(&doc));
     match schedule_ok {
         Ok(_) => out.push_str(&format!("  schedule header: ok ({hlen} bytes)\n")),
         Err(e) => return fail(out, "schedule header", e),
@@ -758,10 +675,13 @@ pub fn cmd_lint(path: &Path, json: bool, fail_on: FailOn) -> Result<(String, i32
 /// The listening line is printed before the accept loop starts so scripts
 /// can wait for readiness on stdout.
 ///
+/// The server honors the classifier options as `races` does, including
+/// `--trust-static`, and keys its report records on them.
+///
 /// # Errors
 ///
-/// Fails on `--trust-static` (any tier but `off`), or when the address
-/// cannot be bound or the cache directory is unusable.
+/// Fails when the address cannot be bound or the cache directory is
+/// unusable.
 pub fn cmd_serve(config: serviced::ServerConfig) -> Result<String, CliError> {
     let server = serviced::Server::bind(config).map_err(|message| CliError { message })?;
     let addr = server.local_addr().map_err(|message| CliError { message })?;
@@ -1292,8 +1212,9 @@ mod tests {
 
     #[test]
     fn log_container_rejects_garbage() {
-        assert!(log_from_bytes(b"nope").is_err());
-        assert!(log_from_bytes(b"IDNAFIL2ga").is_err());
+        for garbage in [&b"nope"[..], b"IDNAFIL2ga"] {
+            assert!(serviced::container::log_from_bytes_mode(garbage, DecodeMode::Strict).is_err());
+        }
     }
 
     #[test]
@@ -1346,13 +1267,13 @@ mod tests {
     fn tolerant_races_degrade_on_a_corrupt_frame() {
         let (prog, log_path) = corrupted_container("tol");
         // Strict ingestion refuses the damaged log outright.
-        assert!(load_log(&log_path).is_err());
+        assert!(load_log(&log_path, DecodeMode::Strict).is_err());
         let e =
             cmd_races(&prog, &log_path, false, &ClassifierConfig::default(), None, false, false)
                 .unwrap_err();
         assert!(e.message.contains("checksum"), "{}", e.message);
         // Tolerant ingestion salvages the intact frame and reports damage.
-        let (_log, _sched, report) = load_log_mode(&log_path, DecodeMode::Tolerant).unwrap();
+        let (_log, _sched, report) = load_log(&log_path, DecodeMode::Tolerant).unwrap();
         assert_eq!(report.damaged_frames(), 1);
         let out =
             cmd_races(&prog, &log_path, false, &ClassifierConfig::default(), None, true, false)

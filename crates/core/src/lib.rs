@@ -23,7 +23,9 @@
 //!    two-way replay scenario ([`report`]).
 //!
 //! [`pipeline::run_pipeline`] drives all five stages and measures the phase
-//! overheads the paper reports in §5.1. [`baselines`] contains the classic
+//! overheads the paper reports in §5.1. Its replay-onward half,
+//! [`pipeline::analyze_log`], is the one path from a recorded log to a
+//! report that the `racerep` CLI and service also run. [`baselines`] contains the classic
 //! online detectors (vector-clock happens-before and the Eraser lockset
 //! algorithm) used for comparison.
 //!
@@ -63,6 +65,6 @@ pub use classify::{
     Verdict,
 };
 pub use detect::{detect_races, DetectedRaces, DetectorConfig, RaceInstance, StaticRaceId};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineResult};
+pub use pipeline::{analyze_log, run_pipeline, LogAnalysis, PipelineConfig, PipelineResult};
 pub use report::{RaceReport, Report};
 pub use triage::{ManualVerdict, TriageDb, TriageQueue};

@@ -1,13 +1,19 @@
 //! The end-to-end pipeline: native run → record → replay → detect →
 //! classify → report, with phase timings for the paper's §5.1 overhead
 //! study.
+//!
+//! [`analyze_log`] is the half that starts from a recorded log: the one
+//! path to a report, which `racerep races`, `racerep classify` (through
+//! [`run_pipeline`]) and the classification service all take.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idna_replay::codec::{with_log_writer, DecodeReport, LogSizeReport};
+use idna_replay::codec::{strip_damaged, with_log_writer, DecodeReport, LogSizeReport};
 use idna_replay::damage::{ThreadDamage, TraceDamage};
+use idna_replay::event::ReplayLog;
 use idna_replay::recorder::record_with;
 use idna_replay::replayer::{replay_with, ReplayError, ReplayTrace};
 use racecheck::domain::AbsLoc;
@@ -18,7 +24,8 @@ use tvm::program::Program;
 use tvm::scheduler::{run_native, RunConfig};
 
 use crate::classify::{
-    classify_races_with, ClassificationResult, ClassifierConfig, StaticPrediction,
+    classify_races_with, predictions_by_id, ClassificationResult, ClassifierConfig,
+    StaticPrediction, TrustStatic,
 };
 use crate::detect::{detect_races, DetectedRaces, DetectorConfig, StaticRaceId};
 use crate::report::Report;
@@ -33,7 +40,8 @@ pub struct PipelineConfig {
     pub classifier: ClassifierConfig,
     /// Static predictions (idiom verdict + impact reach) keyed by race id,
     /// consulted only under the [`crate::classify::TrustStatic`] skip
-    /// tiers. `None` (the default) classifies every race by replay.
+    /// tiers, and used as given. `None` (the default) derives them from
+    /// the program's static analysis when a skip tier is set.
     pub static_predictions: Option<Arc<BTreeMap<StaticRaceId, StaticPrediction>>>,
     /// Whether to run the program once *without* recording to obtain the
     /// native-execution baseline for the overhead ratios.
@@ -67,6 +75,8 @@ pub struct PhaseTimings {
     pub detect: Duration,
     /// Dual-order classification of every race instance.
     pub classify: Duration,
+    /// Building the developer report ([`Report::build`]).
+    pub report: Duration,
     /// Shared-prefix batch-engine counters for the classify phase.
     pub batching: BatchStats,
 }
@@ -133,53 +143,125 @@ pub fn run_pipeline(
     program: &Arc<Program>,
     config: &PipelineConfig,
 ) -> Result<PipelineResult, ReplayError> {
-    let mut timings = PhaseTimings::default();
-
     // Predecode once; native execution, recording, replay, and the
     // classification virtual processor all share this flat instruction
     // stream (decode time is deliberately outside the phase timers — it is
     // a one-time cost per program, not per stage).
     let decoded = Arc::new(DecodedProgram::new(program.clone()));
 
+    let mut native = Duration::ZERO;
     if config.measure_native {
         let start = Instant::now();
         let mut machine = Machine::with_decoded(decoded.clone());
         run_native(&mut machine, &config.run);
-        timings.native = start.elapsed();
+        native = start.elapsed();
     }
 
     let start = Instant::now();
     let recording = record_with(&decoded, &config.run);
-    timings.record = start.elapsed();
+    let record = start.elapsed();
 
     let log_size = with_log_writer(|writer| writer.measure(&recording.log));
 
-    let start = Instant::now();
-    let trace = replay_with(&decoded, &recording.log)?;
-    timings.replay = start.elapsed();
-
-    let start = Instant::now();
-    let detected = detect_races(&trace, &config.detector);
-    timings.detect = start.elapsed();
-
-    let start = Instant::now();
-    let predictions = config.static_predictions.as_deref();
-    let classification = classify_races_with(&trace, &detected, &config.classifier, predictions);
-    timings.classify = start.elapsed();
-
-    let report = Report::build(&trace, &classification);
-    timings.batching = classification.batch_stats;
+    // A fresh recording is undamaged: its decode report is the clean one.
+    let LogAnalysis { trace, detected, classification, report, timings } = analyze_log(
+        &decoded,
+        &recording.log,
+        &DecodeReport::default(),
+        &config.detector,
+        &config.classifier,
+        config.static_predictions.as_deref(),
+    )?;
 
     Ok(PipelineResult {
         trace,
         detected,
         classification,
         report,
-        timings,
+        timings: PhaseTimings { native, record, ..timings },
         log_size,
         run_completed: recording.summary.completed,
         instructions: recording.summary.steps,
     })
+}
+
+/// Everything [`analyze_log`] produces for one recorded log.
+#[derive(Debug)]
+pub struct LogAnalysis {
+    /// The replayed trace, carrying the damage profile of a damaged log.
+    pub trace: ReplayTrace,
+    /// Detected races.
+    pub detected: DetectedRaces,
+    /// Classification of every race.
+    pub classification: ClassificationResult,
+    /// The developer-facing report.
+    pub report: Report,
+    /// Replay, detect, classify and report times, and the batching
+    /// counters; `native` and `record` stay zero.
+    pub timings: PhaseTimings,
+}
+
+/// Analyzes one recorded log of `decoded`'s program: replay → [damage
+/// profile] → detect → [static predictions] → classify → report.
+///
+/// `decode` is the decoder's report for `log`; only a tolerant decode
+/// shows damage. A damaged log is profiled against the static analysis,
+/// so races whose evidence was lost come back as replay failures, and a
+/// replay its salvaged bytes derail is retried with the damaged threads
+/// stripped to placeholders. Under a trust tier, `static_predictions` is
+/// used as given, and `None` derives them from the static analysis. That
+/// analysis runs at most once, only when needed, and in no timed phase.
+///
+/// # Errors
+///
+/// Returns [`ReplayError`] when the log (or, if damaged, its stripped
+/// form) does not replay against the program.
+pub fn analyze_log(
+    decoded: &Arc<DecodedProgram>,
+    log: &ReplayLog,
+    decode: &DecodeReport,
+    detector: &DetectorConfig,
+    classifier: &ClassifierConfig,
+    static_predictions: Option<&BTreeMap<StaticRaceId, StaticPrediction>>,
+) -> Result<LogAnalysis, ReplayError> {
+    let program = decoded.program();
+    let damaged = !decode.is_clean();
+    let mut timings = PhaseTimings::default();
+
+    let start = Instant::now();
+    let mut trace = match replay_with(decoded, log) {
+        Ok(trace) => trace,
+        // Checksums detect damage but do not localize it, so a salvaged
+        // prefix can hold corrupted values. Placeholder-only damaged
+        // threads always replay: each thread replays from its own log.
+        Err(_) if damaged => replay_with(decoded, &strip_damaged(log, decode))?,
+        Err(e) => return Err(e),
+    };
+    timings.replay = start.elapsed();
+
+    let static_analysis = OnceCell::new();
+    let analysis = || static_analysis.get_or_init(|| racecheck::analyze(program));
+    if damaged {
+        trace.set_damage(damage_profile(program, analysis(), decode));
+    }
+
+    let start = Instant::now();
+    let detected = detect_races(&trace, detector);
+    timings.detect = start.elapsed();
+
+    let derived = (static_predictions.is_none() && classifier.trust_static != TrustStatic::Off)
+        .then(|| predictions_by_id(analysis()));
+    let predictions = static_predictions.or(derived.as_ref());
+    let start = Instant::now();
+    let classification = classify_races_with(&trace, &detected, classifier, predictions);
+    timings.classify = start.elapsed();
+    timings.batching = classification.batch_stats;
+
+    let start = Instant::now();
+    let report = Report::build(&trace, &classification);
+    timings.report = start.elapsed();
+
+    Ok(LogAnalysis { trace, detected, classification, report, timings })
 }
 
 /// Refines a tolerant decode's damage report into a per-thread damage
@@ -188,11 +270,7 @@ pub fn run_pipeline(
 /// if it can reach heap traffic), so races between intact threads on
 /// unrelated state keep their clean verdicts. Falls back to "may write
 /// anything" for a damaged thread the analysis cannot bound.
-///
-/// The caller attaches the result to the trace with
-/// [`ReplayTrace::set_damage`] before detection and classification.
-#[must_use]
-pub fn damage_profile(
+fn damage_profile(
     program: &Program,
     analysis: &racecheck::Analysis,
     report: &DecodeReport,

@@ -434,8 +434,8 @@ impl DecodeReport {
 
     /// The fully conservative damage horizon implied by this report:
     /// every damaged thread may have written any address from its trusted
-    /// timestamp on. `replay_race::damage_profile` narrows this with the
-    /// static analyzer's may-write sets when the program is available.
+    /// timestamp on. `replay_race::pipeline::analyze_log` narrows this
+    /// with the static analyzer's may-write sets, given the program.
     #[must_use]
     pub fn trace_damage(&self) -> TraceDamage {
         TraceDamage::new(

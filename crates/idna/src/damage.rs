@@ -7,11 +7,12 @@
 //! history. A [`TraceDamage`] records, per damaged thread, how far its
 //! surviving log is trusted and what it *may* have written — either
 //! "anything" (the codec's conservative default) or the static analyzer's
-//! may-write set (`replay_race::damage_profile`). The virtual processor
-//! consults it on every live-in fetch: a fetch that a damaged thread
-//! could have influenced fails with `ReplayFailure::LogDamage`, which the
-//! classifier maps to *potentially harmful* per the paper's §4 rule that
-//! a replay failure can never demonstrate benignity.
+//! may-write set (profiled by `replay_race::pipeline::analyze_log`). The
+//! virtual processor consults it on every live-in fetch: a fetch that a
+//! damaged thread could have influenced fails with
+//! `ReplayFailure::LogDamage`, which the classifier maps to *potentially
+//! harmful* per the paper's §4 rule that a replay failure can never
+//! demonstrate benignity.
 
 /// What is no longer known about one thread whose log frame was damaged.
 #[derive(Clone, Debug, PartialEq, Eq)]

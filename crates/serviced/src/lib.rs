@@ -6,8 +6,8 @@
 //!
 //! * [`server`] — `racerep serve`: a TCP accept loop with explicit
 //!   admission control over a bounded queue, a worker pool running the
-//!   existing plan/execute/assemble classification engine, and graceful
-//!   drain on SIGTERM/ctrl-c or a protocol `shutdown`.
+//!   one-shot analysis path (`replay_race::pipeline::analyze_log`), and
+//!   graceful drain on SIGTERM/ctrl-c or a protocol `shutdown`.
 //! * [`client`] — `racerep submit` / `racerep svc-stats`: one-frame
 //!   request/response helpers with busy-retry.
 //! * [`proto`] — the wire format: length-prefixed, fasthash-checksummed

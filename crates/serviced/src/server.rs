@@ -11,8 +11,8 @@
 //! (`retry_after_ms`), never silently buffered — under overload the server
 //! sheds load instead of growing without bound.
 //!
-//! Worker threads pop jobs and run the existing plan/execute/assemble
-//! classification engine with `jobs = 1`: each worker *is* one engine
+//! Worker threads pop jobs and run the one analysis path from a log to a
+//! report, [`analyze_log`], with `jobs = 1`: each worker *is* one engine
 //! lane, so a pool of N workers classifies N submissions concurrently
 //! without oversubscribing, and each worker's single [`Vproc`] reuses its
 //! snapshot arena across every replay of a job. With a cache directory, a
@@ -30,6 +30,7 @@
 //! is closed unread.
 //!
 //! [`Vproc`]: idna_replay::vproc::Vproc
+//! [`analyze_log`]: replay_race::pipeline::analyze_log
 
 use std::io::Write as _;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -39,16 +40,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use minijson::Json;
-use replay_race::classify::{classify_races_with, ClassifierConfig, TrustStatic};
-use replay_race::detect::{detect_races, DetectorConfig};
-use replay_race::report::Report;
+use replay_race::classify::ClassifierConfig;
+use replay_race::detect::DetectorConfig;
+use replay_race::pipeline::analyze_log;
 use tvm::asm::assemble;
+use tvm::predecode::DecodedProgram;
 
 use crate::cache::{ReportCache, WorkloadKey};
 use crate::container::log_from_bytes_mode;
 use crate::proto::{b64_decode, frame_parts, read_frame, write_frame, ProtoError};
 use idna_replay::codec::DecodeMode;
-use idna_replay::replayer::replay;
 
 /// Server options (the `racerep serve` flags).
 #[derive(Clone, Debug)]
@@ -63,9 +64,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Directory for the persistent report cache; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// The classification engine configuration. `jobs` is forced to 1 per
-    /// worker — the pool is the parallelism. `trust_static` must stay off:
-    /// the service classifies without static predictions.
+    /// The classification engine configuration, honored as `racerep races`
+    /// honors it. `jobs` is forced to 1 per worker — the pool is the
+    /// parallelism.
     pub classifier: ClassifierConfig,
 }
 
@@ -88,9 +89,9 @@ struct Counters {
     rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    /// Per-phase wall-clock nanos, summed across jobs — the service-side
-    /// analogue of the pipeline's `PhaseTimings` (there is no native or
-    /// record phase server-side: the log arrives recorded).
+    /// Per-phase wall-clock nanos, summed across jobs, from each job's
+    /// `PhaseTimings`; `decode` also covers assembly and base64, and
+    /// `report` the render and record write.
     decode_ns: AtomicU64,
     replay_ns: AtomicU64,
     detect_ns: AtomicU64,
@@ -173,15 +174,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails when the classifier asks for a static trust tier (the service
-    /// has no static predictions to honor it with), the address cannot be
-    /// bound, or the cache directory is unusable.
+    /// Fails when the address cannot be bound or the cache directory is
+    /// unusable.
     pub fn bind(mut config: ServerConfig) -> Result<Server, String> {
-        if config.classifier.trust_static != TrustStatic::Off {
-            return Err("the service accepts only `--trust-static off`: it classifies without \
-                 static predictions, so a skip tier could not be honored"
-                .into());
-        }
         config.workers = config.workers.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         config.classifier.jobs = 1;
@@ -399,11 +394,11 @@ fn result_frame(answer: &Answer) -> Result<Vec<u8>, ProtoError> {
     frame_parts(&[b"{\"type\":\"result\",\"report\":", answer.report.as_bytes(), tail.as_bytes()])
 }
 
-/// Classifies one submission: assemble, decode, replay, detect, classify
-/// and render the same report JSON as one-shot `racerep races --format
-/// json`. With a cache, a stored report for the same workload answers
-/// right after assembly and base64 decoding; a fresh report is persisted
-/// before the answer goes out.
+/// Classifies one submission: assemble, decode strictly, then run
+/// [`analyze_log`] and render the same report JSON as one-shot `racerep
+/// races --format json`. With a cache, a stored report for the same
+/// workload answers right after assembly and base64 decoding; a fresh
+/// report is persisted before the answer goes out.
 fn run_submission(shared: &Shared, doc: &Json) -> Result<Answer, String> {
     let counters = &shared.counters;
     let source = doc
@@ -432,30 +427,28 @@ fn run_submission(shared: &Shared, doc: &Json) -> Result<Answer, String> {
         counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         return Ok(Answer { report, replays: 0, store_hits: 1 });
     }
-    let (log, _schedule, _decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
+    let (log, _schedule, decode) = log_from_bytes_mode(&container, DecodeMode::Strict)?;
+    let decoded = Arc::new(DecodedProgram::new(program));
     counters.decode_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-    let start = Instant::now();
-    let trace = replay(&program, &log).map_err(|e| e.to_string())?;
-    counters.replay_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let analysis =
+        analyze_log(&decoded, &log, &decode, &DetectorConfig::default(), &classifier, None)
+            .map_err(|e| e.to_string())?;
+    let timings = analysis.timings;
+    counters.replay_ns.fetch_add(timings.replay.as_nanos() as u64, Ordering::Relaxed);
+    counters.detect_ns.fetch_add(timings.detect.as_nanos() as u64, Ordering::Relaxed);
+    counters.classify_ns.fetch_add(timings.classify.as_nanos() as u64, Ordering::Relaxed);
 
     let start = Instant::now();
-    let detected = detect_races(&trace, &DetectorConfig::default());
-    counters.detect_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-    let start = Instant::now();
-    let classification = classify_races_with(&trace, &detected, &classifier, None);
-    counters.classify_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-    let start = Instant::now();
-    let report = Report::build(&trace, &classification).to_json_value().to_string_compact();
+    let report = analysis.report.to_json_value().to_string_compact();
     if let Some((cache, key)) = &cache {
         // A failed write (disk full) degrades the cache, not the job.
         let _ = cache.insert(key, &report);
     }
-    counters.report_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let report_time = timings.report + start.elapsed();
+    counters.report_ns.fetch_add(report_time.as_nanos() as u64, Ordering::Relaxed);
 
-    Ok(Answer { report, replays: classification.vproc_replays, store_hits: 0 })
+    Ok(Answer { report, replays: analysis.classification.vproc_replays, store_hits: 0 })
 }
 
 /// The `stats` response document.

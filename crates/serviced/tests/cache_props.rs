@@ -1,16 +1,18 @@
 //! Property tests for the persistent report cache: seeded workloads get
 //! one record file each, a hit serves exactly the compact report text
 //! inserted, and every way a record can go wrong on disk — truncation at
-//! any byte, a flipped bit, a file under another identity's name, a record
-//! of the previous format version, a report that is not JSON, a leftover
-//! segment of the old per-pair format, a stray tmp file — must read back
-//! as a miss, never as an error or a wrong report.
+//! any byte, a flipped bit, a file under another identity's name or
+//! another trust tier's, a record of an earlier format version, a report
+//! that is not JSON, a leftover segment of the old per-pair format, a
+//! stray tmp file — must read back as a miss, never as an error or a
+//! wrong report.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use idna_replay::vproc::VprocConfig;
 use minijson::Json;
-use replay_race::classify::ClassifierConfig;
+use replay_race::classify::{ClassifierConfig, TrustStatic};
 use serviced::cache::{ReportCache, WorkloadKey, RECORD_MAGIC};
 
 /// xorshift64* — deterministic, no external crates.
@@ -186,9 +188,9 @@ fn a_record_under_another_identity_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A record of the previous format version is a miss even when every
-/// other byte is intact: version 1 records may quote another mark name
-/// for a pc that carries several.
+/// A record of an earlier format version is a miss even when every other
+/// byte is intact: version 1 records may quote another mark name for a pc
+/// that carries several, and version 2 records carry no trust tier.
 #[test]
 fn a_previous_version_record_is_a_miss() {
     let entries = seeded_entries(0x2e2e_a1a1, 3);
@@ -197,14 +199,55 @@ fn a_previous_version_record_is_a_miss() {
     for (key, report) in &entries {
         let path = dir.join(key.file_name());
         let full = std::fs::read(&path).unwrap();
-        let mut old = full.clone();
-        old[..8].copy_from_slice(b"RRREPRT1");
-        std::fs::write(&path, &old).unwrap();
-        assert_eq!(cache.lookup(key), None, "an RRREPRT1 record served");
-        assert!(cache.insert(key, report).unwrap(), "the old record is replaced");
-        assert_eq!(std::fs::read(&path).unwrap(), full);
+        for magic in [b"RRREPRT1", b"RRREPRT2"] {
+            let mut old = full.clone();
+            old[..8].copy_from_slice(magic);
+            std::fs::write(&path, &old).unwrap();
+            assert_eq!(cache.lookup(key), None, "an {magic:?} record served");
+            assert!(cache.insert(key, report).unwrap(), "the old record is replaced");
+            assert_eq!(std::fs::read(&path).unwrap(), full);
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trust tier decides which races are recorded benign without replay,
+/// so it is part of a workload's identity: one program and log key four
+/// different records under the four tiers, and a record inserted under
+/// one tier is a miss under each of the other three — also when it is
+/// copied to that tier's file name.
+#[test]
+fn the_trust_tier_is_part_of_a_workloads_identity() {
+    let program =
+        tvm::asm::assemble(".thread t\n  movi r1, 1\n  st [r15+8], r1\n  halt\n").unwrap();
+    let log = b"one log container".to_vec();
+    let keys: Vec<WorkloadKey> = [
+        TrustStatic::Off,
+        TrustStatic::SkipAgreedBenign,
+        TrustStatic::SkipUnreachable,
+        TrustStatic::SkipBoth,
+    ]
+    .into_iter()
+    .map(|trust_static| {
+        WorkloadKey::new(&program, &log, &ClassifierConfig { trust_static, ..Default::default() })
+    })
+    .collect();
+    let names: BTreeSet<String> = keys.iter().map(WorkloadKey::file_name).collect();
+    assert_eq!(names.len(), keys.len(), "two tiers share an identity");
+    let report = report(&mut Rng(0x7135_7a71)).to_string_compact();
+    for (i, key) in keys.iter().enumerate() {
+        let dir = temp_dir(&format!("tier{i}"));
+        let cache = ReportCache::open(&dir).unwrap();
+        assert!(cache.insert(key, &report).unwrap());
+        let record = std::fs::read(dir.join(key.file_name())).unwrap();
+        for (j, other) in keys.iter().enumerate().filter(|&(j, _)| j != i) {
+            assert_eq!(cache.lookup(other), None, "tier {i}'s record answered tier {j}");
+            std::fs::write(dir.join(other.file_name()), &record).unwrap();
+            assert_eq!(cache.lookup(other), None, "tier {i}'s record, renamed, answered tier {j}");
+        }
+        assert_eq!(cache.lookup(key).as_deref(), Some(report.as_str()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A record whose checksum holds but whose report is not one well-formed

@@ -20,14 +20,14 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use idna_replay::codec::{decode_log_mode, encode_log, frame_spans, strip_damaged, DecodeMode};
+use idna_replay::codec::{decode_log_mode, encode_log, frame_spans, DecodeMode, DecodeReport};
 use idna_replay::recorder::record;
-use idna_replay::replayer::replay;
 use idna_replay::vproc::ReplayFailure;
-use replay_race::classify::{classify_races_with, ClassifierConfig, InstanceOutcome, OutcomeGroup};
-use replay_race::detect::{detect_races, DetectorConfig};
-use replay_race::pipeline::damage_profile;
+use replay_race::classify::{ClassifierConfig, InstanceOutcome, OutcomeGroup};
+use replay_race::detect::DetectorConfig;
+use replay_race::pipeline::analyze_log;
 use tvm::isa::Reg;
+use tvm::predecode::DecodedProgram;
 use tvm::program::Program;
 use tvm::rng::SplitMix64;
 use tvm::scheduler::RunConfig;
@@ -167,12 +167,16 @@ fn degraded_classification_never_flips_undamaged_verdicts() {
     let schedule = RunConfig::round_robin(1);
     let recording = record(&program, &schedule);
     let raw = encode_log(&recording.log);
-    let config = ClassifierConfig::default();
+    // Both runs take the production path from a decoded log to a report.
+    let decoded = Arc::new(DecodedProgram::new(Arc::clone(&program)));
+    let analyze = |log, report: &DecodeReport| {
+        let config = ClassifierConfig::default();
+        analyze_log(&decoded, log, report, &DetectorConfig::default(), &config, None)
+    };
 
     // Clean baseline.
-    let clean_trace = replay(&program, &recording.log).expect("clean replay");
-    let clean_detected = detect_races(&clean_trace, &DetectorConfig::default());
-    let clean = classify_races_with(&clean_trace, &clean_detected, &config, None);
+    let clean =
+        analyze(&recording.log, &DecodeReport::default()).expect("clean replay").classification;
     assert_eq!(clean.log_damaged_races, 0);
 
     // Corrupt thread c's frame at its tid varint: the checksum rejects the
@@ -185,15 +189,9 @@ fn degraded_classification_never_flips_undamaged_verdicts() {
     assert_eq!(report.damaged_frames(), 1);
     assert!(log.threads[2].events.is_empty(), "c must degrade to a placeholder");
 
-    // Tolerant pipeline: replay (with the placeholder fallback the CLI
-    // uses), attach the damage profile, detect, classify.
-    let mut trace = match replay(&program, &log) {
-        Ok(trace) => trace,
-        Err(_) => replay(&program, &strip_damaged(&log, &report)).expect("stripped replay"),
-    };
-    trace.set_damage(damage_profile(&program, &racecheck::analyze(&program), &report));
-    let detected = detect_races(&trace, &DetectorConfig::default());
-    let damaged = classify_races_with(&trace, &detected, &config, None);
+    // Tolerant analysis: replay (falling back to placeholder threads),
+    // the damage profile, detect, classify.
+    let damaged = analyze(&log, &report).expect("tolerant replay").classification;
 
     let touches_damage = |race: &replay_race::classify::ClassifiedRace| {
         race.instances

@@ -5,10 +5,13 @@
 //! the same cache directory then proves warm submissions are answered from
 //! their report records with zero virtual-processor replays, and a third,
 //! permissive server over that directory proves the records are keyed on
-//! the replay options. Further tests pin the front end: round trips wait
-//! on no accept poll, and a hostile, deeply nested frame is refused
-//! without taking the service down.
+//! the replay options. A matrix over every sample program, two schedules
+//! and three trust tiers states the rule whole: every one-shot and
+//! service path gives the same report bytes. Further tests pin the front
+//! end: round trips wait on no accept poll, and a hostile, deeply nested
+//! frame is refused without taking the service down.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -18,9 +21,9 @@ use std::time::{Duration, Instant};
 use idna_replay::vproc::VprocConfig;
 use minijson::Json;
 use racerep::{cmd_races, cmd_record, cmd_submit, parse_schedule, FailOn};
-use replay_race::classify::{ClassifierConfig, TrustStatic};
+use replay_race::classify::{BatchMode, ClassifierConfig, TrustStatic};
 use serviced::proto::{payload_checksum, read_frame, FRAME_MAGIC, PROTO_VERSION};
-use serviced::{client, Server, ServerConfig};
+use serviced::{client, Server, ServerConfig, WorkloadKey};
 
 fn sample(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/asm").join(name)
@@ -36,27 +39,24 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// One prepared workload: program source + recorded log container, plus
 /// the expected one-shot report JSON.
 struct Workload {
-    name: &'static str,
+    name: String,
+    log_path: PathBuf,
     source: String,
     container: Vec<u8>,
     expected_json: String,
 }
 
-fn prepare(
-    work: &Path,
-    name: &'static str,
-    schedule: &str,
-    classifier: &ClassifierConfig,
-) -> Workload {
+fn prepare(work: &Path, name: &str, schedule: &str, classifier: &ClassifierConfig) -> Workload {
     let program_path = sample(name);
     let log_path = work.join(format!("{name}-{schedule}.idna"));
     cmd_record(&program_path, &log_path, parse_schedule(schedule).unwrap()).unwrap();
     let expected_json =
         cmd_races(&program_path, &log_path, true, classifier, None, false, false).unwrap();
     Workload {
-        name,
+        name: name.into(),
         source: std::fs::read_to_string(&program_path).unwrap(),
         container: std::fs::read(&log_path).unwrap(),
+        log_path,
         expected_json,
     }
 }
@@ -170,21 +170,87 @@ fn count(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("{key} missing in {doc:?}"))
 }
 
-/// The service classifies without static predictions, so it refuses a
-/// trust tier it could not honor instead of silently ignoring it.
+/// The north star's rule as one matrix: a report depends only on the
+/// program, the log and the analysis options. For every sample program,
+/// two schedules and three trust tiers, five paths give the same bytes:
+/// `races` at jobs 1 unbatched, `races` at jobs 0 batched, `races
+/// --tolerant` on the clean log, a cold submit to an unbatched server, and
+/// a warm submit to a batched server booted after the first one drained.
+/// One cache directory serves every tier, so a record keyed without the
+/// tier would answer another tier's submit. `handoff.tasm` and
+/// `idiom_spin_wait.tasm` assemble to the same program, so a cold submit
+/// hits exactly when its workload identity was already submitted.
 #[test]
-fn bind_refuses_a_trust_static_tier() {
-    for trust_static in
-        [TrustStatic::SkipAgreedBenign, TrustStatic::SkipUnreachable, TrustStatic::SkipBoth]
-    {
-        let result = Server::bind(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            classifier: ClassifierConfig { trust_static, ..ClassifierConfig::default() },
-            ..ServerConfig::default()
-        });
-        let message = result.err().expect("a trust tier must be refused");
-        assert!(message.contains("--trust-static"), "{message}");
+fn every_path_gives_one_report_per_program_log_and_trust_tier() {
+    let work = temp_dir("matrix");
+    let cache_dir = temp_dir("matrix-cache");
+    let mut programs: Vec<String> = std::fs::read_dir(sample(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tasm"))
+        .collect();
+    programs.sort();
+    let mut submitted = BTreeSet::new();
+    for tier in ["off", "skip-benign", "skip-benign,skip-unreachable"] {
+        let trust_static = TrustStatic::parse(tier).unwrap();
+        let unbatched = ClassifierConfig {
+            jobs: 1,
+            batching: BatchMode::Off,
+            trust_static,
+            ..ClassifierConfig::default()
+        };
+        let batched = ClassifierConfig {
+            jobs: 0,
+            batching: BatchMode::Shared,
+            trust_static,
+            ..ClassifierConfig::default()
+        };
+        let cells: Vec<(String, Workload)> = programs
+            .iter()
+            .flat_map(|name| ["rr:2", "chunked:3:1:6"].map(|schedule| (name, schedule)))
+            .map(|(name, schedule)| {
+                let label = format!("{name}/{schedule}/{tier}");
+                (label, prepare(&work, name, schedule, &unbatched))
+            })
+            .collect();
+        for (label, w) in &cells {
+            let program_path = sample(&w.name);
+            for (classifier, tolerant, path) in
+                [(&batched, false, "jobs 0, batched"), (&unbatched, true, "--tolerant")]
+            {
+                let got =
+                    cmd_races(&program_path, &w.log_path, true, classifier, None, tolerant, false)
+                        .unwrap();
+                assert_eq!(got, w.expected_json, "{label}: races ({path}) differs");
+            }
+        }
+
+        let (addr, handle) = boot(&cache_dir, unbatched);
+        for (label, w) in &cells {
+            let program = tvm::asm::assemble(&w.source).unwrap();
+            let key = WorkloadKey::new(&program, &w.container, &unbatched);
+            let seen = !submitted.insert(key.file_name());
+            let response = client::submit(&addr, &w.source, &w.container, 40).unwrap();
+            let got = response.get("report").unwrap().to_string_pretty();
+            assert_eq!(got, w.expected_json, "{label}: cold submit differs");
+            assert_eq!(count(&response, "store_hits"), u64::from(seen), "{label}: cold submit");
+        }
+        client::shutdown(&addr).unwrap();
+        handle.join().unwrap().expect("server drains cleanly");
+
+        let (addr, handle) = boot(&cache_dir, batched);
+        for (label, w) in &cells {
+            let response = client::submit(&addr, &w.source, &w.container, 40).unwrap();
+            let got = response.get("report").unwrap().to_string_pretty();
+            assert_eq!(got, w.expected_json, "{label}: warm submit differs");
+            assert_eq!(count(&response, "store_hits"), 1, "{label}: warm submit missed");
+            assert_eq!(count(&response, "replays"), 0, "{label}: warm submit replayed");
+        }
+        client::shutdown(&addr).unwrap();
+        handle.join().unwrap().expect("server drains cleanly");
     }
+    let _ = std::fs::remove_dir_all(&work);
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 /// `racerep submit --fail-on harmful` gates the exit code on the remote
