@@ -15,9 +15,9 @@
 
 use std::collections::BTreeSet;
 
-use replay_race::baselines::{HybridDetector, LocksetDetector, VcDetector};
 use replay_race::detect::{detect_races, DetectorConfig, StaticRaceId};
 use tvm::Machine;
+use workloads::baselines::{HybridDetector, LocksetDetector, VcDetector};
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::truth::TruthTable;
 

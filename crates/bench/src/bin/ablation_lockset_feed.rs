@@ -16,10 +16,10 @@
 use std::collections::BTreeSet;
 
 use idna_replay::vproc::VprocConfig;
-use replay_race::baselines::LocksetDetector;
-use replay_race::lockset_feed::{classify_lockset_warnings, FeedSummary, HbStatus};
 use tvm::Machine;
+use workloads::baselines::LocksetDetector;
 use workloads::corpus::{corpus_executions, corpus_program};
+use workloads::lockset_feed::{classify_lockset_warnings, FeedSummary, HbStatus};
 
 fn main() {
     let mut total = FeedSummary::default();

@@ -83,6 +83,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use minijson::Json;
 
@@ -227,15 +228,26 @@ pub fn cmd_run(path: &Path, schedule: RunConfig, stats: bool) -> Result<String, 
         out.push_str(&format!("thread {tid} FAULTED: {fault}\n"));
     }
     if stats {
-        let m = bench::timing::measure(1, 5, || {
-            let mut machine = Machine::with_decoded(decoded.clone());
-            run_native(&mut machine, &schedule)
-        });
+        // One warm-up run, then the median of five timed runs.
+        const RUNS: usize = 5;
+        let mut times: Vec<Duration> = (0..=RUNS)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box({
+                    let mut machine = Machine::with_decoded(decoded.clone());
+                    run_native(&mut machine, &schedule)
+                });
+                start.elapsed()
+            })
+            .skip(1)
+            .collect();
+        times.sort_unstable();
+        let median = times[RUNS / 2];
         #[allow(clippy::cast_precision_loss)]
-        let minstr_per_s = summary.steps as f64 / m.seconds() / 1e6;
+        let minstr_per_s = summary.steps as f64 / median.as_secs_f64() / 1e6;
         out.push_str(&format!(
-            "stats: {} instructions, median {:?} over {} runs, {minstr_per_s:.1} Minstr/s\n",
-            summary.steps, m.median, m.samples,
+            "stats: {} instructions, median {median:?} over {RUNS} runs, {minstr_per_s:.1} Minstr/s\n",
+            summary.steps,
         ));
     }
     Ok(out)

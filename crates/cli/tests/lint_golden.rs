@@ -4,18 +4,26 @@
 //! `sink_chain`, `pruned_pairs`) and the stable warning order (sorted by
 //! `(pc_lo, pc_hi)`, i.e. lowest address class first).
 //!
+//! It also pins each program's race report (`racerep classify --schedule
+//! rr:2 --format json`): verdicts, replay-failure kinds, the difference
+//! between the two orders, the original order, and the register context
+//! that time travel recovers.
+//!
 //! To refresh after an intentional schema or analysis change:
 //!
 //! ```sh
 //! for f in examples/asm/*.tasm; do
 //!   cargo run -p racerep -- lint "$f" --format json \
 //!     > "examples/asm/golden/$(basename "$f" .tasm).lint.json"
+//!   cargo run -p racerep -- classify "$f" --schedule rr:2 --format json \
+//!     > "examples/asm/golden/$(basename "$f" .tasm).races.json"
 //! done
 //! ```
 
 use std::path::PathBuf;
 
-use racerep::{cmd_lint, FailOn};
+use racerep::{cmd_classify, cmd_lint, parse_schedule, FailOn};
+use replay_race::ClassifierConfig;
 
 const EXEMPLARS: [(&str, &str, &str); 4] = [
     ("idiom_spin_wait", "spin-wait", "high"),
@@ -28,8 +36,8 @@ fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }
 
-#[test]
-fn lint_json_matches_committed_goldens() {
+/// The names of the sample programs in `examples/asm/`, sorted.
+fn sample_programs() -> Vec<String> {
     let mut samples: Vec<String> = std::fs::read_dir(repo_path("examples/asm"))
         .expect("examples/asm is readable")
         .filter_map(|e| {
@@ -39,7 +47,12 @@ fn lint_json_matches_committed_goldens() {
         .collect();
     samples.sort();
     assert!(!samples.is_empty(), "no sample programs in examples/asm");
-    for name in &samples {
+    samples
+}
+
+#[test]
+fn lint_json_matches_committed_goldens() {
+    for name in &sample_programs() {
         let asm = repo_path(&format!("examples/asm/{name}.tasm"));
         let golden = repo_path(&format!("examples/asm/golden/{name}.lint.json"));
         let (out, _) = cmd_lint(&asm, true, FailOn::None).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -48,6 +61,24 @@ fn lint_json_matches_committed_goldens() {
         assert_eq!(
             out, expected,
             "{name}: lint JSON drifted from examples/asm/golden/{name}.lint.json — \
+             if intentional, regenerate the goldens (see this file's header)"
+        );
+    }
+}
+
+#[test]
+fn races_json_matches_committed_goldens() {
+    let schedule = || parse_schedule("rr:2").expect("rr:2 parses");
+    for name in &sample_programs() {
+        let asm = repo_path(&format!("examples/asm/{name}.tasm"));
+        let golden = repo_path(&format!("examples/asm/golden/{name}.races.json"));
+        let out = cmd_classify(&asm, schedule(), true, &ClassifierConfig::default(), false)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let expected = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("{name}: golden file unreadable: {e}"));
+        assert_eq!(
+            out, expected,
+            "{name}: race report drifted from examples/asm/golden/{name}.races.json — \
              if intentional, regenerate the goldens (see this file's header)"
         );
     }

@@ -25,9 +25,11 @@
 //! [`pipeline::run_pipeline`] drives all five stages and measures the phase
 //! overheads the paper reports in §5.1. Its replay-onward half,
 //! [`pipeline::analyze_log`], is the one path from a recorded log to a
-//! report that the `racerep` CLI and service also run. [`baselines`] contains the classic
-//! online detectors (vector-clock happens-before and the Eraser lockset
-//! algorithm) used for comparison.
+//! report that the `racerep` CLI and service also run. The crate holds only
+//! what that path runs; the comparison detectors (vector-clock
+//! happens-before and the Eraser lockset algorithm) and the ablations that
+//! feed their warnings, or static ones, through the classifier live in
+//! the `workloads` crate beside the evaluation.
 //!
 //! # Quickstart
 //!
@@ -50,13 +52,10 @@
 //! # Ok::<(), idna_replay::replayer::ReplayError>(())
 //! ```
 
-pub mod baselines;
 pub mod classify;
 pub mod detect;
-pub mod lockset_feed;
 pub mod pipeline;
 pub mod report;
-pub mod static_feed;
 pub mod triage;
 
 pub use classify::{

@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 use minijson::Json;
 
 use idna_replay::replayer::ReplayTrace;
-use idna_replay::timetravel::TimeTraveler;
 use idna_replay::vproc::{AccessSite, PairLiveOut, PairOrder, ReplayFailure};
 
 use crate::classify::{ClassificationResult, ClassifiedRace, InstanceOutcome, Verdict};
@@ -435,8 +434,7 @@ fn code_context(trace: &ReplayTrace, site: &AccessSite) -> CodeContext {
         }
     }
     let mut registers = Vec::new();
-    let tt = TimeTraveler::new(trace);
-    if let Some(snapshot) = tt.state_before(site.tid(), site.instr_index) {
+    if let Some(snapshot) = trace.state_before(site.tid(), site.instr_index) {
         // Report the registers the racing instruction reads.
         if let Some(instr) = program.instr(site.pc) {
             for r in registers_read(instr) {

@@ -11,6 +11,9 @@
 //!   call (§3.1–3.2).
 //! * [`replayer`] — deterministic replay, one sequencing region at a time in
 //!   global sequencer order, producing a queryable [`ReplayTrace`] (§3.3).
+//!   Its one recorded-value stepper also runs the virtual processor's
+//!   oracle phase and time travel ([`ReplayTrace::state_before`], the
+//!   state before any recorded instruction).
 //! * [`region`] — sequencing regions and the overlap relation that defines
 //!   happens-before data races (§3.4).
 //! * [`vproc`] — the virtual processor that replays a racing region pair
@@ -21,7 +24,6 @@
 //!   the paper's bits-per-instruction study (§5.1).
 //! * [`damage`] — damage horizons: what a tolerantly decoded log no longer
 //!   knows, consulted by the virtual processor's live-in fetches.
-//! * [`timetravel`] — reverse-execution queries over a replay trace.
 //! * [`verify`] — fidelity and determinism checkers for the record/replay
 //!   pair itself.
 //!
@@ -45,6 +47,7 @@
 //! ```
 //!
 //! [`ReplayTrace`]: replayer::ReplayTrace
+//! [`ReplayTrace::state_before`]: replayer::ReplayTrace::state_before
 
 pub mod codec;
 pub mod damage;
@@ -53,7 +56,6 @@ pub mod image;
 pub mod recorder;
 pub mod region;
 pub mod replayer;
-pub mod timetravel;
 pub mod verify;
 pub mod vproc;
 

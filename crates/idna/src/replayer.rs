@@ -3,6 +3,7 @@
 //! [`ReplayTrace`] — the complete, queryable history the race detector and
 //! the classification virtual processor operate on.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -223,6 +224,42 @@ impl ReplayTrace {
         &self.regions[self.region_pos[id.tid][id.index]]
     }
 
+    /// The architectural state of thread `tid` just *before* it executed
+    /// dynamic instruction `instr_index` (paper §1: time travel over the
+    /// recording), or `None` when the thread never reached it. One past
+    /// the thread's last instruction is its final state.
+    ///
+    /// Every region stores its entry snapshot, so the state is
+    /// re-executed forward from the entry of the region that holds the
+    /// instruction, with the values the replay recorded there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if re-executing the recorded region faults, which would
+    /// mean the trace disagrees with its own program.
+    #[must_use]
+    pub fn state_before(&self, tid: usize, instr_index: u64) -> Option<ThreadSnapshot> {
+        let positions = self.region_pos.get(tid)?;
+        // A thread's regions partition its instruction stream in order.
+        let i = positions.partition_point(|&p| self.regions[p].region.end_instr <= instr_index);
+        let Some(&p) = positions.get(i) else {
+            let last = &self.regions[*positions.last()?];
+            return (instr_index == last.region.end_instr).then(|| last.exit.clone());
+        };
+        let region = &self.regions[p];
+        let mut snap = region.entry.clone();
+        let mut values = RegionValues::new(region);
+        for index in region.region.start_instr..instr_index {
+            let Ok(stepped) = step_recorded(&self.decoded, &mut snap, index, &mut values);
+            match stepped {
+                Stepped::Next => {}
+                Stepped::Halted => break,
+                Stepped::Faulted => panic!("time travel re-faulted at pc {}", snap.pc),
+            }
+        }
+        Some(snap)
+    }
+
     /// The program this trace replays.
     #[must_use]
     pub fn program(&self) -> &Arc<Program> {
@@ -326,19 +363,12 @@ impl std::error::Error for ReplayError {}
 
 /// Per-thread replay cursor.
 struct RThread<'a> {
-    log: &'a ThreadLog,
     snap: ThreadSnapshot,
-    image: ReplayImage,
     instr: u64,
-    loads: u64,
-    sys: u64,
-    load_events: Vec<(u64, u64)>,
-    load_cursor: usize,
-    sys_events: Vec<(u64, u64)>,
-    sys_cursor: usize,
     regions: Vec<Region>,
     next_region: usize,
     finished: bool,
+    values: LogValues<'a>,
 }
 
 impl<'a> RThread<'a> {
@@ -353,22 +383,38 @@ impl<'a> RThread<'a> {
             }
         }
         RThread {
-            log,
             snap: ThreadSnapshot { regs: log.start_regs, pc: log.start_pc, call_stack: Vec::new() },
-            image: ReplayImage::new(),
             instr: 0,
-            loads: 0,
-            sys: 0,
-            load_events,
-            load_cursor: 0,
-            sys_events,
-            sys_cursor: 0,
             regions: regions_of(log),
             next_region: 0,
             finished: false,
+            values: LogValues {
+                log,
+                image: ReplayImage::new(),
+                loads: 0,
+                sys: 0,
+                load_events,
+                load_cursor: 0,
+                sys_events,
+                sys_cursor: 0,
+            },
         }
     }
+}
 
+/// A thread's logged values and the cursors that consume them.
+struct LogValues<'a> {
+    log: &'a ThreadLog,
+    image: ReplayImage,
+    loads: u64,
+    sys: u64,
+    load_events: Vec<(u64, u64)>,
+    load_cursor: usize,
+    sys_events: Vec<(u64, u64)>,
+    sys_cursor: usize,
+}
+
+impl LogValues<'_> {
     /// Load-value policy, mirroring the recorder exactly.
     fn load_value(&mut self, addr: u64) -> u64 {
         let idx = self.loads;
@@ -382,24 +428,6 @@ impl<'a> RThread<'a> {
         };
         self.image.set(addr, value);
         value
-    }
-
-    fn reg(&self, r: Reg) -> u64 {
-        self.snap.regs[r.index()]
-    }
-
-    /// Register read by predecoded (raw) index.
-    fn reg_i(&self, i: u8) -> u64 {
-        self.snap.regs[i as usize]
-    }
-
-    fn set_reg(&mut self, r: Reg, v: u64) {
-        self.snap.regs[r.index()] = v;
-    }
-
-    /// Register write by predecoded (raw) index.
-    fn set_reg_i(&mut self, i: u8, v: u64) {
-        self.snap.regs[i as usize] = v;
     }
 }
 
@@ -471,14 +499,15 @@ pub fn replay_with(
     trace.live_in = (0..trace.regions.len()).map(|_| OnceLock::new()).collect();
 
     for (tid, t) in threads.iter().enumerate() {
-        if t.instr != t.log.end_instr {
+        let v = &t.values;
+        if t.instr != v.log.end_instr {
             return Err(ReplayError::IncompleteReplay {
                 tid,
-                expected_instrs: t.log.end_instr,
+                expected_instrs: v.log.end_instr,
                 replayed: t.instr,
             });
         }
-        if t.load_cursor != t.load_events.len() || t.sys_cursor != t.sys_events.len() {
+        if v.load_cursor != v.load_events.len() || v.sys_cursor != v.sys_events.len() {
             return Err(ReplayError::EventDesync { tid });
         }
     }
@@ -493,227 +522,275 @@ fn replay_region(
     trace: &mut ReplayTrace,
 ) -> Result<ReplayedRegion, ReplayError> {
     let entry = t.snap.clone();
-    let mut accesses = Vec::new();
-    let mut syscalls = Vec::new();
-    let mut outputs = Vec::new();
-
+    let mut rec = FromLog {
+        values: &mut t.values,
+        heap: &mut trace.heap,
+        version,
+        accesses: Vec::new(),
+        syscalls: Vec::new(),
+        outputs: Vec::new(),
+    };
     while t.instr < region.end_instr && !t.finished {
         let instr_index = t.instr;
         t.instr += 1;
-        let pc = t.snap.pc;
-        let Some(&op) = decoded.op(pc) else {
-            // Recorded run faulted with PcOutOfRange here.
-            t.finished = true;
-            break;
-        };
-        let mut push_access = |acc: TraceAccess| accesses.push(acc);
-        let next = pc + 1;
-        match op {
-            Decoded::MovImm { dst, imm } => {
-                t.set_reg_i(dst, imm);
-                t.snap.pc = next;
-            }
-            Decoded::Mov { dst, src } => {
-                let v = t.reg_i(src);
-                t.set_reg_i(dst, v);
-                t.snap.pc = next;
-            }
-            Decoded::Bin { op, dst, lhs, rhs } => match op.apply(t.reg_i(lhs), t.reg_i(rhs)) {
-                Some(v) => {
-                    t.set_reg_i(dst, v);
-                    t.snap.pc = next;
-                }
-                None => {
-                    t.finished = true; // recorded DivideByZero fault
-                }
-            },
-            Decoded::BinImm { op, dst, lhs, imm } => match op.apply(t.reg_i(lhs), imm) {
-                Some(v) => {
-                    t.set_reg_i(dst, v);
-                    t.snap.pc = next;
-                }
-                None => {
-                    t.finished = true;
-                }
-            },
-            Decoded::Load { dst, base, offset } => {
-                let addr = t.reg_i(base).wrapping_add(offset as u64);
-                if faulted_here(t, instr_index) {
-                    t.finished = true;
-                    break;
-                }
-                let v = t.load_value(addr);
-                push_access(TraceAccess {
-                    instr_index,
-                    pc,
-                    addr,
-                    value: v,
-                    kind: AccessKind::Read,
-                });
-                t.set_reg_i(dst, v);
-                t.snap.pc = next;
-            }
-            Decoded::Store { src, base, offset } => {
-                let addr = t.reg_i(base).wrapping_add(offset as u64);
-                if faulted_here(t, instr_index) {
-                    t.finished = true;
-                    break;
-                }
-                let v = t.reg_i(src);
-                t.image.set(addr, v);
-                push_access(TraceAccess {
-                    instr_index,
-                    pc,
-                    addr,
-                    value: v,
-                    kind: AccessKind::Write,
-                });
-                t.snap.pc = next;
-            }
-            Decoded::AtomicRmw { op, dst, base, offset, src } => {
-                let addr = t.reg_i(base).wrapping_add(offset as u64);
-                if faulted_here(t, instr_index) {
-                    t.finished = true;
-                    break;
-                }
-                let old = t.load_value(addr);
-                push_access(TraceAccess {
-                    instr_index,
-                    pc,
-                    addr,
-                    value: old,
-                    kind: AccessKind::Read,
-                });
-                let new = op.apply(old, t.reg_i(src));
-                t.image.set(addr, new);
-                push_access(TraceAccess {
-                    instr_index,
-                    pc,
-                    addr,
-                    value: new,
-                    kind: AccessKind::Write,
-                });
-                t.set_reg_i(dst, old);
-                t.snap.pc = next;
-            }
-            Decoded::AtomicCas { dst, base, offset, expected, new } => {
-                let addr = t.reg_i(base).wrapping_add(offset as u64);
-                if faulted_here(t, instr_index) {
-                    t.finished = true;
-                    break;
-                }
-                let old = t.load_value(addr);
-                push_access(TraceAccess {
-                    instr_index,
-                    pc,
-                    addr,
-                    value: old,
-                    kind: AccessKind::Read,
-                });
-                let success = old == t.reg_i(expected);
-                if success {
-                    let nv = t.reg_i(new);
-                    t.image.set(addr, nv);
-                    push_access(TraceAccess {
-                        instr_index,
-                        pc,
-                        addr,
-                        value: nv,
-                        kind: AccessKind::Write,
-                    });
-                }
-                t.set_reg_i(dst, u64::from(success));
-                t.snap.pc = next;
-            }
-            Decoded::Fence => {
-                t.snap.pc = next;
-            }
-            Decoded::Jump { target } => {
-                t.snap.pc = target as usize;
-            }
-            Decoded::Branch { cond, lhs, rhs, target } => {
-                t.snap.pc =
-                    if cond.eval(t.reg_i(lhs), t.reg_i(rhs)) { target as usize } else { next };
-            }
-            Decoded::Call { target } => {
-                if t.snap.call_stack.len() >= MAX_CALL_DEPTH {
-                    t.finished = true;
-                } else {
-                    t.snap.call_stack.push(next);
-                    t.snap.pc = target as usize;
-                }
-            }
-            Decoded::Ret => match t.snap.call_stack.pop() {
-                Some(ret) => t.snap.pc = ret,
-                None => t.finished = true,
-            },
-            Decoded::Syscall { call } => {
-                if faulted_here(t, instr_index) {
-                    // The recorded run faulted in this system call (e.g. a
-                    // double free); no result was logged.
-                    t.finished = true;
-                    break;
-                }
-                let idx = t.sys;
-                t.sys += 1;
-                let logged =
-                    t.sys_events.get(t.sys_cursor).filter(|&&(i, _)| i == idx).map(|&(_, v)| v);
-                let Some(ret) = logged else {
-                    return Err(ReplayError::SyscallDesync { tid: t.log.tid, instr_index });
-                };
-                t.sys_cursor += 1;
-                match call {
-                    // Heap effects, like memory writes, become visible at
-                    // version + 1: a region's own effects are not part of
-                    // its live-in image (the virtual processor re-executes
-                    // them).
-                    SysCall::Alloc => {
-                        let size = t.reg(Reg::R0).max(1);
-                        trace.heap.allocs.push((version + 1, ret, size));
-                    }
-                    SysCall::Free => {
-                        let base = t.reg(Reg::R0);
-                        trace.heap.frees.push((version + 1, base));
-                    }
-                    SysCall::Print => outputs.push(t.reg(Reg::R0)),
-                    SysCall::Tid | SysCall::Yield | SysCall::Nop => {}
-                }
-                syscalls.push(TraceSyscall { instr_index, call, ret });
-                t.set_reg(Reg::R0, ret);
-                t.snap.pc = next;
-            }
-            Decoded::Halt => {
-                t.finished = true;
-            }
-        }
+        // A halt or a fault ends the thread where the recording ended it.
+        t.finished = step_recorded(decoded, &mut t.snap, instr_index, &mut rec)? != Stepped::Next;
     }
-
-    let replayed = ReplayedRegion {
-        region,
-        version,
-        entry,
-        exit: t.snap.clone(),
-        accesses,
-        syscalls,
-        outputs,
-    };
+    let FromLog { accesses, syscalls, outputs, .. } = rec;
     // Publish this region's writes into the versioned global image.
-    for acc in &replayed.accesses {
+    for acc in &accesses {
         if acc.kind.is_write() {
             trace.memory.record(version + 1, acc.addr, acc.value);
         }
     }
-    Ok(replayed)
+    Ok(ReplayedRegion { region, version, entry, exit: t.snap.clone(), accesses, syscalls, outputs })
 }
 
-/// Whether the recorded run faulted at exactly this instruction: true when
-/// the thread's log says it ended here with a fault. Used to stop replay of
-/// memory instructions whose access faulted during recording (the access
-/// never completed, so no value was logged).
-fn faulted_here(t: &RThread<'_>, instr_index: u64) -> bool {
-    matches!(t.log.end_status, EndStatus::Faulted(f)
-        if matches!(f, Fault::InvalidAccess { .. } | Fault::UseAfterFree { .. } | Fault::InvalidFree { .. })
-    ) && instr_index + 1 == t.log.end_instr
+/// Where a recorded step's values come from: the thread's log while the
+/// replayer builds a region, or a replayed region read back (the virtual
+/// processor's oracle phase and [`ReplayTrace::state_before`]).
+pub(crate) trait Recorded {
+    /// Why a value could not be supplied; sources that read a replayed
+    /// region back cannot fail.
+    type Error;
+
+    /// Whether the recorded run faulted at this memory or system-call
+    /// instruction, so it never completed and logged no value.
+    fn faulted_at(&self, _instr_index: u64) -> bool {
+        false
+    }
+
+    /// The value the load at `pc` read from `addr`.
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64;
+
+    /// The store at `pc` wrote `value` to `addr`.
+    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64);
+
+    /// An atomic read-modify-write of `addr`: returns the value read, after
+    /// storing `new(old)` when that is `Some`.
+    fn update(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        new: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
+        let old = self.load(instr_index, pc, addr);
+        if let Some(value) = new(old) {
+            self.store(instr_index, pc, addr, value);
+        }
+        old
+    }
+
+    /// The result of system call `call`, made with `arg` in `r0`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the source fails with when the call has no recorded result.
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, Self::Error>;
+}
+
+/// How one recorded step ended.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Stepped {
+    /// The instruction completed; the snapshot is at the next one.
+    Next,
+    /// The thread halted.
+    Halted,
+    /// The instruction faulted, so the snapshot is left as it was.
+    Faulted,
+}
+
+/// Re-executes one instruction of recorded code from `snap`, with the
+/// values `rec` supplies: the one instruction body the replayer, the
+/// oracle phase and time travel share.
+///
+/// # Errors
+///
+/// Propagates the source's error when a system call has no recorded result.
+#[inline]
+pub(crate) fn step_recorded<R: Recorded>(
+    decoded: &DecodedProgram,
+    snap: &mut ThreadSnapshot,
+    instr_index: u64,
+    rec: &mut R,
+) -> Result<Stepped, R::Error> {
+    let pc = snap.pc;
+    let Some(&op) = decoded.op(pc) else { return Ok(Stepped::Faulted) };
+    let regs = &mut snap.regs;
+    let at = |base: u8, offset: i64| regs[usize::from(base)].wrapping_add(offset as u64);
+    let mut next = pc + 1;
+    match op {
+        Decoded::MovImm { dst, imm } => regs[usize::from(dst)] = imm,
+        Decoded::Mov { dst, src } => regs[usize::from(dst)] = regs[usize::from(src)],
+        Decoded::Bin { op, dst, lhs, rhs } => {
+            match op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
+                Some(v) => regs[usize::from(dst)] = v,
+                None => return Ok(Stepped::Faulted),
+            }
+        }
+        Decoded::BinImm { op, dst, lhs, imm } => match op.apply(regs[usize::from(lhs)], imm) {
+            Some(v) => regs[usize::from(dst)] = v,
+            None => return Ok(Stepped::Faulted),
+        },
+        Decoded::Load { dst, base, offset } => {
+            if rec.faulted_at(instr_index) {
+                return Ok(Stepped::Faulted);
+            }
+            regs[usize::from(dst)] = rec.load(instr_index, pc, at(base, offset));
+        }
+        Decoded::Store { src, base, offset } => {
+            if rec.faulted_at(instr_index) {
+                return Ok(Stepped::Faulted);
+            }
+            rec.store(instr_index, pc, at(base, offset), regs[usize::from(src)]);
+        }
+        Decoded::AtomicRmw { op, dst, base, offset, src } => {
+            if rec.faulted_at(instr_index) {
+                return Ok(Stepped::Faulted);
+            }
+            let operand = regs[usize::from(src)];
+            let old =
+                rec.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)));
+            regs[usize::from(dst)] = old;
+        }
+        Decoded::AtomicCas { dst, base, offset, expected, new } => {
+            if rec.faulted_at(instr_index) {
+                return Ok(Stepped::Faulted);
+            }
+            let (expected, new) = (regs[usize::from(expected)], regs[usize::from(new)]);
+            let old = rec
+                .update(instr_index, pc, at(base, offset), |old| (old == expected).then_some(new));
+            regs[usize::from(dst)] = u64::from(old == expected);
+        }
+        Decoded::Fence => {}
+        Decoded::Jump { target } => next = target as usize,
+        Decoded::Branch { cond, lhs, rhs, target } => {
+            if cond.eval(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
+                next = target as usize;
+            }
+        }
+        Decoded::Call { target } => {
+            if snap.call_stack.len() >= MAX_CALL_DEPTH {
+                return Ok(Stepped::Faulted);
+            }
+            snap.call_stack.push(next);
+            next = target as usize;
+        }
+        Decoded::Ret => match snap.call_stack.pop() {
+            Some(ret) => next = ret,
+            None => return Ok(Stepped::Faulted),
+        },
+        Decoded::Syscall { call } => {
+            if rec.faulted_at(instr_index) {
+                // The recorded run faulted in this system call (e.g. a
+                // double free); no result was logged.
+                return Ok(Stepped::Faulted);
+            }
+            let r0 = Reg::R0.index();
+            regs[r0] = rec.syscall(instr_index, call, regs[r0])?;
+        }
+        Decoded::Halt => return Ok(Stepped::Halted),
+    }
+    snap.pc = next;
+    Ok(Stepped::Next)
+}
+
+/// The replayer's source: the thread's log, read the way the recorder
+/// wrote it, building the region's accesses, system calls, outputs and
+/// heap history as it goes.
+struct FromLog<'r, 'a> {
+    values: &'r mut LogValues<'a>,
+    heap: &'r mut HeapHistory,
+    version: u32,
+    accesses: Vec<TraceAccess>,
+    syscalls: Vec<TraceSyscall>,
+    outputs: Vec<u64>,
+}
+
+impl Recorded for FromLog<'_, '_> {
+    type Error = ReplayError;
+
+    /// True when the thread's log says it ended here with a memory fault:
+    /// the access never completed, so no value was logged.
+    fn faulted_at(&self, instr_index: u64) -> bool {
+        let log = self.values.log;
+        matches!(log.end_status, EndStatus::Faulted(f)
+            if matches!(f, Fault::InvalidAccess { .. } | Fault::UseAfterFree { .. } | Fault::InvalidFree { .. })
+        ) && instr_index + 1 == log.end_instr
+    }
+
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64 {
+        let value = self.values.load_value(addr);
+        self.accesses.push(TraceAccess { instr_index, pc, addr, value, kind: AccessKind::Read });
+        value
+    }
+
+    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64) {
+        self.values.image.set(addr, value);
+        self.accesses.push(TraceAccess { instr_index, pc, addr, value, kind: AccessKind::Write });
+    }
+
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, ReplayError> {
+        let v = &mut *self.values;
+        let idx = v.sys;
+        v.sys += 1;
+        let Some(&(_, ret)) = v.sys_events.get(v.sys_cursor).filter(|&&(i, _)| i == idx) else {
+            return Err(ReplayError::SyscallDesync { tid: v.log.tid, instr_index });
+        };
+        v.sys_cursor += 1;
+        match call {
+            // Heap effects, like memory writes, become visible at version +
+            // 1: a region's own effects are not part of its live-in image
+            // (the virtual processor re-executes them).
+            SysCall::Alloc => self.heap.allocs.push((self.version + 1, ret, arg.max(1))),
+            SysCall::Free => self.heap.frees.push((self.version + 1, arg)),
+            SysCall::Print => self.outputs.push(arg),
+            SysCall::Tid | SysCall::Yield | SysCall::Nop => {}
+        }
+        self.syscalls.push(TraceSyscall { instr_index, call, ret });
+        Ok(ret)
+    }
+}
+
+/// A replayed region's recorded values, read back in execution order.
+/// Stepping with them re-executes the region exactly as the replay did.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct RegionValues<'a> {
+    pub(crate) region: &'a ReplayedRegion,
+    /// The next recorded access.
+    pub(crate) access: usize,
+    /// The next recorded system call.
+    pub(crate) sys: usize,
+}
+
+impl<'a> RegionValues<'a> {
+    /// The values of `region`, from its entry.
+    pub(crate) fn new(region: &'a ReplayedRegion) -> Self {
+        RegionValues { region, access: 0, sys: 0 }
+    }
+}
+
+impl Recorded for RegionValues<'_> {
+    type Error = Infallible;
+
+    fn load(&mut self, _: u64, _: usize, _: u64) -> u64 {
+        let acc = self.region.accesses[self.access];
+        debug_assert_eq!(acc.kind, AccessKind::Read);
+        self.access += 1;
+        acc.value
+    }
+
+    fn store(&mut self, _: u64, _: usize, _: u64, _: u64) {
+        self.access += 1;
+    }
+
+    fn syscall(&mut self, _: u64, call: SysCall, _: u64) -> Result<u64, Infallible> {
+        let sys = self.region.syscalls[self.sys];
+        debug_assert_eq!(sys.call, call);
+        self.sys += 1;
+        Ok(sys.ret)
+    }
 }
 
 #[cfg(test)]
@@ -874,6 +951,53 @@ mod tests {
         let mut rec = record(&program, &RunConfig::round_robin(100));
         rec.log.threads.push(rec.log.threads[0].clone());
         assert!(matches!(replay(&program, &rec.log), Err(ReplayError::ThreadMismatch { .. })));
+    }
+
+    #[test]
+    fn state_before_reconstructs_register_history() {
+        let mut b = ProgramBuilder::new();
+        b.thread("main");
+        b.movi(Reg::R1, 10) // instr 0
+            .addi(Reg::R1, Reg::R1, 5) // instr 1
+            .store(Reg::R1, Reg::R15, 0x8) // instr 2
+            .fence() // instr 3 (sequencer)
+            .load(Reg::R2, Reg::R15, 0x8) // instr 4
+            .halt(); // instr 5
+        let (_, trace, _) = record_and_replay(b, RunConfig::round_robin(100));
+        assert_eq!(trace.state_before(0, 0).unwrap().regs[1], 0);
+        assert_eq!(trace.state_before(0, 1).unwrap().regs[1], 10);
+        assert_eq!(trace.state_before(0, 2).unwrap().regs[1], 15);
+        assert_eq!(trace.state_before(0, 5).unwrap().regs[2], 15, "load value recovered");
+        assert!(trace.state_before(0, 100).is_none());
+        assert!(trace.state_before(1, 0).is_none(), "no such thread");
+    }
+
+    #[test]
+    fn state_before_steps_back_one_instruction() {
+        let mut b = ProgramBuilder::new();
+        b.thread("main");
+        b.movi(Reg::R1, 1).movi(Reg::R1, 2).movi(Reg::R1, 3).halt();
+        let (_, trace, rec) = record_and_replay(b, RunConfig::round_robin(100));
+        assert_eq!(trace.state_before(0, 2).unwrap().regs[1], 2);
+        assert_eq!(trace.state_before(0, 1).unwrap().regs[1], 1);
+        assert_eq!(trace.state_before(0, 0).unwrap().regs[1], 0);
+        // One past the last instruction is the thread's final state.
+        let end = rec.log.threads[0].end_instr;
+        assert_eq!(trace.state_before(0, end).as_ref(), Some(&trace.regions()[0].exit));
+    }
+
+    #[test]
+    fn cross_thread_values_are_visible_backwards() {
+        let mut b = ProgramBuilder::new();
+        b.thread("waiter");
+        let spin = b.fresh_label("spin");
+        b.label(spin).load(Reg::R1, Reg::R15, 0x8).branch(Cond::Eq, Reg::R1, Reg::R15, spin).halt();
+        b.thread("setter");
+        b.movi(Reg::R1, 42).store(Reg::R1, Reg::R15, 0x8).halt();
+        let (_, trace, rec) = record_and_replay(b, RunConfig::round_robin(2));
+        // At the waiter's last instruction (halt), r1 holds the published 42.
+        let end = rec.log.threads[0].end_instr;
+        assert_eq!(trace.state_before(0, end - 1).unwrap().regs[1], 42);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! 1. **Oracle phase** — each thread is replayed *from the log* (via the
 //!    recorded access values) up to, but not including, its racing
 //!    instruction ("we replay both threads for the region up until we get to
-//!    the data race instruction in each thread").
+//!    the data race instruction in each thread"). It steps through the
+//!    replayer's own recorded-value stepper over the region's accesses and
+//!    system calls, so it re-executes exactly what the replay did.
 //! 2. **Order phase** — the two racing instructions execute *live*, in the
 //!    prescribed order.
 //! 3. **Completion phase** — both threads run live, round-robin, until each
@@ -38,6 +40,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 
 use tvm::exec::AccessKind;
@@ -49,7 +52,10 @@ use tvm::predecode::Decoded;
 
 use crate::image::LiveInIndex;
 use crate::region::RegionId;
-use crate::replayer::{HeapState, ReplayTrace, ReplayedRegion, ThreadSnapshot};
+use crate::replayer::{
+    step_recorded, HeapState, Recorded, RegionValues, ReplayTrace, ReplayedRegion, Stepped,
+    ThreadSnapshot,
+};
 
 /// Synthetic heap range for allocations performed during divergent live
 /// execution (far above anything the recorded run could have produced).
@@ -732,12 +738,11 @@ impl SnapshotArena {
 /// borrowed from the [`SnapshotArena`] and live only for one `run_pair`.
 struct VThread<'a, 's> {
     tid: usize,
-    region: &'a ReplayedRegion,
+    /// The region's recorded values, with the oracle's cursors into them.
+    values: RegionValues<'a>,
     snap: &'s mut ThreadSnapshot,
     /// Absolute thread-local instruction index about to execute.
     instr: u64,
-    access_cursor: usize,
-    sys_cursor: usize,
     racing_index: u64,
     outputs: &'s mut Vec<u64>,
     fault: Option<Fault>,
@@ -753,11 +758,9 @@ impl<'a, 's> VThread<'a, 's> {
     ) -> Self {
         VThread {
             tid: region.region.id.tid,
-            region,
+            values: RegionValues::new(region),
             snap,
             instr: region.region.start_instr,
-            access_cursor: 0,
-            sys_cursor: 0,
             racing_index,
             outputs,
             fault: None,
@@ -782,11 +785,9 @@ impl<'a, 's> VThread<'a, 's> {
         outputs.extend_from_slice(&region.outputs[..cp.outputs_len]);
         VThread {
             tid: region.region.id.tid,
-            region,
+            values: RegionValues { region, access: cp.access_cursor, sys: cp.sys_cursor },
             snap,
             instr: cp.instr,
-            access_cursor: cp.access_cursor,
-            sys_cursor: cp.sys_cursor,
             racing_index,
             outputs,
             fault: None,
@@ -1177,8 +1178,8 @@ fn run_prefix(
             checkpoints.push(Checkpoint {
                 snap: t.snap.clone(),
                 instr: t.instr,
-                access_cursor: t.access_cursor,
-                sys_cursor: t.sys_cursor,
+                access_cursor: t.values.access,
+                sys_cursor: t.values.sys,
                 outputs_len: t.outputs.len(),
                 ops_len: vmem.recorded_len(),
                 done: t.done,
@@ -1193,119 +1194,71 @@ fn run_prefix(
     }
 }
 
-/// Oracle step: re-execute one instruction using the *recorded* access
-/// values, mirroring the main replay exactly (this cannot diverge).
+/// Oracle step: re-executes one instruction with the region's recorded
+/// values (this cannot diverge), mirroring its memory and heap effects into
+/// the virtual memory.
 fn step_oracle(trace: &ReplayTrace, t: &mut VThread<'_, '_>, vmem: &mut VMem<'_>) {
-    let pc = t.snap.pc;
+    let instr_index = t.instr;
     t.instr += 1;
     t.executed += 1;
-    let op = *trace
-        .decoded()
-        .op(pc)
-        .unwrap_or_else(|| panic!("oracle replay left program text at pc {pc}"));
-    let next = pc + 1;
+    let mut oracle = Oracle { values: &mut t.values, outputs: &mut *t.outputs, vmem };
+    let Ok(stepped) = step_recorded(trace.decoded(), t.snap, instr_index, &mut oracle);
+    match stepped {
+        Stepped::Next => {}
+        Stepped::Halted => t.done = true,
+        Stepped::Faulted => panic!("oracle replay re-faulted at pc {}", t.snap.pc),
+    }
+}
 
-    // Pull the next recorded access value for this instruction.
-    let oracle_read = |t: &mut VThread<'_, '_>| -> u64 {
-        let acc = t.region.accesses[t.access_cursor];
-        debug_assert_eq!(acc.kind, AccessKind::Read);
-        t.access_cursor += 1;
-        acc.value
-    };
+/// The oracle phase's source: a region's recorded values, each mirrored
+/// into the virtual memory (or its recorded op stream) as it is read.
+struct Oracle<'t, 'a, 'm> {
+    values: &'t mut RegionValues<'a>,
+    outputs: &'t mut Vec<u64>,
+    vmem: &'t mut VMem<'m>,
+}
 
-    match op {
-        Decoded::MovImm { dst, imm } => {
-            t.set_reg_i(dst, imm);
-            t.snap.pc = next;
+impl Recorded for Oracle<'_, '_, '_> {
+    type Error = Infallible;
+
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64 {
+        let value = self.values.load(instr_index, pc, addr);
+        self.vmem.oracle_copy_in(addr, value); // first-use copy-in
+        value
+    }
+
+    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64) {
+        self.values.store(instr_index, pc, addr, value);
+        self.vmem.oracle_write(addr, value);
+    }
+
+    /// One op per atomic: the write when it stored, else the copy-in of the
+    /// value it read.
+    fn update(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        new: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
+        let old = self.values.load(instr_index, pc, addr);
+        match new(old) {
+            Some(value) => self.store(instr_index, pc, addr, value),
+            None => self.vmem.oracle_copy_in(addr, old),
         }
-        Decoded::Mov { dst, src } => {
-            let v = t.reg_i(src);
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
+        old
+    }
+
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, Infallible> {
+        let ret = self.values.syscall(instr_index, call, arg)?;
+        match call {
+            SysCall::Alloc => self.vmem.oracle_alloc(ret, arg.max(1)),
+            // The recorded free succeeded; mirror it.
+            SysCall::Free => self.vmem.oracle_free(arg),
+            SysCall::Print => self.outputs.push(arg),
+            SysCall::Tid | SysCall::Yield | SysCall::Nop => {}
         }
-        Decoded::Bin { op, dst, lhs, rhs } => {
-            let v = op.apply(t.reg_i(lhs), t.reg_i(rhs)).expect("oracle replay re-faulted");
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
-        }
-        Decoded::BinImm { op, dst, lhs, imm } => {
-            let v = op.apply(t.reg_i(lhs), imm).expect("oracle replay re-faulted");
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
-        }
-        Decoded::Load { dst, base, offset } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let v = oracle_read(t);
-            vmem.oracle_copy_in(addr, v); // first-use copy-in
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
-        }
-        Decoded::Store { src, base, offset } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let v = t.reg_i(src);
-            t.access_cursor += 1;
-            vmem.oracle_write(addr, v);
-            t.snap.pc = next;
-        }
-        Decoded::AtomicRmw { op, dst, base, offset, src } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let old = oracle_read(t);
-            let new = op.apply(old, t.reg_i(src));
-            t.access_cursor += 1; // the write half
-            vmem.oracle_write(addr, new);
-            t.set_reg_i(dst, old);
-            t.snap.pc = next;
-        }
-        Decoded::AtomicCas { dst, base, offset, expected, new } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let old = oracle_read(t);
-            let success = old == t.reg_i(expected);
-            if success {
-                let nv = t.reg_i(new);
-                t.access_cursor += 1;
-                vmem.oracle_write(addr, nv);
-            } else {
-                vmem.oracle_copy_in(addr, old);
-            }
-            t.set_reg_i(dst, u64::from(success));
-            t.snap.pc = next;
-        }
-        Decoded::Fence => t.snap.pc = next,
-        Decoded::Jump { target } => t.snap.pc = target as usize,
-        Decoded::Branch { cond, lhs, rhs, target } => {
-            t.snap.pc = if cond.eval(t.reg_i(lhs), t.reg_i(rhs)) { target as usize } else { next };
-        }
-        Decoded::Call { target } => {
-            t.snap.call_stack.push(next);
-            t.snap.pc = target as usize;
-        }
-        Decoded::Ret => {
-            let ret = t.snap.call_stack.pop().expect("oracle replay re-faulted on ret");
-            t.snap.pc = ret;
-        }
-        Decoded::Syscall { call } => {
-            let sys = t.region.syscalls[t.sys_cursor];
-            t.sys_cursor += 1;
-            debug_assert_eq!(sys.call, call);
-            match call {
-                SysCall::Alloc => {
-                    let size = t.reg(Reg::R0).max(1);
-                    vmem.oracle_alloc(sys.ret, size);
-                }
-                SysCall::Free => {
-                    let base = t.reg(Reg::R0);
-                    // The recorded free succeeded; mirror it.
-                    vmem.oracle_free(base);
-                }
-                SysCall::Print => t.outputs.push(t.reg(Reg::R0)),
-                SysCall::Tid | SysCall::Yield | SysCall::Nop => {}
-            }
-            t.set_reg(Reg::R0, sys.ret);
-            t.snap.pc = next;
-        }
-        Decoded::Halt => {
-            t.done = true;
-        }
+        Ok(ret)
     }
 }
 
@@ -1423,10 +1376,10 @@ fn step_live(
             // Re-use the recorded result when the recorded syscall stream is
             // still aligned (same call kind at the cursor); otherwise the
             // execution has diverged and results are synthesized.
-            let recorded =
-                t.region.syscalls.get(t.sys_cursor).filter(|s| s.call == call).map(|s| s.ret);
+            let v = &mut t.values;
+            let recorded = v.region.syscalls.get(v.sys).filter(|s| s.call == call).map(|s| s.ret);
             if recorded.is_some() {
-                t.sys_cursor += 1;
+                v.sys += 1;
             }
             let ret = match call {
                 SysCall::Alloc => {

@@ -21,10 +21,10 @@ use replay_race::classify::{
 };
 use replay_race::detect::{DetectorConfig, StaticRaceId};
 use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
-use replay_race::static_feed::{classify_static_warnings, StaticConfusion};
 use replay_race::InstanceOutcome;
 
 use crate::corpus::{corpus_executions, corpus_manifest, corpus_program};
+use crate::static_feed::{classify_static_warnings, StaticConfusion};
 use crate::truth::{BenignCategory, TrueVerdict, TruthTable};
 
 /// Per-execution summary kept for reporting.

@@ -20,12 +20,20 @@
 //! * [`eval`] runs the pipeline over the corpus and joins the results with
 //!   the manifests to regenerate Table 1, Table 2, and Figures 3–5;
 //! * [`browser`] is the Internet-Explorer stand-in used for the §5.1
-//!   overhead and log-size study.
+//!   overhead and log-size study;
+//! * [`baselines`] holds the classic online detectors the paper compares
+//!   against (vector-clock happens-before, the Eraser lockset algorithm,
+//!   and their hybrid), and [`lockset_feed`] and [`static_feed`] feed
+//!   lockset and static warnings through the replay classifier for the
+//!   ablations.
 
+pub mod baselines;
 pub mod browser;
 pub mod corpus;
 pub mod eval;
+pub mod lockset_feed;
 pub mod patterns;
+pub mod static_feed;
 pub mod truth;
 
 pub use corpus::{corpus_executions, corpus_manifest, corpus_program, Execution};

@@ -3,11 +3,15 @@
 //! time-travel facility over pipeline traces.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use idna_replay::timetravel::TimeTraveler;
+use idna_replay::recorder::record;
+use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{ClassifierConfig, OutcomeGroup, Verdict};
 use replay_race::pipeline::{run_pipeline, PipelineConfig};
+use tvm::isa::Instr;
+use tvm::program::Program;
 use tvm::scheduler::RunConfig;
 use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
@@ -84,25 +88,43 @@ fn permissive_control_flow_fixes_the_replayer_limitation_races() {
 
 #[test]
 fn time_travel_reconstructs_states_along_a_pipeline_trace() {
-    let program = browser_program(&BrowserConfig { fetchers: 2, parsers: 1, jobs: 4, work: 8 });
-    let result = run_pipeline(
-        &program,
-        &PipelineConfig::new(RunConfig::round_robin(4).with_max_steps(10_000_000)),
-    )
-    .expect("pipeline");
-    let tt = TimeTraveler::new(&result.trace);
-    // Walk backwards through the first thread's execution; every state must
-    // be reconstructible.
-    let last_region = result
-        .trace
-        .regions()
-        .iter()
-        .rfind(|r| r.region.id.tid == 0)
-        .expect("thread 0 has regions");
-    let end = last_region.region.end_instr;
-    for back in 1..=end.min(10) {
-        assert!(tt.state_before(0, end - back).is_some(), "state {} steps back must exist", back);
+    // Every corpus execution on its own schedule, plus the paper-scale
+    // browser: time travel to each recorded access must land on that
+    // access's instruction, with registers that address it (and, for a
+    // store, hold the value it wrote).
+    let mut runs: Vec<(Arc<Program>, RunConfig)> = corpus_executions()
+        .into_iter()
+        .map(|e| (corpus_program(&e.enabled.iter().copied().collect()), e.schedule))
+        .collect();
+    runs.push((
+        browser_program(&BrowserConfig::default()),
+        RunConfig::chunked(5, 1, 8).with_max_steps(10_000_000),
+    ));
+    let mut checked = 0usize;
+    for (program, schedule) in &runs {
+        let trace = replay(program, &record(program, schedule).log).expect("replay");
+        for region in trace.regions() {
+            let tid = region.region.id.tid;
+            for acc in &region.accesses {
+                let at = format!("t{tid} instruction {}", acc.instr_index);
+                let state = trace.state_before(tid, acc.instr_index).expect(&at);
+                assert_eq!(state.pc, acc.pc, "{at}");
+                let (base, offset, stored) = match *program.instr(acc.pc).expect(&at) {
+                    Instr::Store { src, base, offset } => (base, offset, Some(src)),
+                    Instr::Load { base, offset, .. }
+                    | Instr::AtomicRmw { base, offset, .. }
+                    | Instr::AtomicCas { base, offset, .. } => (base, offset, None),
+                    other => panic!("{at}: {other} does not access memory"),
+                };
+                assert_eq!(state.reg(base).wrapping_add(offset as u64), acc.addr, "{at}");
+                if let Some(src) = stored {
+                    assert_eq!(state.reg(src), acc.value, "{at}");
+                }
+                checked += 1;
+            }
+        }
     }
+    assert!(checked > 1_000, "only {checked} accesses checked");
 }
 
 #[test]

@@ -14,10 +14,10 @@ use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
 use replay_race::detect::{detect_races, DetectorConfig};
-use replay_race::static_feed::classify_static_warnings;
 use tvm::scheduler::RunConfig;
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::eval::run_static_eval;
+use workloads::static_feed::classify_static_warnings;
 
 /// An alternate schedule that differs from the execution's pinned one, so
 /// each pattern is exercised under two genuinely different interleavings.
