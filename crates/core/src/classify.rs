@@ -21,26 +21,31 @@
 //! overhead), and every replay is independent: a [`Vproc`] is a read-only
 //! view of the trace. The engine therefore
 //!
-//! 1. **plans** the replays sequentially (a deterministic walk over
-//!    `detected.by_static`, two jobs per analyzed instance),
-//! 2. **executes** the planned replays on [`ClassifierConfig::jobs`] worker
-//!    threads pulling from a shared cursor — grouped by `(region_a,
-//!    region_b, order)` under [`BatchMode::Shared`] so each group runs its
-//!    common oracle prefix once ([`Vproc::run_batch`]) — and
-//! 3. **assembles** the per-race outcomes sequentially, in the same order
-//!    the single-threaded classifier used.
+//! 1. **plans** the analyzed instances sequentially (a deterministic walk
+//!    over `detected.by_static`) and groups them into *units*: every
+//!    instance on one racing region pair under [`BatchMode::Shared`], one
+//!    instance under [`BatchMode::Off`];
+//! 2. **resolves** the units in one worker loop, inline at
+//!    [`ClassifierConfig::jobs`] 1 and on scoped threads otherwise: a
+//!    worker pulls a unit from a shared cursor, replays each order of it
+//!    with one [`Vproc::run_batch`] call, and resolves every instance where
+//!    it replayed;
+//! 3. **assembles** the per-race outcomes sequentially, folding the
+//!    resolved instances in plan order.
 //!
 //! Because which replays run — and what each returns — is fixed during
 //! planning, the result is bit-for-bit identical at any job count, batched
 //! or not.
 //!
-//! Assembly keeps the two live-outs of each race's first exposing
-//! instance when it is State-Change ([`ClassifiedRace::exposing_live_outs`]),
-//! so the report renders the difference without replaying anything.
+//! A worker drops each instance's live-outs once it is resolved, except
+//! for a race's first exposing instance in the unit; assembly keeps the
+//! pair of each race's first exposing instance when it is State-Change
+//! ([`ClassifiedRace::exposing_live_outs`]), so the report renders the
+//! difference without replaying anything.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use tvm::fasthash::FastHashMap;
 
@@ -169,15 +174,17 @@ impl ClassifiedRace {
     }
 }
 
-/// Whether planned replays sharing a region pair run through the
-/// shared-prefix batch engine ([`Vproc::run_batch`]).
+/// Whether planned instances sharing a racing region pair replay together
+/// through the shared-prefix batch engine ([`Vproc::run_batch`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Every planned replay runs individually through [`Vproc::run_pair`].
+    /// Every planned instance is a unit of its own: each order replays
+    /// individually (a one-pair [`Vproc::run_batch`] is a
+    /// [`Vproc::run_pair`]).
     Off,
-    /// Planned replays are grouped by canonical `(region_a, region_b,
-    /// order)` key during the planner's sequential walk; each group
-    /// executes its common oracle prefix once and forks per pair. The
+    /// Planned instances are grouped by racing region pair during the
+    /// planner's sequential walk; each group replays once per order,
+    /// executing its common oracle prefix once and forking per pair. The
     /// classification is byte-identical to `Off` at any job count (pinned
     /// by `tests/batch_equiv.rs`); only the cost changes.
     #[default]
@@ -338,10 +345,13 @@ pub struct ClassificationResult {
     /// Virtual-processor replays executed: two per analyzed instance, the
     /// cost metric of the overhead experiment.
     pub vproc_replays: u64,
-    /// Shared-prefix batch-engine counters: batches formed, pairs forked
-    /// from checkpoints, oracle instructions saved, live-in index hits.
-    /// All zero under [`BatchMode::Off`] except the prefix-execution and
-    /// index-hit counters, which the unbatched engine also feeds.
+    /// Shared-prefix batch-engine counters, summed over every worker's
+    /// [`Vproc`]: multi-pair batches run (at most one per order of each
+    /// unit), pairs forked from checkpoints, prefix executions, oracle
+    /// instructions saved, live-in index hits. All zero under
+    /// [`BatchMode::Off`] except the prefix-execution and index-hit
+    /// counters, which the unbatched engine also feeds. The CLI's stats
+    /// block, `--replay-stats` and the benches all read the counters here.
     pub batch_stats: BatchStats,
     /// Races recorded benign on static authority alone (zero replays),
     /// under the [`TrustStatic`] skip tiers (`skip-benign` idiom
@@ -426,116 +436,105 @@ pub fn classify_instance(vproc: &Vproc<'_>, instance: &RaceInstance) -> Classifi
     combine_outcomes(vproc.trace(), instance, &fwd, &rev)
 }
 
-/// One planned replay: the sites and order to feed [`Vproc::run_pair`].
-#[derive(Copy, Clone, Debug)]
-struct ReplayJob {
-    a: AccessSite,
-    b: AccessSite,
-    order: PairOrder,
-}
+/// One planned instance resolved where it replayed, with the two live-outs
+/// kept when it is the first exposing instance of its race in its unit and
+/// is State-Change.
+type Resolved = (ClassifiedInstance, Option<Box<[PairLiveOut; 2]>>);
 
-/// One batch of planned replays sharing a `(region_a, region_b, order)`
-/// key: indices into the job list, in plan order.
-struct Batch {
-    order: PairOrder,
-    jobs: Vec<usize>,
-}
-
-/// Groups the planned jobs by canonical batch key, preserving the
-/// planner's sequential walk: batches appear in first-job order and each
-/// batch's jobs stay in plan order, so the grouping — like everything else
-/// in the plan — is deterministic.
-fn form_batches(jobs: &[ReplayJob]) -> Vec<Batch> {
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut index: FastHashMap<(RegionId, RegionId, bool), usize> = FastHashMap::default();
-    for (i, job) in jobs.iter().enumerate() {
-        let key = (job.a.region, job.b.region, job.order == PairOrder::AThenB);
-        match index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                batches[*hit.get()].jobs.push(i);
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                miss.insert(batches.len());
-                batches.push(Batch { order: job.order, jobs: vec![i] });
-            }
-        }
+/// Groups the planned instances into units of replay work: indices into
+/// `planned`, in plan order within each unit. Under [`BatchMode::Shared`] a
+/// unit is every instance on one racing region pair, and units appear in
+/// first-instance order; under [`BatchMode::Off`] every instance is a unit
+/// of its own. The grouping, like everything else in the plan, is
+/// deterministic.
+fn form_units(planned: &[(usize, RaceInstance)], batching: BatchMode) -> Vec<Vec<usize>> {
+    if batching == BatchMode::Off {
+        return (0..planned.len()).map(|i| vec![i]).collect();
     }
-    batches
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut index: FastHashMap<(RegionId, RegionId), usize> = FastHashMap::default();
+    for (i, (_, instance)) in planned.iter().enumerate() {
+        let unit = *index.entry((instance.a.region, instance.b.region)).or_insert_with(|| {
+            units.push(Vec::new());
+            units.len() - 1
+        });
+        units[unit].push(i);
+    }
+    units
 }
 
-/// Executes the planned replays on `workers` threads (inline when 1). Each
-/// job lands in its own slot, so the output order — and therefore the
-/// classification — is independent of scheduling. With `batches`, workers
-/// pull whole batches through [`Vproc::run_batch`] instead of single jobs;
-/// per-slot results are identical either way. Also returns the summed
-/// batch-engine counters of every worker (u64 addition commutes, so the
-/// totals are deterministic too).
-fn run_jobs(
+/// Replays both orders of one unit, one [`Vproc::run_batch`] call per
+/// order, and resolves each instance on the spot. A unit's instances are
+/// in plan order, so a race's instances in it are contiguous; the live-outs
+/// are kept only for each race's first exposing instance in the unit, and
+/// only when that instance is State-Change.
+fn run_unit(
+    vproc: &Vproc<'_>,
+    planned: &[(usize, RaceInstance)],
+    unit: &[usize],
+    pairs: &mut Vec<(AccessSite, AccessSite)>,
+) -> Vec<Resolved> {
+    pairs.clear();
+    pairs.extend(unit.iter().map(|&i| (planned[i].1.a, planned[i].1.b)));
+    let [fwd, rev] = PairOrder::BOTH.map(|order| vproc.run_batch(pairs, order));
+    let mut exposed_race = None;
+    unit.iter()
+        .zip(fwd.into_iter().zip(rev))
+        .map(|(&i, (x, y))| {
+            let (race, instance) = &planned[i];
+            let ci = combine_outcomes(vproc.trace(), instance, &x, &y);
+            let mut kept = None;
+            if ci.outcome.is_harmful_signal() && exposed_race != Some(*race) {
+                exposed_race = Some(*race);
+                if let (InstanceOutcome::StateChange, Ok(x), Ok(y)) = (ci.outcome, x, y) {
+                    kept = Some(Box::new([x, y]));
+                }
+            }
+            (ci, kept)
+        })
+        .collect()
+}
+
+/// Runs every unit on `workers` threads (inline when 1): one loop, in
+/// which a worker owns a [`Vproc`], pulls units from a shared cursor and
+/// writes each resolved instance into its plan-index slot, so the output
+/// order — and therefore the classification — is independent of
+/// scheduling. Also returns the summed batch-engine counters of every
+/// worker (u64 addition commutes, so the totals are deterministic too).
+fn run_units(
     trace: &ReplayTrace,
     vproc_config: VprocConfig,
-    jobs: &[ReplayJob],
-    batches: Option<&[Batch]>,
+    planned: &[(usize, RaceInstance)],
+    units: &[Vec<usize>],
     workers: usize,
-) -> (Vec<Result<PairLiveOut, ReplayFailure>>, BatchStats) {
-    if workers <= 1 || jobs.len() <= 1 {
-        let vproc = Vproc::new(trace, vproc_config);
-        let outcomes = match batches {
-            Some(batches) => {
-                let mut slots: Vec<Option<Result<PairLiveOut, ReplayFailure>>> =
-                    jobs.iter().map(|_| None).collect();
-                let mut pairs: Vec<(AccessSite, AccessSite)> = Vec::new();
-                for batch in batches {
-                    pairs.clear();
-                    pairs.extend(batch.jobs.iter().map(|&j| (jobs[j].a, jobs[j].b)));
-                    for (&j, out) in batch.jobs.iter().zip(vproc.run_batch(&pairs, batch.order)) {
-                        slots[j] = Some(out);
-                    }
-                }
-                slots.into_iter().map(|s| s.expect("every job is in a batch")).collect()
-            }
-            None => jobs.iter().map(|j| vproc.run_pair(&j.a, &j.b, j.order)).collect(),
-        };
-        return (outcomes, vproc.take_stats());
-    }
-    let slots: Vec<OnceLock<Result<PairLiveOut, ReplayFailure>>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
+) -> (Vec<Resolved>, BatchStats) {
+    let slots: Vec<OnceLock<Resolved>> = planned.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
-    let stats = Mutex::new(BatchStats::default());
-    let units = batches.map_or(jobs.len(), <[Batch]>::len);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(units) {
-            scope.spawn(|| {
-                let vproc = Vproc::new(trace, vproc_config);
-                match batches {
-                    Some(batches) => {
-                        let mut pairs: Vec<(AccessSite, AccessSite)> = Vec::new();
-                        loop {
-                            let bi = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(batch) = batches.get(bi) else { break };
-                            pairs.clear();
-                            pairs.extend(batch.jobs.iter().map(|&j| (jobs[j].a, jobs[j].b)));
-                            let outs = vproc.run_batch(&pairs, batch.order);
-                            for (&j, out) in batch.jobs.iter().zip(outs) {
-                                slots[j].set(out).expect("each job index is claimed once");
-                            }
-                        }
-                    }
-                    None => loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let out = vproc.run_pair(&job.a, &job.b, job.order);
-                        slots[i].set(out).expect("each job index is claimed once");
-                    },
-                }
-                stats.lock().unwrap().absorb(vproc.take_stats());
-            });
+    let work = || {
+        let vproc = Vproc::new(trace, vproc_config);
+        let mut pairs = Vec::new();
+        while let Some(unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            for (&i, resolved) in unit.iter().zip(run_unit(&vproc, planned, unit, &mut pairs)) {
+                slots[i].set(resolved).expect("each plan index is in one unit");
+            }
         }
-    });
-    let outcomes = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("scope joined all workers"))
-        .collect();
-    (outcomes, stats.into_inner().unwrap())
+        vproc.take_stats()
+    };
+    let stats = if workers <= 1 || units.len() <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..workers.min(units.len())).map(|_| scope.spawn(work)).collect();
+            let mut stats = BatchStats::default();
+            for handle in handles {
+                stats.absorb(handle.join().expect("a classifier worker panicked"));
+            }
+            stats
+        })
+    };
+    let resolved = slots.into_iter().map(|slot| slot.into_inner().expect("every unit ran"));
+    (resolved.collect(), stats)
 }
 
 /// Converts a [`racecheck`] analysis's per-warning predictions (idiom
@@ -576,62 +575,52 @@ pub fn classify_races_with(
 ) -> ClassificationResult {
     let mut result = ClassificationResult::default();
 
-    // Phase 1: plan. A sequential walk fixes which replays run — both
-    // orders of every analyzed instance, side by side — so the outcome
-    // cannot depend on worker scheduling. A race a trust tier skips plans
-    // no instance and so assembles as No-State-Change.
-    let mut jobs: Vec<ReplayJob> = Vec::new();
-    let mut plan: Vec<(StaticRaceId, usize, Vec<RaceInstance>)> = Vec::new();
+    // Phase 1: plan. A sequential walk fixes which instances replay, so
+    // the outcome cannot depend on worker scheduling. A race's planned
+    // instances are contiguous; a race a trust tier skips plans none and
+    // so assembles as No-State-Change.
+    let mut planned: Vec<(usize, RaceInstance)> = Vec::new();
+    let mut races: Vec<(StaticRaceId, usize, usize)> = Vec::new();
     for (&id, indices) in &detected.by_static {
         let skipped = predictions
             .and_then(|m| m.get(&id))
             .is_some_and(|p| p.skips_under(config.trust_static));
         result.static_skipped_races += u64::from(skipped);
         let budget = if skipped { 0 } else { config.max_instances_per_race };
-        let instances: Vec<RaceInstance> =
-            indices.iter().take(budget).map(|&idx| detected.instances[idx]).collect();
-        for instance in &instances {
-            jobs.extend(PairOrder::BOTH.map(|order| ReplayJob {
-                a: instance.a,
-                b: instance.b,
-                order,
-            }));
-        }
-        plan.push((id, indices.len(), instances));
+        let race = races.len();
+        let before = planned.len();
+        planned.extend(indices.iter().take(budget).map(|&idx| (race, detected.instances[idx])));
+        races.push((id, indices.len(), planned.len() - before));
     }
 
-    // Phase 2: execute every planned replay, batched by region pair when
-    // batching is on.
-    let batches = (config.batching == BatchMode::Shared).then(|| form_batches(&jobs));
-    let (outcomes, batch_stats) =
-        run_jobs(trace, config.vproc, &jobs, batches.as_deref(), config.effective_jobs());
-    result.vproc_replays = jobs.len() as u64;
+    // Phase 2: replay both orders of every unit and resolve its instances
+    // where they replayed.
+    let units = form_units(&planned, config.batching);
+    let (resolved, batch_stats) =
+        run_units(trace, config.vproc, &planned, &units, config.effective_jobs());
+    result.vproc_replays = 2 * planned.len() as u64;
     result.batch_stats = batch_stats;
 
-    // Phase 3: assemble, sequentially and in static-id order, consuming
-    // each instance's two outcomes in plan order. The first exposing
-    // instance's live-outs move into the race when it is State-Change.
-    let mut outcomes = outcomes.into_iter();
-    for (id, detected_count, instances) in plan {
-        let mut counts = InstanceCounts { detected: detected_count, ..InstanceCounts::default() };
-        let mut classified = Vec::with_capacity(instances.len());
+    // Phase 3: assemble, sequentially and in static-id order, folding the
+    // resolved instances in plan order. The race's first exposing instance
+    // is also its first in its unit, so its live-outs were kept when it is
+    // State-Change.
+    let mut resolved = resolved.into_iter();
+    for (id, detected_count, analyzed) in races {
+        let mut counts =
+            InstanceCounts { detected: detected_count, analyzed, ..InstanceCounts::default() };
+        let mut instances = Vec::with_capacity(analyzed);
         let mut exposing_live_outs = None;
-        for instance in instances {
-            let fwd = outcomes.next().expect("two planned outcomes per instance");
-            let rev = outcomes.next().expect("two planned outcomes per instance");
-            let ci = combine_outcomes(trace, &instance, &fwd, &rev);
-            if ci.outcome == InstanceOutcome::StateChange && counts.exposing() == 0 {
-                if let (Ok(x), Ok(y)) = (fwd, rev) {
-                    exposing_live_outs = Some(Box::new([x, y]));
-                }
+        for (ci, kept) in resolved.by_ref().take(analyzed) {
+            if ci.outcome.is_harmful_signal() && counts.exposing() == 0 {
+                exposing_live_outs = kept;
             }
-            counts.analyzed += 1;
             match ci.outcome {
                 InstanceOutcome::NoStateChange => counts.no_state_change += 1,
                 InstanceOutcome::StateChange => counts.state_change += 1,
                 InstanceOutcome::ReplayFailure(_) => counts.replay_failure += 1,
             }
-            classified.push(ci);
+            instances.push(ci);
         }
         let group = counts.group();
         let race = ClassifiedRace {
@@ -639,7 +628,7 @@ pub fn classify_races_with(
             group,
             verdict: group.verdict(),
             counts,
-            instances: classified,
+            instances,
             exposing_live_outs,
         };
         if race_touches_log_damage(&race) {
@@ -1069,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_group_by_region_pair_and_order_in_plan_order() {
+    fn units_group_by_region_pair_in_plan_order() {
         let site = |tid: usize, index: usize, instr: u64| AccessSite {
             region: RegionId { tid, index },
             instr_index: instr,
@@ -1077,19 +1066,16 @@ mod tests {
             addr: 0x20,
             kind: tvm::exec::AccessKind::Write,
         };
-        let jobs = vec![
-            ReplayJob { a: site(0, 0, 1), b: site(1, 0, 1), order: PairOrder::AThenB },
-            ReplayJob { a: site(0, 0, 1), b: site(1, 0, 1), order: PairOrder::BThenA },
-            ReplayJob { a: site(0, 0, 2), b: site(1, 0, 3), order: PairOrder::AThenB },
-            ReplayJob { a: site(0, 1, 9), b: site(1, 0, 1), order: PairOrder::AThenB },
+        let planned = vec![
+            (0, RaceInstance { a: site(0, 0, 1), b: site(1, 0, 1) }),
+            (0, RaceInstance { a: site(0, 1, 9), b: site(1, 0, 1) }),
+            (1, RaceInstance { a: site(0, 0, 2), b: site(1, 0, 3) }),
+            (2, RaceInstance { a: site(0, 1, 4), b: site(1, 0, 2) }),
         ];
-        let batches = form_batches(&jobs);
-        assert_eq!(batches.len(), 3, "two orders split, distinct region pairs split");
-        assert_eq!(batches[0].jobs, vec![0, 2], "same region pair + order share a batch");
-        assert_eq!(batches[1].jobs, vec![1]);
-        assert_eq!(batches[2].jobs, vec![3]);
-        assert_eq!(batches[0].order, PairOrder::AThenB);
-        assert_eq!(batches[1].order, PairOrder::BThenA);
+        let units = form_units(&planned, BatchMode::Shared);
+        assert_eq!(units, vec![vec![0, 2], vec![1, 3]], "one unit per region pair, plan order");
+        let singletons = form_units(&planned, BatchMode::Off);
+        assert_eq!(singletons, vec![vec![0], vec![1], vec![2], vec![3]], "Off: one per instance");
     }
 
     #[test]

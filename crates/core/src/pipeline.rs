@@ -29,7 +29,6 @@ use crate::classify::{
 };
 use crate::detect::{detect_races, DetectedRaces, DetectorConfig, StaticRaceId};
 use crate::report::Report;
-use idna_replay::vproc::BatchStats;
 
 /// Pipeline options.
 #[derive(Clone, Debug)]
@@ -77,8 +76,6 @@ pub struct PhaseTimings {
     pub classify: Duration,
     /// Building the developer report ([`Report::build`]).
     pub report: Duration,
-    /// Shared-prefix batch-engine counters for the classify phase.
-    pub batching: BatchStats,
 }
 
 impl PhaseTimings {
@@ -196,8 +193,9 @@ pub struct LogAnalysis {
     pub classification: ClassificationResult,
     /// The developer-facing report.
     pub report: Report,
-    /// Replay, detect, classify and report times, and the batching
-    /// counters; `native` and `record` stay zero.
+    /// Replay, detect, classify and report times; `native` and `record`
+    /// stay zero. The batching counters are in
+    /// [`ClassificationResult::batch_stats`].
     pub timings: PhaseTimings,
 }
 
@@ -255,7 +253,6 @@ pub fn analyze_log(
     let start = Instant::now();
     let classification = classify_races_with(&trace, &detected, classifier, predictions);
     timings.classify = start.elapsed();
-    timings.batching = classification.batch_stats;
 
     let start = Instant::now();
     let report = Report::build(&trace, &classification);

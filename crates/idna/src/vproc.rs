@@ -32,11 +32,11 @@
 //! pair by resuming phases 2–3 from the nearest checkpoint. Memory state is
 //! forked with an undo log — the virtual memory journals every touched
 //! word and rolls back after each pair instead of deep-copying — and
-//! live-in fetches go through the trace's materialized
-//! [`LiveInIndex`](crate::image::LiveInIndex) (one binary search) rather
-//! than a versioned-memory history scan. The batch engine is bit-for-bit
-//! equivalent to looping [`Vproc::run_pair`]; `tests/batch_equiv.rs` in the
-//! workspace root pins that. Work saved is accounted in [`BatchStats`].
+//! live-in fetches go through the trace's materialized [`LiveInIndex`]
+//! (one binary search) rather than a versioned-memory history scan. The
+//! batch engine is bit-for-bit equivalent to looping [`Vproc::run_pair`];
+//! `tests/batch_equiv.rs` in the workspace root pins that. Work saved is
+//! accounted in [`BatchStats`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -211,7 +211,7 @@ pub struct BatchStats {
     /// batch actually ran.
     pub prefix_instrs_saved: u64,
     /// Live-in fetches answered by the materialized per-region
-    /// [`LiveInIndex`](crate::image::LiveInIndex).
+    /// [`LiveInIndex`].
     pub live_in_index_hits: u64,
 }
 
@@ -227,13 +227,11 @@ impl BatchStats {
 }
 
 /// The live-out of one thread after its region finished in the virtual
-/// processor.
-///
-/// Equality deliberately covers architectural state (registers, pc, call
-/// stack), faults, and output — but **not** `instrs_executed`: two
-/// interleavings that converge to the same state after different spin
-/// counts are the *same result* in the paper's sense.
-#[derive(Clone, Debug)]
+/// processor: architectural state (registers, pc, call stack), fault, and
+/// output. It holds no step count, so two interleavings that converge to
+/// the same state after different spin counts are the *same result* in
+/// the paper's sense.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreadLiveOut {
     pub tid: usize,
     pub regs: [u64; tvm::isa::NUM_REGS],
@@ -241,23 +239,7 @@ pub struct ThreadLiveOut {
     pub call_stack: Vec<usize>,
     pub fault: Option<Fault>,
     pub outputs: Vec<u64>,
-    /// Instructions executed in the virtual processor (metadata, excluded
-    /// from equality).
-    pub instrs_executed: u64,
 }
-
-impl PartialEq for ThreadLiveOut {
-    fn eq(&self, other: &Self) -> bool {
-        self.tid == other.tid
-            && self.regs == other.regs
-            && self.pc == other.pc
-            && self.call_stack == other.call_stack
-            && self.fault == other.fault
-            && self.outputs == other.outputs
-    }
-}
-
-impl Eq for ThreadLiveOut {}
 
 /// The complete live-out of a dual-region replay: both threads'
 /// architectural state plus the memory and heap effects.
@@ -673,7 +655,6 @@ struct Checkpoint {
     /// memory effect up to the checkpoint.
     ops_len: usize,
     done: bool,
-    executed: u64,
 }
 
 /// Reusable per-[`Vproc`] working state — the pooled scratch behind both
@@ -741,13 +722,13 @@ struct VThread<'a, 's> {
     /// The region's recorded values, with the oracle's cursors into them.
     values: RegionValues<'a>,
     snap: &'s mut ThreadSnapshot,
-    /// Absolute thread-local instruction index about to execute.
+    /// Absolute thread-local instruction index about to execute. Only the
+    /// oracle phase reads it, so only the oracle step advances it.
     instr: u64,
     racing_index: u64,
     outputs: &'s mut Vec<u64>,
     fault: Option<Fault>,
     done: bool,
-    executed: u64,
 }
 
 impl<'a, 's> VThread<'a, 's> {
@@ -765,7 +746,6 @@ impl<'a, 's> VThread<'a, 's> {
             outputs,
             fault: None,
             done: false,
-            executed: 0,
         }
     }
 
@@ -792,7 +772,6 @@ impl<'a, 's> VThread<'a, 's> {
             outputs,
             fault: None,
             done: cp.done,
-            executed: cp.executed,
         }
     }
 
@@ -822,7 +801,6 @@ impl<'a, 's> VThread<'a, 's> {
             call_stack: self.snap.call_stack.clone(),
             fault: self.fault,
             outputs: self.outputs.clone(),
-            instrs_executed: self.executed,
         }
     }
 }
@@ -1183,7 +1161,6 @@ fn run_prefix(
                 outputs_len: t.outputs.len(),
                 ops_len: vmem.recorded_len(),
                 done: t.done,
-                executed: t.executed,
             });
             si += 1;
         }
@@ -1200,7 +1177,6 @@ fn run_prefix(
 fn step_oracle(trace: &ReplayTrace, t: &mut VThread<'_, '_>, vmem: &mut VMem<'_>) {
     let instr_index = t.instr;
     t.instr += 1;
-    t.executed += 1;
     let mut oracle = Oracle { values: &mut t.values, outputs: &mut *t.outputs, vmem };
     let Ok(stepped) = step_recorded(trace.decoded(), t.snap, instr_index, &mut oracle);
     match stepped {
@@ -1278,8 +1254,6 @@ fn step_live(
         t.done = true;
         return Ok(());
     };
-    t.instr += 1;
-    t.executed += 1;
     let next = pc + 1;
 
     let fault = |t: &mut VThread<'_, '_>, f: Fault| {

@@ -1,7 +1,7 @@
 //! Static race analysis for `tvm` programs.
 //!
 //! `racecheck` is the zero-execution front half of the replay-race
-//! pipeline: it builds a per-thread CFG ([`cfg`]), abstractly interprets
+//! pipeline: it builds a per-thread CFG ([`mod@cfg`]), abstractly interprets
 //! each thread to resolve memory addresses and track spin-lock ownership
 //! ([`domain`], [`absint`]), and cross-products the per-thread access
 //! summaries into *statically-may-race* candidate pairs ([`analysis`]).

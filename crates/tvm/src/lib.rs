@@ -35,7 +35,6 @@
 
 pub mod asm;
 pub mod builder;
-pub mod encode;
 pub mod exec;
 pub mod fasthash;
 pub mod isa;

@@ -183,23 +183,6 @@ fn safe_programs_complete() {
     }
 }
 
-/// The binary instruction encoding round-trips arbitrary instruction
-/// streams (branch targets included).
-#[test]
-fn machine_code_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(0xD8_0000 + case);
-        let bodies = gen_bodies(&mut rng, 3, 0, 29);
-        let mut instrs: Vec<Instr> = bodies.concat();
-        for _ in 0..rng.next_below(8) {
-            instrs.push(Instr::Jump { target: rng.next_below(1 << 32) as usize });
-        }
-        let words = tvm::encode::encode_program(&instrs);
-        let back = tvm::encode::decode_program(&words).unwrap();
-        assert_eq!(instrs, back, "case {case}");
-    }
-}
-
 /// Sequencer timestamps across any execution are unique and strictly
 /// increasing in observation order.
 #[test]

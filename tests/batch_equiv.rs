@@ -3,7 +3,9 @@
 //! population of generated programs, classifying with
 //! [`BatchMode::Shared`] is bit-for-bit identical to the unbatched
 //! engine at any job count — same races, same outcomes, same replay
-//! accounting. Batching may only change *cost*, never results.
+//! accounting. Batching may only change *cost*, never results. The corpus
+//! matrix also checks each race's kept live-outs against replays made
+//! outside the engine.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -11,8 +13,9 @@ use std::sync::Arc;
 use bench::genprog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
+use idna_replay::vproc::{PairOrder, Vproc};
 use replay_race::classify::{
-    classify_races_with, BatchMode, ClassificationResult, ClassifierConfig,
+    classify_races_with, BatchMode, ClassificationResult, ClassifierConfig, InstanceOutcome,
 };
 use replay_race::detect::{detect_races, DetectedRaces, DetectorConfig};
 use tvm::rng::SplitMix64;
@@ -48,6 +51,26 @@ fn assert_identical(a: &ClassificationResult, b: &ClassificationResult, what: &s
     assert_eq!(a.log_damaged_races, b.log_damaged_races, "{what}: damage accounting differs");
 }
 
+/// Checks every race's kept live-outs against replays made outside the
+/// engine: when the first exposing instance is State-Change they are its
+/// two orders as a fresh [`Vproc`] replays them, and otherwise there are
+/// none.
+fn assert_kept_live_outs_replay(trace: &ReplayTrace, result: &ClassificationResult, what: &str) {
+    let vproc = Vproc::new(trace, ClassifierConfig::default().vproc);
+    for (id, race) in &result.races {
+        let kept = race.exposing_live_outs.as_deref();
+        match race.first_exposing_instance() {
+            Some(ci) if ci.outcome == InstanceOutcome::StateChange => {
+                let (a, b) = (&ci.instance.a, &ci.instance.b);
+                let fwd = vproc.run_pair(a, b, PairOrder::AThenB).expect("State-Change replays");
+                let rev = vproc.run_pair(a, b, PairOrder::BThenA).expect("State-Change replays");
+                assert_eq!(kept, Some(&[fwd, rev]), "{what}: {id} kept the wrong live-outs");
+            }
+            _ => assert_eq!(kept, None, "{what}: {id} kept live-outs it does not expose"),
+        }
+    }
+}
+
 /// The schedules the corpus matrix runs under (mirrors
 /// `classify_determinism`): one deterministic round-robin and one
 /// chunked-random interleaving.
@@ -66,10 +89,12 @@ fn every_pattern_classifies_identically_batched_and_unbatched() {
             let unbatched = classify_with(&trace, &detected, 1, BatchMode::Off);
             assert_eq!(unbatched.batch_stats.batches, 0, "{id}: Off must not batch");
             assert_eq!(unbatched.batch_stats.forks, 0, "{id}: Off must not fork");
+            assert_kept_live_outs_replay(&trace, &unbatched, &format!("{id} unbatched"));
             let mut counters = Vec::new();
             for jobs in [1, 2, 0] {
                 let batched = classify_with(&trace, &detected, jobs, BatchMode::Shared);
                 assert_identical(&unbatched, &batched, &format!("{id} jobs={jobs}"));
+                assert_kept_live_outs_replay(&trace, &batched, &format!("{id} jobs={jobs}"));
                 counters.push(batched.batch_stats);
             }
             // The cost counters themselves are deterministic at any job
