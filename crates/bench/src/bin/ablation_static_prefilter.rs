@@ -31,8 +31,7 @@ fn main() {
     let trace = replay(&program, &rec.log).expect("fresh recording must replay");
 
     let unfiltered_cfg = DetectorConfig::default();
-    let filtered_cfg =
-        DetectorConfig { prefilter: Some(Arc::clone(&candidates)), ..DetectorConfig::default() };
+    let filtered_cfg = DetectorConfig { prefilter: Some(Arc::clone(&candidates)) };
 
     let unfiltered = detect_races(&trace, &unfiltered_cfg);
     let filtered = detect_races(&trace, &filtered_cfg);

@@ -129,10 +129,7 @@ fn main() {
                 }
             }
 
-            let filtered_config = DetectorConfig {
-                prefilter: Some(Arc::clone(&candidates)),
-                ..DetectorConfig::default()
-            };
+            let filtered_config = DetectorConfig { prefilter: Some(Arc::clone(&candidates)) };
             let filtered = detect_races(&trace, &filtered_config);
             if filtered.instances != unfiltered.instances
                 || filtered.by_static != unfiltered.by_static

@@ -129,6 +129,11 @@ fn err<T>(message: impl Into<String>) -> Result<T, CliError> {
     Err(CliError { message: message.into() })
 }
 
+/// Parses `flag`'s numeric value `v`.
+fn parse_number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
+    v.parse().map_err(|_| CliError { message: format!("bad {flag} {v:?}") })
+}
+
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError { message: format!("io error: {e}") }
@@ -849,41 +854,20 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
     let mut cache_dir: Option<String> = None;
     let mut positional: Vec<&String> = Vec::new();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--schedule" | "-s" => {
-                i += 1;
-                let spec = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--schedule needs a value".into() })?;
-                schedule = parse_schedule(spec)?;
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        // The flag's value: the next argument, or `missing` as the error.
+        let mut value =
+            |missing: &str| rest.next().ok_or_else(|| CliError { message: missing.into() });
+        match arg.as_str() {
+            "--schedule" | "-s" => schedule = parse_schedule(value("--schedule needs a value")?)?,
             "--max-steps" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--max-steps needs a value".into() })?;
-                max_steps = Some(
-                    v.parse()
-                        .map_err(|_| CliError { message: format!("bad --max-steps {v:?}") })?,
-                );
+                max_steps = Some(parse_number("--max-steps", value("--max-steps needs a value")?)?);
             }
-            "-o" | "--output" => {
-                i += 1;
-                out_path = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError { message: "-o needs a path".into() })?
-                        .clone(),
-                );
-            }
+            "-o" | "--output" => out_path = Some(value("-o needs a path")?.clone()),
             "--json" => json = true,
             "--format" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--format needs text or json".into() })?;
-                json = match v.as_str() {
+                json = match value("--format needs text or json")?.as_str() {
                     "json" => true,
                     "text" => false,
                     other => return err(format!("--format must be text or json, got {other:?}")),
@@ -892,87 +876,36 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
             "--permissive" => permissive = true,
             "--stats" => stats = true,
             "--tolerant" => tolerant = true,
-            "--jobs" | "-j" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--jobs needs a count".into() })?;
-                jobs = v.parse().map_err(|_| CliError { message: format!("bad --jobs {v:?}") })?;
-            }
+            "--jobs" | "-j" => jobs = parse_number("--jobs", value("--jobs needs a count")?)?,
             "--batch" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--batch needs a mode".into() })?;
-                batching = BatchMode::parse(v).map_err(|message| CliError { message })?;
+                batching = BatchMode::parse(value("--batch needs a mode")?)
+                    .map_err(|message| CliError { message })?;
             }
             "--replay-stats" => replay_stats = true,
             "--trust-static" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--trust-static needs a mode".into() })?;
-                trust_static = TrustStatic::parse(v).map_err(|message| CliError { message })?;
+                trust_static = TrustStatic::parse(value("--trust-static needs a mode")?)
+                    .map_err(|message| CliError { message })?;
             }
             "--fail-on" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--fail-on needs a mode".into() })?;
-                fail_on = FailOn::parse(v).map_err(|message| CliError { message })?;
+                fail_on = FailOn::parse(value("--fail-on needs a mode")?)
+                    .map_err(|message| CliError { message })?;
             }
-            "--triage-db" => {
-                i += 1;
-                triage_db = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError { message: "--triage-db needs a path".into() })?
-                        .clone(),
-                );
-            }
-            "--addr" => {
-                i += 1;
-                addr = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--addr needs host:port".into() })?
-                    .clone();
-            }
-            "--workers" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--workers needs a count".into() })?;
-                workers =
-                    v.parse().map_err(|_| CliError { message: format!("bad --workers {v:?}") })?;
-            }
-            "--queue" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| CliError { message: "--queue needs a depth".into() })?;
-                queue =
-                    v.parse().map_err(|_| CliError { message: format!("bad --queue {v:?}") })?;
-            }
-            "--cache-dir" => {
-                i += 1;
-                cache_dir = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError { message: "--cache-dir needs a path".into() })?
-                        .clone(),
-                );
-            }
+            "--triage-db" => triage_db = Some(value("--triage-db needs a path")?.clone()),
+            "--addr" => addr = value("--addr needs host:port")?.clone(),
+            "--workers" => workers = parse_number("--workers", value("--workers needs a count")?)?,
+            "--queue" => queue = parse_number("--queue", value("--queue needs a depth")?)?,
+            "--cache-dir" => cache_dir = Some(value("--cache-dir needs a path")?.clone()),
             other if other.starts_with('-') => {
                 return err(format!("unknown flag {other:?}"));
             }
-            _ => positional.push(&args[i]),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
     if let Some(ms) = max_steps {
         schedule = schedule.with_max_steps(ms);
     }
     let vproc = if permissive { VprocConfig::permissive() } else { VprocConfig::default() };
-    let classifier =
-        ClassifierConfig { vproc, jobs, batching, trust_static, ..ClassifierConfig::default() };
+    let classifier = ClassifierConfig { vproc, jobs, batching, trust_static };
 
     let usage = "usage: racerep <run|record|replay|races|classify|lint|triage|loginfo|doctor|disasm|serve|submit|svc-stats|svc-shutdown> ...";
     let Some((&cmd, rest)) = positional.split_first() else {

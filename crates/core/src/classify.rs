@@ -290,15 +290,16 @@ impl StaticPrediction {
     }
 }
 
+/// Maximum instances analyzed per static race; further instances are
+/// counted but not replayed. The paper analyzed thousands of instances for
+/// some races (§5.3); this bound keeps large corpora tractable.
+pub const MAX_INSTANCES_PER_RACE: usize = 2_000;
+
 /// Classifier options.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClassifierConfig {
-    /// Virtual-processor options (budget, permissive mode).
+    /// Virtual-processor options (permissive modes).
     pub vproc: VprocConfig,
-    /// Maximum instances analyzed per static race; further instances are
-    /// counted but not replayed. The paper analyzed thousands of instances
-    /// for some races (§5.3); this bound keeps large corpora tractable.
-    pub max_instances_per_race: usize,
     /// Worker threads replaying race instances. `0` (the default) uses the
     /// machine's available parallelism; `1` runs the replays inline on the
     /// calling thread, exactly as the original single-threaded classifier
@@ -321,18 +322,6 @@ impl ClassifierConfig {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             self.jobs
-        }
-    }
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig {
-            vproc: VprocConfig::default(),
-            max_instances_per_race: 2_000,
-            jobs: 0,
-            trust_static: TrustStatic::default(),
-            batching: BatchMode::default(),
         }
     }
 }
@@ -586,7 +575,7 @@ pub fn classify_races_with(
             .and_then(|m| m.get(&id))
             .is_some_and(|p| p.skips_under(config.trust_static));
         result.static_skipped_races += u64::from(skipped);
-        let budget = if skipped { 0 } else { config.max_instances_per_race };
+        let budget = if skipped { 0 } else { MAX_INSTANCES_PER_RACE };
         let race = races.len();
         let before = planned.len();
         planned.extend(indices.iter().take(budget).map(|&idx| (race, detected.instances[idx])));

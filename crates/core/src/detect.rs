@@ -63,15 +63,15 @@ impl RaceInstance {
     }
 }
 
+/// Bound on instances collected per (static race, region pair); loops can
+/// otherwise produce quadratic blowup. The bound is per static race so that
+/// a high-frequency race (e.g. a spin loop) cannot starve detection of other
+/// races on the same address.
+pub const MAX_INSTANCES_PER_REGION_PAIR: usize = 64;
+
 /// Detector options.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Bound on instances collected per (static race, region pair); loops
-    /// can otherwise produce quadratic blowup. The bound is per static race
-    /// so that a high-frequency race (e.g. a spin loop) cannot starve
-    /// detection of other races on the same address. `usize::MAX` disables
-    /// the bound.
-    pub max_instances_per_region_pair: usize,
     /// Static pre-filter from `racecheck::analyze`: accesses at pcs outside
     /// every candidate pair are not indexed, and pc pairs outside the set
     /// are never checked for overlap. Because the candidate set
@@ -79,12 +79,6 @@ pub struct DetectorConfig {
     /// are identical with and without the filter — only the cost counters
     /// differ (`tests/static_soundness.rs` pins this).
     pub prefilter: Option<Arc<CandidateSet>>,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { max_instances_per_region_pair: 64, prefilter: None }
-    }
 }
 
 /// Result of race detection over one trace.
@@ -268,7 +262,7 @@ fn collect_pair(
             if config.prefilter.as_ref().is_some_and(|f| !f.contains(id.pc_lo, id.pc_hi)) {
                 return;
             }
-            let budget = budgets.entry(id).or_insert(config.max_instances_per_region_pair);
+            let budget = budgets.entry(id).or_insert(MAX_INSTANCES_PER_REGION_PAIR);
             if *budget == 0 || !small.unordered_with(i_small, large, i_large) {
                 return;
             }
@@ -455,12 +449,10 @@ mod tests {
         let program: Arc<Program> = Arc::new(b.build());
         let rec = record(&program, &RunConfig::round_robin(7));
         let trace = replay(&program, &rec.log).unwrap();
-        let capped = detect_races(
-            &trace,
-            &DetectorConfig { max_instances_per_region_pair: 5, ..DetectorConfig::default() },
-        );
-        // One overlapping region pair with a cap of 5 conflict pairs.
-        assert!(capped.instance_count() <= 5 * capped.overlapping_region_pairs as usize);
+        let capped = detect_races(&trace, &DetectorConfig::default());
+        // One overlapping region pair: its 200 × 200 conflicts fill the cap.
+        assert_eq!(capped.overlapping_region_pairs, 1);
+        assert_eq!(capped.instance_count(), MAX_INSTANCES_PER_REGION_PAIR);
     }
 
     #[test]
@@ -485,10 +477,7 @@ mod tests {
         let trace = replay(&program, &rec.log).unwrap();
         let unfiltered = detect_races(&trace, &DetectorConfig::default());
         let candidates = Arc::new(racecheck::analyze(&program).candidates);
-        let filtered = detect_races(
-            &trace,
-            &DetectorConfig { prefilter: Some(candidates), ..DetectorConfig::default() },
-        );
+        let filtered = detect_races(&trace, &DetectorConfig { prefilter: Some(candidates) });
         assert_eq!(filtered.instances, unfiltered.instances);
         assert_eq!(filtered.by_static, unfiltered.by_static);
         assert!(filtered.skipped_accesses > 0, "the private store is never indexed");

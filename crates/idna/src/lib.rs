@@ -11,9 +11,10 @@
 //!   call (§3.1–3.2).
 //! * [`replayer`] — deterministic replay, one sequencing region at a time in
 //!   global sequencer order, producing a queryable [`ReplayTrace`] (§3.3).
-//!   Its one recorded-value stepper also runs the virtual processor's
-//!   oracle phase and time travel ([`ReplayTrace::state_before`], the
-//!   state before any recorded instruction).
+//!   Its one instruction body also runs every phase of the virtual
+//!   processor, from recorded values or from its virtual memory, and time
+//!   travel ([`ReplayTrace::state_before`], the state before any recorded
+//!   instruction).
 //! * [`region`] — sequencing regions and the overlap relation that defines
 //!   happens-before data races (§3.4).
 //! * [`vproc`] — the virtual processor that replays a racing region pair

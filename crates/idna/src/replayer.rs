@@ -99,12 +99,6 @@ impl VersionedMemory {
         (idx > 0).then(|| hist[idx - 1].1)
     }
 
-    /// Number of addresses ever written.
-    #[must_use]
-    pub fn addresses(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Materializes the live-in image at `version` as a sorted
     /// addr→value table: for every address with a write at or before
     /// `version`, the same value [`Self::value_at`] would return.
@@ -254,7 +248,9 @@ impl ReplayTrace {
             match stepped {
                 Stepped::Next => {}
                 Stepped::Halted => break,
-                Stepped::Faulted => panic!("time travel re-faulted at pc {}", snap.pc),
+                Stepped::Faulted(fault) => {
+                    panic!("time travel re-faulted at pc {}: {fault}", snap.pc)
+                }
             }
         }
         Some(snap)
@@ -547,24 +543,25 @@ fn replay_region(
 }
 
 /// Where a recorded step's values come from: the thread's log while the
-/// replayer builds a region, or a replayed region read back (the virtual
-/// processor's oracle phase and [`ReplayTrace::state_before`]).
+/// replayer builds a region, a replayed region read back (the virtual
+/// processor's oracle phase and [`ReplayTrace::state_before`]), or the
+/// virtual processor's memory in its live phases.
 pub(crate) trait Recorded {
-    /// Why a value could not be supplied; sources that read a replayed
-    /// region back cannot fail.
+    /// Why the source cannot go on; sources that read a replayed region
+    /// back cannot fail.
     type Error;
 
-    /// Whether the recorded run faulted at this memory or system-call
-    /// instruction, so it never completed and logged no value.
-    fn faulted_at(&self, _instr_index: u64) -> bool {
-        false
-    }
-
     /// The value the load at `pc` read from `addr`.
-    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64;
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, Self::Error>;
 
     /// The store at `pc` wrote `value` to `addr`.
-    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64);
+    fn store(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        value: u64,
+    ) -> Trapped<(), Self::Error>;
 
     /// An atomic read-modify-write of `addr`: returns the value read, after
     /// storing `new(old)` when that is `Some`.
@@ -574,21 +571,29 @@ pub(crate) trait Recorded {
         pc: usize,
         addr: u64,
         new: impl FnOnce(u64) -> Option<u64>,
-    ) -> u64 {
-        let old = self.load(instr_index, pc, addr);
+    ) -> Trapped<u64, Self::Error> {
+        let old = self.load(instr_index, pc, addr)?;
         if let Some(value) = new(old) {
-            self.store(instr_index, pc, addr, value);
+            self.store(instr_index, pc, addr, value)?;
         }
-        old
+        Ok(old)
     }
 
     /// The result of system call `call`, made with `arg` in `r0`.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the source fails with when the call has no recorded result.
-    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, Self::Error>;
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Trapped<u64, Self::Error>;
 }
+
+/// Why a [`Recorded`] source supplied no value.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Trap<E> {
+    /// The instruction faults, so the snapshot is left as it was.
+    Fault(Fault),
+    /// The source cannot go on.
+    Fail(E),
+}
+
+/// A [`Recorded`] source's value, or the trap that takes its place.
+pub(crate) type Trapped<T, E> = Result<T, Trap<E>>;
 
 /// How one recorded step ended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -598,16 +603,16 @@ pub(crate) enum Stepped {
     /// The thread halted.
     Halted,
     /// The instruction faulted, so the snapshot is left as it was.
-    Faulted,
+    Faulted(Fault),
 }
 
-/// Re-executes one instruction of recorded code from `snap`, with the
-/// values `rec` supplies: the one instruction body the replayer, the
-/// oracle phase and time travel share.
+/// Executes one instruction from `snap`, with the values `rec` supplies:
+/// the one instruction body the replayer, the virtual processor's phases
+/// and time travel share.
 ///
 /// # Errors
 ///
-/// Propagates the source's error when a system call has no recorded result.
+/// Propagates the source's error when it cannot go on.
 #[inline]
 pub(crate) fn step_recorded<R: Recorded>(
     decoded: &DecodedProgram,
@@ -615,52 +620,55 @@ pub(crate) fn step_recorded<R: Recorded>(
     instr_index: u64,
     rec: &mut R,
 ) -> Result<Stepped, R::Error> {
+    match execute(decoded, snap, instr_index, rec) {
+        Ok(stepped) => Ok(stepped),
+        Err(Trap::Fault(fault)) => Ok(Stepped::Faulted(fault)),
+        Err(Trap::Fail(error)) => Err(error),
+    }
+}
+
+/// [`step_recorded`]'s instruction body; the machine's own faults trap
+/// like the source's.
+#[inline]
+fn execute<R: Recorded>(
+    decoded: &DecodedProgram,
+    snap: &mut ThreadSnapshot,
+    instr_index: u64,
+    rec: &mut R,
+) -> Trapped<Stepped, R::Error> {
     let pc = snap.pc;
-    let Some(&op) = decoded.op(pc) else { return Ok(Stepped::Faulted) };
+    let Some(&op) = decoded.op(pc) else { return Err(Trap::Fault(Fault::PcOutOfRange { pc })) };
     let regs = &mut snap.regs;
     let at = |base: u8, offset: i64| regs[usize::from(base)].wrapping_add(offset as u64);
+    let divide_by_zero = Trap::Fault(Fault::DivideByZero);
     let mut next = pc + 1;
     match op {
         Decoded::MovImm { dst, imm } => regs[usize::from(dst)] = imm,
         Decoded::Mov { dst, src } => regs[usize::from(dst)] = regs[usize::from(src)],
         Decoded::Bin { op, dst, lhs, rhs } => {
-            match op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
-                Some(v) => regs[usize::from(dst)] = v,
-                None => return Ok(Stepped::Faulted),
-            }
+            regs[usize::from(dst)] =
+                op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]).ok_or(divide_by_zero)?;
         }
-        Decoded::BinImm { op, dst, lhs, imm } => match op.apply(regs[usize::from(lhs)], imm) {
-            Some(v) => regs[usize::from(dst)] = v,
-            None => return Ok(Stepped::Faulted),
-        },
+        Decoded::BinImm { op, dst, lhs, imm } => {
+            regs[usize::from(dst)] = op.apply(regs[usize::from(lhs)], imm).ok_or(divide_by_zero)?;
+        }
         Decoded::Load { dst, base, offset } => {
-            if rec.faulted_at(instr_index) {
-                return Ok(Stepped::Faulted);
-            }
-            regs[usize::from(dst)] = rec.load(instr_index, pc, at(base, offset));
+            regs[usize::from(dst)] = rec.load(instr_index, pc, at(base, offset))?;
         }
         Decoded::Store { src, base, offset } => {
-            if rec.faulted_at(instr_index) {
-                return Ok(Stepped::Faulted);
-            }
-            rec.store(instr_index, pc, at(base, offset), regs[usize::from(src)]);
+            rec.store(instr_index, pc, at(base, offset), regs[usize::from(src)])?;
         }
         Decoded::AtomicRmw { op, dst, base, offset, src } => {
-            if rec.faulted_at(instr_index) {
-                return Ok(Stepped::Faulted);
-            }
             let operand = regs[usize::from(src)];
             let old =
-                rec.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)));
+                rec.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)))?;
             regs[usize::from(dst)] = old;
         }
         Decoded::AtomicCas { dst, base, offset, expected, new } => {
-            if rec.faulted_at(instr_index) {
-                return Ok(Stepped::Faulted);
-            }
             let (expected, new) = (regs[usize::from(expected)], regs[usize::from(new)]);
-            let old = rec
-                .update(instr_index, pc, at(base, offset), |old| (old == expected).then_some(new));
+            let old = rec.update(instr_index, pc, at(base, offset), |old| {
+                (old == expected).then_some(new)
+            })?;
             regs[usize::from(dst)] = u64::from(old == expected);
         }
         Decoded::Fence => {}
@@ -672,21 +680,15 @@ pub(crate) fn step_recorded<R: Recorded>(
         }
         Decoded::Call { target } => {
             if snap.call_stack.len() >= MAX_CALL_DEPTH {
-                return Ok(Stepped::Faulted);
+                return Err(Trap::Fault(Fault::CallStackOverflow));
             }
             snap.call_stack.push(next);
             next = target as usize;
         }
-        Decoded::Ret => match snap.call_stack.pop() {
-            Some(ret) => next = ret,
-            None => return Ok(Stepped::Faulted),
-        },
+        Decoded::Ret => {
+            next = snap.call_stack.pop().ok_or(Trap::Fault(Fault::CallStackUnderflow))?
+        }
         Decoded::Syscall { call } => {
-            if rec.faulted_at(instr_index) {
-                // The recorded run faulted in this system call (e.g. a
-                // double free); no result was logged.
-                return Ok(Stepped::Faulted);
-            }
             let r0 = Reg::R0.index();
             regs[r0] = rec.syscall(instr_index, call, regs[r0])?;
         }
@@ -708,35 +710,55 @@ struct FromLog<'r, 'a> {
     outputs: Vec<u64>,
 }
 
+impl FromLog<'_, '_> {
+    /// The thread's memory fault, when its log says it ended at this
+    /// instruction with one: the access never completed, so no value was
+    /// logged.
+    fn recorded_fault(&self, instr_index: u64) -> Trapped<(), ReplayError> {
+        let log = self.values.log;
+        match log.end_status {
+            EndStatus::Faulted(
+                fault @ (Fault::InvalidAccess { .. }
+                | Fault::UseAfterFree { .. }
+                | Fault::InvalidFree { .. }),
+            ) if instr_index + 1 == log.end_instr => Err(Trap::Fault(fault)),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl Recorded for FromLog<'_, '_> {
     type Error = ReplayError;
 
-    /// True when the thread's log says it ended here with a memory fault:
-    /// the access never completed, so no value was logged.
-    fn faulted_at(&self, instr_index: u64) -> bool {
-        let log = self.values.log;
-        matches!(log.end_status, EndStatus::Faulted(f)
-            if matches!(f, Fault::InvalidAccess { .. } | Fault::UseAfterFree { .. } | Fault::InvalidFree { .. })
-        ) && instr_index + 1 == log.end_instr
-    }
-
-    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64 {
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, ReplayError> {
+        self.recorded_fault(instr_index)?;
         let value = self.values.load_value(addr);
         self.accesses.push(TraceAccess { instr_index, pc, addr, value, kind: AccessKind::Read });
-        value
+        Ok(value)
     }
 
-    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64) {
+    fn store(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        value: u64,
+    ) -> Trapped<(), ReplayError> {
+        self.recorded_fault(instr_index)?;
         self.values.image.set(addr, value);
         self.accesses.push(TraceAccess { instr_index, pc, addr, value, kind: AccessKind::Write });
+        Ok(())
     }
 
-    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, ReplayError> {
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Trapped<u64, ReplayError> {
+        // The recorded run faulted in this system call (e.g. a double
+        // free); no result was logged.
+        self.recorded_fault(instr_index)?;
         let v = &mut *self.values;
         let idx = v.sys;
         v.sys += 1;
         let Some(&(_, ret)) = v.sys_events.get(v.sys_cursor).filter(|&&(i, _)| i == idx) else {
-            return Err(ReplayError::SyscallDesync { tid: v.log.tid, instr_index });
+            return Err(Trap::Fail(ReplayError::SyscallDesync { tid: v.log.tid, instr_index }));
         };
         v.sys_cursor += 1;
         match call {
@@ -774,18 +796,19 @@ impl<'a> RegionValues<'a> {
 impl Recorded for RegionValues<'_> {
     type Error = Infallible;
 
-    fn load(&mut self, _: u64, _: usize, _: u64) -> u64 {
+    fn load(&mut self, _: u64, _: usize, _: u64) -> Trapped<u64, Infallible> {
         let acc = self.region.accesses[self.access];
         debug_assert_eq!(acc.kind, AccessKind::Read);
         self.access += 1;
-        acc.value
+        Ok(acc.value)
     }
 
-    fn store(&mut self, _: u64, _: usize, _: u64, _: u64) {
+    fn store(&mut self, _: u64, _: usize, _: u64, _: u64) -> Trapped<(), Infallible> {
         self.access += 1;
+        Ok(())
     }
 
-    fn syscall(&mut self, _: u64, call: SysCall, _: u64) -> Result<u64, Infallible> {
+    fn syscall(&mut self, _: u64, call: SysCall, _: u64) -> Trapped<u64, Infallible> {
         let sys = self.region.syscalls[self.sys];
         debug_assert_eq!(sys.call, call);
         self.sys += 1;

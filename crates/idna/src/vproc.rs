@@ -2,23 +2,27 @@
 //! involved in a data race under **both** orders of the racing memory
 //! operations, producing comparable live-outs.
 //!
-//! Execution proceeds in three phases:
+//! Execution proceeds in three phases. Every phase steps through the
+//! replayer's one instruction body; only the source of each value differs.
 //!
 //! 1. **Oracle phase** — each thread is replayed *from the log* (via the
 //!    recorded access values) up to, but not including, its racing
 //!    instruction ("we replay both threads for the region up until we get to
-//!    the data race instruction in each thread"). It steps through the
-//!    replayer's own recorded-value stepper over the region's accesses and
-//!    system calls, so it re-executes exactly what the replay did.
+//!    the data race instruction in each thread"). Its source reads the
+//!    region's recorded accesses and system calls, so it re-executes exactly
+//!    what the replay did. It never reads the virtual memory: it records
+//!    each memory and heap effect as an op, and a side's ops are applied
+//!    once that side reaches its racing instruction.
 //! 2. **Order phase** — the two racing instructions execute *live*, in the
 //!    prescribed order.
 //! 3. **Completion phase** — both threads run live, round-robin, until each
 //!    reaches the end of its sequencing region (the next synchronization
 //!    instruction or system call), halts, or faults.
 //!
-//! Live execution reads memory copy-on-first-use from the live-in image
-//! (the versioned memory at the earlier region's entry). Reads of addresses
-//! the recording never saw, or control flow leaving the recorded code
+//! The live phases' source is the virtual memory: it reads copy-on-first-use
+//! from the live-in image (the versioned memory at the earlier region's
+//! entry) and raises the machine's memory faults. Reads of addresses the
+//! recording never saw, or control flow leaving the recorded code
 //! footprint, are **replay failures** (§4.2.1).
 //!
 //! # Shared-prefix batched replay
@@ -45,16 +49,15 @@ use std::fmt;
 
 use tvm::exec::AccessKind;
 use tvm::fasthash::FastHashMap;
-use tvm::isa::{Reg, SysCall, NUM_REGS};
-use tvm::machine::{Fault, MAX_CALL_DEPTH};
+use tvm::isa::{SysCall, NUM_REGS};
+use tvm::machine::Fault;
 use tvm::memory::{GLOBAL_LIMIT, HEAP_BASE};
-use tvm::predecode::Decoded;
 
 use crate::image::LiveInIndex;
 use crate::region::RegionId;
 use crate::replayer::{
     step_recorded, HeapState, Recorded, RegionValues, ReplayTrace, ReplayedRegion, Stepped,
-    ThreadSnapshot,
+    ThreadSnapshot, Trap, Trapped,
 };
 
 /// Synthetic heap range for allocations performed during divergent live
@@ -151,11 +154,12 @@ impl fmt::Display for ReplayFailure {
 
 impl std::error::Error for ReplayFailure {}
 
+/// Total instruction budget per replay (both threads, all phases).
+pub const STEP_BUDGET: u64 = 100_000;
+
 /// Virtual-processor options.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct VprocConfig {
-    /// Total instruction budget per replay (both threads, all phases).
-    pub step_budget: u64,
     /// Paper §4.2.1 extension: instead of failing on loads of unrecorded
     /// addresses, return the zero-fill value and keep replaying. Used by the
     /// `ablation_permissive` experiment.
@@ -169,25 +173,11 @@ pub struct VprocConfig {
     pub permissive_control_flow: bool,
 }
 
-impl Default for VprocConfig {
-    fn default() -> Self {
-        VprocConfig {
-            step_budget: 100_000,
-            permissive_unknown_loads: false,
-            permissive_control_flow: false,
-        }
-    }
-}
-
 impl VprocConfig {
     /// The fully permissive configuration (both §4.2.1 extensions on).
     #[must_use]
     pub fn permissive() -> Self {
-        VprocConfig {
-            permissive_unknown_loads: true,
-            permissive_control_flow: true,
-            ..VprocConfig::default()
-        }
+        VprocConfig { permissive_unknown_loads: true, permissive_control_flow: true }
     }
 }
 
@@ -286,9 +276,9 @@ fn thread_matches(out: &ThreadLiveOut, region: &ReplayedRegion) -> bool {
 /// One state mutation performed by the oracle phase.
 ///
 /// The oracle never *reads* virtual-processor memory — it only populates it
-/// from recorded access values — so a side's whole oracle phase can be
-/// captured once as a stream of these and re-applied per pair as a cheap
-/// map replay instead of instruction re-execution.
+/// from recorded access values — so it records a side's whole oracle phase
+/// as a stream of these, and the stream is applied once per pair as a
+/// cheap map replay instead of instruction re-execution.
 #[derive(Copy, Clone, Debug)]
 enum OracleOp {
     /// First-use copy-in of a recorded read value (`or_insert` semantics).
@@ -337,16 +327,6 @@ struct VMem<'a> {
     /// When set, mutations are journaled here so a batch fork can roll
     /// back to the shared prefix instead of rebuilding the maps.
     undo: Option<Vec<UndoOp>>,
-    /// When set, oracle mutations are *recorded* here instead of applied —
-    /// the batch prefix runs in this mode so one execution yields a
-    /// replayable per-side op stream.
-    record: Option<Vec<OracleOp>>,
-}
-
-enum Mem {
-    Value(u64),
-    Fault(Fault),
-    Fail(ReplayFailure),
 }
 
 impl<'a> VMem<'a> {
@@ -364,7 +344,6 @@ impl<'a> VMem<'a> {
             permissive,
             index_hits: 0,
             undo: None,
-            record: None,
         }
     }
 
@@ -403,46 +382,7 @@ impl<'a> VMem<'a> {
         }
     }
 
-    /// Oracle-phase copy-in (recorded when in record mode).
-    fn oracle_copy_in(&mut self, addr: u64, value: u64) {
-        match &mut self.record {
-            Some(ops) => ops.push(OracleOp::CopyIn { addr, value }),
-            None => self.copy_in(addr, value),
-        }
-    }
-
-    /// Oracle-phase write (recorded when in record mode).
-    fn oracle_write(&mut self, addr: u64, value: u64) {
-        match &mut self.record {
-            Some(ops) => ops.push(OracleOp::Write { addr, value }),
-            None => self.write_word(addr, value),
-        }
-    }
-
-    /// Oracle-phase allocation mirror (recorded when in record mode).
-    fn oracle_alloc(&mut self, base: u64, size: u64) {
-        match &mut self.record {
-            Some(ops) => ops.push(OracleOp::Alloc { base, size }),
-            None => {
-                self.alloc(Some(base), size);
-            }
-        }
-    }
-
-    /// Oracle-phase free mirror (recorded when in record mode).
-    fn oracle_free(&mut self, base: u64) {
-        match &mut self.record {
-            Some(ops) => ops.push(OracleOp::Free { base }),
-            None => self.mark_freed(base),
-        }
-    }
-
-    /// Number of oracle ops recorded so far (checkpoint cut points).
-    fn recorded_len(&self) -> usize {
-        self.record.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Re-applies a slice of recorded oracle ops to the live maps.
+    /// Applies a slice of recorded oracle ops to the live maps.
     fn apply_ops(&mut self, ops: &[OracleOp]) {
         for &op in ops {
             match op {
@@ -523,73 +463,69 @@ impl<'a> VMem<'a> {
         self.vallocs.iter().any(|(&base, &size)| base <= addr && addr < base + size)
     }
 
-    fn load(&mut self, addr: u64) -> Mem {
+    fn load(&mut self, addr: u64) -> Trapped<u64, ReplayFailure> {
         if let Some(&v) = self.writes.get(&addr) {
-            return Mem::Value(v);
+            return Ok(v);
         }
         if addr < GLOBAL_LIMIT {
             // The versioned-memory fetch below reads recorded history; if
             // log damage could have cost us a write that feeds it, the
             // fetch is unanswerable.
             if self.damage_tainted(addr) {
-                return Mem::Fail(ReplayFailure::LogDamage);
+                return Err(Trap::Fail(ReplayFailure::LogDamage));
             }
-            return Mem::Value(self.live_in_value(addr));
+            return Ok(self.live_in_value(addr));
         }
         if addr < HEAP_BASE {
-            return Mem::Fault(Fault::InvalidAccess { addr });
+            return Err(Trap::Fault(Fault::InvalidAccess { addr }));
         }
         if self.in_vfreed(addr).is_some() {
-            return Mem::Fault(Fault::UseAfterFree { addr });
+            return Err(Trap::Fault(Fault::UseAfterFree { addr }));
         }
         if self.in_valloc(addr) {
-            return Mem::Value(0);
+            return Ok(0);
         }
         // Past the pair-local allocations we depend on the recorded heap
         // history, which lost heap traffic invalidates wholesale.
         if self.damage_tainted(addr) {
-            return Mem::Fail(ReplayFailure::LogDamage);
+            return Err(Trap::Fail(ReplayFailure::LogDamage));
         }
         match self.trace.heap.state_at(addr, self.base_version) {
-            HeapState::Live { .. } => Mem::Value(self.live_in_value(addr)),
-            HeapState::Freed { .. } => Mem::Fault(Fault::UseAfterFree { addr }),
-            HeapState::Unknown => {
-                if self.permissive {
-                    Mem::Value(0)
-                } else {
-                    Mem::Fail(ReplayFailure::UnknownLoad { addr })
-                }
-            }
+            HeapState::Live { .. } => Ok(self.live_in_value(addr)),
+            HeapState::Freed { .. } => Err(Trap::Fault(Fault::UseAfterFree { addr })),
+            HeapState::Unknown if self.permissive => Ok(0),
+            HeapState::Unknown => Err(Trap::Fail(ReplayFailure::UnknownLoad { addr })),
         }
     }
 
-    fn store(&mut self, addr: u64, value: u64) -> Mem {
+    fn store(&mut self, addr: u64, value: u64) -> Trapped<(), ReplayFailure> {
         if addr >= GLOBAL_LIMIT {
             if addr < HEAP_BASE {
-                return Mem::Fault(Fault::InvalidAccess { addr });
+                return Err(Trap::Fault(Fault::InvalidAccess { addr }));
             }
             if self.in_vfreed(addr).is_some() {
-                return Mem::Fault(Fault::UseAfterFree { addr });
+                return Err(Trap::Fault(Fault::UseAfterFree { addr }));
             }
             if !self.in_valloc(addr) {
                 if self.damage_tainted(addr) {
                     // Lost heap traffic: liveness of this address at the
                     // base version can no longer be judged.
-                    return Mem::Fail(ReplayFailure::LogDamage);
+                    return Err(Trap::Fail(ReplayFailure::LogDamage));
                 }
                 match self.trace.heap.state_at(addr, self.base_version) {
                     HeapState::Live { .. } => {}
-                    HeapState::Freed { .. } => return Mem::Fault(Fault::UseAfterFree { addr }),
+                    HeapState::Freed { .. } => {
+                        return Err(Trap::Fault(Fault::UseAfterFree { addr }));
+                    }
+                    HeapState::Unknown if self.permissive => {}
                     HeapState::Unknown => {
-                        if !self.permissive {
-                            return Mem::Fail(ReplayFailure::UnknownStore { addr });
-                        }
+                        return Err(Trap::Fail(ReplayFailure::UnknownStore { addr }));
                     }
                 }
             }
         }
         self.write_word(addr, value);
-        Mem::Value(value)
+        Ok(())
     }
 
     fn alloc(&mut self, recorded_base: Option<u64>, size: u64) -> u64 {
@@ -613,26 +549,27 @@ impl<'a> VMem<'a> {
         base
     }
 
-    fn free(&mut self, base: u64) -> Mem {
+    fn free(&mut self, base: u64) -> Trapped<(), ReplayFailure> {
         if self.vfreed.contains(&base) {
             // Double free: the paper's Figure 2 bug, observed.
-            return Mem::Fault(Fault::InvalidFree { addr: base });
+            return Err(Trap::Fault(Fault::InvalidFree { addr: base }));
         }
         if self.vallocs.contains_key(&base) {
             self.mark_freed(base);
-            return Mem::Value(0);
+            return Ok(());
         }
         if self.damage_tainted(base) {
-            return Mem::Fail(ReplayFailure::LogDamage);
+            return Err(Trap::Fail(ReplayFailure::LogDamage));
         }
         match self.trace.heap.state_at(base, self.base_version) {
             HeapState::Live { base: b } if b == base => {
                 self.mark_freed(base);
-                Mem::Value(0)
+                Ok(())
             }
-            HeapState::Live { .. } => Mem::Fault(Fault::InvalidFree { addr: base }),
-            HeapState::Freed { .. } => Mem::Fault(Fault::InvalidFree { addr: base }),
-            HeapState::Unknown => Mem::Fail(ReplayFailure::UnknownFree { addr: base }),
+            HeapState::Live { .. } | HeapState::Freed { .. } => {
+                Err(Trap::Fault(Fault::InvalidFree { addr: base }))
+            }
+            HeapState::Unknown => Err(Trap::Fail(ReplayFailure::UnknownFree { addr: base })),
         }
     }
 }
@@ -665,10 +602,11 @@ struct Checkpoint {
 /// per race instance for the two pair orders, and again for every instance
 /// of the same static race. The arena keeps one copy per thread slot and
 /// overwrites it in place, so steady-state replays allocate nothing for
-/// snapshots or outputs. The batch engine extends the pool with per-side
-/// checkpoint chains, recorded oracle-op streams, stop lists, and the fork
-/// undo journal; all of it is capacity-reused across batches (and, because
-/// each classifier worker owns its `Vproc`, across that worker's whole run).
+/// snapshots or outputs. Both engines record the oracle's op streams into
+/// the pool; the batch engine extends it with per-side checkpoint chains,
+/// stop lists, and the fork undo journal. All of it is capacity-reused
+/// across replays (and, because each classifier worker owns its `Vproc`,
+/// across that worker's whole run).
 #[derive(Debug)]
 struct SnapshotArena {
     snaps: [ThreadSnapshot; 2],
@@ -693,37 +631,23 @@ impl Default for SnapshotArena {
     }
 }
 
-impl SnapshotArena {
-    /// Resets both snapshot slots from the region entries and hands out the
-    /// working borrows.
-    fn checkout(
-        &mut self,
-        entry_a: &ThreadSnapshot,
-        entry_b: &ThreadSnapshot,
-    ) -> [(&mut ThreadSnapshot, &mut Vec<u64>); 2] {
-        let [sa, sb] = &mut self.snaps;
-        let [oa, ob] = &mut self.outputs;
-        for (slot, entry) in [(&mut *sa, entry_a), (&mut *sb, entry_b)] {
-            slot.regs = entry.regs;
-            slot.pc = entry.pc;
-            slot.call_stack.clear();
-            slot.call_stack.extend_from_slice(&entry.call_stack);
-        }
-        oa.clear();
-        ob.clear();
-        [(sa, oa), (sb, ob)]
-    }
+/// Overwrites `snap` with `from`, reusing its call-stack allocation.
+fn reset_snapshot(snap: &mut ThreadSnapshot, from: &ThreadSnapshot) {
+    snap.regs = from.regs;
+    snap.pc = from.pc;
+    snap.call_stack.clear();
+    snap.call_stack.extend_from_slice(&from.call_stack);
 }
 
 /// Per-thread virtual-processor state. The snapshot and output buffers are
-/// borrowed from the [`SnapshotArena`] and live only for one `run_pair`.
+/// borrowed from the [`SnapshotArena`] and live only for one pair replay.
 struct VThread<'a, 's> {
     tid: usize,
     /// The region's recorded values, with the oracle's cursors into them.
     values: RegionValues<'a>,
     snap: &'s mut ThreadSnapshot,
     /// Absolute thread-local instruction index about to execute. Only the
-    /// oracle phase reads it, so only the oracle step advances it.
+    /// oracle's source reads it, so only the oracle step advances it.
     instr: u64,
     racing_index: u64,
     outputs: &'s mut Vec<u64>,
@@ -732,11 +656,14 @@ struct VThread<'a, 's> {
 }
 
 impl<'a, 's> VThread<'a, 's> {
+    /// A thread at its region's entry, in the arena slot `(snap, outputs)`.
     fn new(
         region: &'a ReplayedRegion,
         racing_index: u64,
         (snap, outputs): (&'s mut ThreadSnapshot, &'s mut Vec<u64>),
     ) -> Self {
+        reset_snapshot(snap, &region.entry);
+        outputs.clear();
         VThread {
             tid: region.region.id.tid,
             values: RegionValues::new(region),
@@ -757,10 +684,7 @@ impl<'a, 's> VThread<'a, 's> {
         cp: &Checkpoint,
         (snap, outputs): (&'s mut ThreadSnapshot, &'s mut Vec<u64>),
     ) -> Self {
-        snap.regs = cp.snap.regs;
-        snap.pc = cp.snap.pc;
-        snap.call_stack.clear();
-        snap.call_stack.extend_from_slice(&cp.snap.call_stack);
+        reset_snapshot(snap, &cp.snap);
         outputs.clear();
         outputs.extend_from_slice(&region.outputs[..cp.outputs_len]);
         VThread {
@@ -773,24 +697,6 @@ impl<'a, 's> VThread<'a, 's> {
             fault: None,
             done: cp.done,
         }
-    }
-
-    fn reg(&self, r: Reg) -> u64 {
-        self.snap.regs[r.index()]
-    }
-
-    /// Register read by predecoded (raw) index.
-    fn reg_i(&self, i: u8) -> u64 {
-        self.snap.regs[i as usize]
-    }
-
-    fn set_reg(&mut self, r: Reg, v: u64) {
-        self.snap.regs[r.index()] = v;
-    }
-
-    /// Register write by predecoded (raw) index.
-    fn set_reg_i(&mut self, i: u8, v: u64) {
-        self.snap.regs[i as usize] = v;
     }
 
     fn live_out(&self) -> ThreadLiveOut {
@@ -895,23 +801,30 @@ impl<'a> Vproc<'a> {
         vmem: &mut VMem<'_>,
     ) -> Result<PairLiveOut, ReplayFailure> {
         let mut scratch = self.scratch.borrow_mut();
-        let [slot_a, slot_b] = scratch.checkout(&ra.entry, &rb.entry);
-        let mut threads =
-            [VThread::new(ra, a.instr_index, slot_a), VThread::new(rb, b.instr_index, slot_b)];
-        let mut budget = self.config.step_budget;
+        let SnapshotArena {
+            snaps: [snap_a, snap_b], outputs: [out_a, out_b], ops: [ops, _], ..
+        } = &mut *scratch;
+        let mut threads = [
+            VThread::new(ra, a.instr_index, (snap_a, out_a)),
+            VThread::new(rb, b.instr_index, (snap_b, out_b)),
+        ];
+        let mut budget = STEP_BUDGET;
 
-        // Phase 1: oracle-replay each thread up to its racing instruction,
-        // earlier-replayed region first so its writes are applied first.
+        // Phase 1: oracle-replay each thread up to its racing instruction
+        // and apply its effects, earlier-replayed region first so its
+        // writes are applied first.
         let phase_a_order: [usize; 2] = if ra.version <= rb.version { [0, 1] } else { [1, 0] };
         for idx in phase_a_order {
             let t = &mut threads[idx];
+            ops.clear();
             while t.instr < t.racing_index {
                 if budget == 0 {
                     return Err(ReplayFailure::BudgetExhausted);
                 }
                 budget -= 1;
-                step_oracle(self.trace, t, vmem);
+                step_oracle(self.trace, t, ops);
             }
+            vmem.apply_ops(ops);
         }
 
         self.run_phases_2_3(&mut threads, vmem, budget, order)?;
@@ -1015,7 +928,7 @@ impl<'a> Vproc<'a> {
         // reaches the budget fails exactly like the unbatched engine would
         // (phase 2 always needs at least one step of headroom), without
         // executing anything.
-        let budget = self.config.step_budget;
+        let budget = STEP_BUDGET;
         let mut results: Vec<Option<Result<PairLiveOut, ReplayFailure>>> = vec![None; pairs.len()];
         let mut survivors: Vec<usize> = Vec::with_capacity(pairs.len());
         for (i, (a, b)) in pairs.iter().enumerate() {
@@ -1052,21 +965,19 @@ impl<'a> Vproc<'a> {
             stops.dedup();
         }
 
-        // Execute each side's oracle prefix once, in record mode, parking a
-        // checkpoint at every stop.
+        // Execute each side's oracle prefix once, recording its ops and
+        // parking a checkpoint at every stop.
         let [cps_a, cps_b] = &mut arena.checkpoints;
         let [ops_a, ops_b] = &mut arena.ops;
         let [snap_a, snap_b] = &mut arena.snaps;
         let [out_a, out_b] = &mut arena.outputs;
         for (region, stops, cps, ops, snap, out) in [
-            (ra, &mut *stops_a, &mut *cps_a, &mut *ops_a, &mut *snap_a, &mut *out_a),
-            (rb, &mut *stops_b, &mut *cps_b, &mut *ops_b, &mut *snap_b, &mut *out_b),
+            (ra, &*stops_a, &mut *cps_a, &mut *ops_a, &mut *snap_a, &mut *out_a),
+            (rb, &*stops_b, &mut *cps_b, &mut *ops_b, &mut *snap_b, &mut *out_b),
         ] {
             cps.clear();
             ops.clear();
-            vmem.record = Some(std::mem::take(ops));
-            run_prefix(self.trace, region, stops, &mut vmem, (snap, out), cps);
-            *ops = vmem.record.take().expect("record mode still on");
+            run_prefix(self.trace, region, stops, ops, (snap, out), cps);
         }
 
         // The first-applied side is the earlier-replayed region, matching
@@ -1132,24 +1043,18 @@ fn collect_live_out(threads: &[VThread<'_, '_>; 2], vmem: &VMem<'_>) -> PairLive
 }
 
 /// Executes one side's oracle prefix from the region entry to the last
-/// stop, parking a [`Checkpoint`] at every stop index. The virtual memory
-/// must be in record mode: nothing is applied, and each checkpoint stores
-/// its cut point into the recorded op stream.
+/// stop, recording its effects into `ops` and parking a [`Checkpoint`] at
+/// every stop index, with its cut point into `ops`.
 fn run_prefix(
     trace: &ReplayTrace,
     region: &ReplayedRegion,
     stops: &[u64],
-    vmem: &mut VMem<'_>,
-    (snap, outputs): (&mut ThreadSnapshot, &mut Vec<u64>),
+    ops: &mut Vec<OracleOp>,
+    slot: (&mut ThreadSnapshot, &mut Vec<u64>),
     checkpoints: &mut Vec<Checkpoint>,
 ) {
-    snap.regs = region.entry.regs;
-    snap.pc = region.entry.pc;
-    snap.call_stack.clear();
-    snap.call_stack.extend_from_slice(&region.entry.call_stack);
-    outputs.clear();
     let last = *stops.last().expect("batch has at least one stop");
-    let mut t = VThread::new(region, last, (snap, outputs));
+    let mut t = VThread::new(region, last, slot);
     let mut si = 0;
     loop {
         while si < stops.len() && t.instr == stops[si] {
@@ -1159,7 +1064,7 @@ fn run_prefix(
                 access_cursor: t.values.access,
                 sys_cursor: t.values.sys,
                 outputs_len: t.outputs.len(),
-                ops_len: vmem.recorded_len(),
+                ops_len: ops.len(),
                 done: t.done,
             });
             si += 1;
@@ -1167,45 +1072,51 @@ fn run_prefix(
         if si == stops.len() {
             break;
         }
-        step_oracle(trace, &mut t, vmem);
+        step_oracle(trace, &mut t, ops);
     }
 }
 
 /// Oracle step: re-executes one instruction with the region's recorded
-/// values (this cannot diverge), mirroring its memory and heap effects into
-/// the virtual memory.
-fn step_oracle(trace: &ReplayTrace, t: &mut VThread<'_, '_>, vmem: &mut VMem<'_>) {
+/// values (this cannot diverge), recording its memory and heap effects.
+fn step_oracle(trace: &ReplayTrace, t: &mut VThread<'_, '_>, ops: &mut Vec<OracleOp>) {
     let instr_index = t.instr;
     t.instr += 1;
-    let mut oracle = Oracle { values: &mut t.values, outputs: &mut *t.outputs, vmem };
+    let mut oracle = Oracle { values: &mut t.values, outputs: &mut *t.outputs, ops };
     let Ok(stepped) = step_recorded(trace.decoded(), t.snap, instr_index, &mut oracle);
     match stepped {
         Stepped::Next => {}
         Stepped::Halted => t.done = true,
-        Stepped::Faulted => panic!("oracle replay re-faulted at pc {}", t.snap.pc),
+        Stepped::Faulted(fault) => panic!("oracle replay re-faulted at pc {}: {fault}", t.snap.pc),
     }
 }
 
-/// The oracle phase's source: a region's recorded values, each mirrored
-/// into the virtual memory (or its recorded op stream) as it is read.
-struct Oracle<'t, 'a, 'm> {
+/// The oracle phase's source: a region's recorded values, each recorded as
+/// an [`OracleOp`] as it is read.
+struct Oracle<'t, 'a> {
     values: &'t mut RegionValues<'a>,
     outputs: &'t mut Vec<u64>,
-    vmem: &'t mut VMem<'m>,
+    ops: &'t mut Vec<OracleOp>,
 }
 
-impl Recorded for Oracle<'_, '_, '_> {
+impl Recorded for Oracle<'_, '_> {
     type Error = Infallible;
 
-    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> u64 {
-        let value = self.values.load(instr_index, pc, addr);
-        self.vmem.oracle_copy_in(addr, value); // first-use copy-in
-        value
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, Infallible> {
+        let value = self.values.load(instr_index, pc, addr)?;
+        self.ops.push(OracleOp::CopyIn { addr, value }); // first-use copy-in
+        Ok(value)
     }
 
-    fn store(&mut self, instr_index: u64, pc: usize, addr: u64, value: u64) {
-        self.values.store(instr_index, pc, addr, value);
-        self.vmem.oracle_write(addr, value);
+    fn store(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        value: u64,
+    ) -> Trapped<(), Infallible> {
+        self.values.store(instr_index, pc, addr, value)?;
+        self.ops.push(OracleOp::Write { addr, value });
+        Ok(())
     }
 
     /// One op per atomic: the write when it stored, else the copy-in of the
@@ -1216,21 +1127,21 @@ impl Recorded for Oracle<'_, '_, '_> {
         pc: usize,
         addr: u64,
         new: impl FnOnce(u64) -> Option<u64>,
-    ) -> u64 {
-        let old = self.values.load(instr_index, pc, addr);
+    ) -> Trapped<u64, Infallible> {
+        let old = self.values.load(instr_index, pc, addr)?;
         match new(old) {
-            Some(value) => self.store(instr_index, pc, addr, value),
-            None => self.vmem.oracle_copy_in(addr, old),
+            Some(value) => self.store(instr_index, pc, addr, value)?,
+            None => self.ops.push(OracleOp::CopyIn { addr, value: old }),
         }
-        old
+        Ok(old)
     }
 
-    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Result<u64, Infallible> {
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Trapped<u64, Infallible> {
         let ret = self.values.syscall(instr_index, call, arg)?;
         match call {
-            SysCall::Alloc => self.vmem.oracle_alloc(ret, arg.max(1)),
+            SysCall::Alloc => self.ops.push(OracleOp::Alloc { base: ret, size: arg.max(1) }),
             // The recorded free succeeded; mirror it.
-            SysCall::Free => self.vmem.oracle_free(arg),
+            SysCall::Free => self.ops.push(OracleOp::Free { base: arg }),
             SysCall::Print => self.outputs.push(arg),
             SysCall::Tid | SysCall::Yield | SysCall::Nop => {}
         }
@@ -1238,7 +1149,8 @@ impl Recorded for Oracle<'_, '_, '_> {
     }
 }
 
-/// Live step: execute one instruction against the virtual-processor memory.
+/// Live step: executes one instruction against the virtual memory, once the
+/// pc passes the recorded-footprint check.
 fn step_live(
     trace: &ReplayTrace,
     t: &mut VThread<'_, '_>,
@@ -1249,136 +1161,59 @@ fn step_live(
     if !allow_unrecorded_cf && !trace.in_footprint(t.tid, pc) {
         return Err(ReplayFailure::UnrecordedControlFlow { tid: t.tid, pc });
     }
-    let Some(&op) = trace.decoded().op(pc) else {
-        t.fault = Some(Fault::PcOutOfRange { pc });
-        t.done = true;
-        return Ok(());
-    };
-    let next = pc + 1;
-
-    let fault = |t: &mut VThread<'_, '_>, f: Fault| {
-        t.fault = Some(f);
-        t.done = true;
-    };
-
-    macro_rules! mem_value {
-        ($t:ident, $e:expr) => {
-            match $e {
-                Mem::Value(v) => v,
-                Mem::Fault(f) => {
-                    fault($t, f);
-                    return Ok(());
-                }
-                Mem::Fail(failure) => return Err(failure),
-            }
-        };
-    }
-
-    match op {
-        Decoded::MovImm { dst, imm } => {
-            t.set_reg_i(dst, imm);
-            t.snap.pc = next;
-        }
-        Decoded::Mov { dst, src } => {
-            let v = t.reg_i(src);
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
-        }
-        Decoded::Bin { op, dst, lhs, rhs } => match op.apply(t.reg_i(lhs), t.reg_i(rhs)) {
-            Some(v) => {
-                t.set_reg_i(dst, v);
-                t.snap.pc = next;
-            }
-            None => fault(t, Fault::DivideByZero),
-        },
-        Decoded::BinImm { op, dst, lhs, imm } => match op.apply(t.reg_i(lhs), imm) {
-            Some(v) => {
-                t.set_reg_i(dst, v);
-                t.snap.pc = next;
-            }
-            None => fault(t, Fault::DivideByZero),
-        },
-        Decoded::Load { dst, base, offset } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let v = mem_value!(t, vmem.load(addr));
-            t.set_reg_i(dst, v);
-            t.snap.pc = next;
-        }
-        Decoded::Store { src, base, offset } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let v = t.reg_i(src);
-            mem_value!(t, vmem.store(addr, v));
-            t.snap.pc = next;
-        }
-        Decoded::AtomicRmw { op, dst, base, offset, src } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let old = mem_value!(t, vmem.load(addr));
-            let new = op.apply(old, t.reg_i(src));
-            mem_value!(t, vmem.store(addr, new));
-            t.set_reg_i(dst, old);
-            t.snap.pc = next;
-        }
-        Decoded::AtomicCas { dst, base, offset, expected, new } => {
-            let addr = t.reg_i(base).wrapping_add(offset as u64);
-            let old = mem_value!(t, vmem.load(addr));
-            let success = old == t.reg_i(expected);
-            if success {
-                let nv = t.reg_i(new);
-                mem_value!(t, vmem.store(addr, nv));
-            }
-            t.set_reg_i(dst, u64::from(success));
-            t.snap.pc = next;
-        }
-        Decoded::Fence => t.snap.pc = next,
-        Decoded::Jump { target } => t.snap.pc = target as usize,
-        Decoded::Branch { cond, lhs, rhs, target } => {
-            t.snap.pc = if cond.eval(t.reg_i(lhs), t.reg_i(rhs)) { target as usize } else { next };
-        }
-        Decoded::Call { target } => {
-            if t.snap.call_stack.len() >= MAX_CALL_DEPTH {
-                fault(t, Fault::CallStackOverflow);
-            } else {
-                t.snap.call_stack.push(next);
-                t.snap.pc = target as usize;
-            }
-        }
-        Decoded::Ret => match t.snap.call_stack.pop() {
-            Some(ret) => t.snap.pc = ret,
-            None => fault(t, Fault::CallStackUnderflow),
-        },
-        Decoded::Syscall { call } => {
-            // Re-use the recorded result when the recorded syscall stream is
-            // still aligned (same call kind at the cursor); otherwise the
-            // execution has diverged and results are synthesized.
-            let v = &mut t.values;
-            let recorded = v.region.syscalls.get(v.sys).filter(|s| s.call == call).map(|s| s.ret);
-            if recorded.is_some() {
-                v.sys += 1;
-            }
-            let ret = match call {
-                SysCall::Alloc => {
-                    let size = t.reg(Reg::R0).max(1);
-                    vmem.alloc(recorded, size)
-                }
-                SysCall::Free => {
-                    let base = t.reg(Reg::R0);
-                    mem_value!(t, vmem.free(base));
-                    0
-                }
-                SysCall::Print => {
-                    let v = t.reg(Reg::R0);
-                    t.outputs.push(v);
-                    v
-                }
-                SysCall::Tid => t.tid as u64,
-                SysCall::Yield | SysCall::Nop => 0,
-            };
-            t.set_reg(Reg::R0, ret);
-            t.snap.pc = next;
-        }
-        Decoded::Halt => {
+    let mut live = Live { tid: t.tid, values: &mut t.values, outputs: &mut *t.outputs, vmem };
+    match step_recorded(trace.decoded(), t.snap, t.instr, &mut live)? {
+        Stepped::Next => {}
+        Stepped::Halted => t.done = true,
+        Stepped::Faulted(fault) => {
+            t.fault = Some(fault);
             t.done = true;
         }
     }
     Ok(())
+}
+
+/// The live phases' source: the virtual memory, plus the region's recorded
+/// system-call results while the run still lines up with them.
+struct Live<'t, 'a, 'm> {
+    tid: usize,
+    values: &'t mut RegionValues<'a>,
+    outputs: &'t mut Vec<u64>,
+    vmem: &'t mut VMem<'m>,
+}
+
+impl Recorded for Live<'_, '_, '_> {
+    type Error = ReplayFailure;
+
+    fn load(&mut self, _: u64, _: usize, addr: u64) -> Trapped<u64, ReplayFailure> {
+        self.vmem.load(addr)
+    }
+
+    fn store(&mut self, _: u64, _: usize, addr: u64, value: u64) -> Trapped<(), ReplayFailure> {
+        self.vmem.store(addr, value)
+    }
+
+    fn syscall(&mut self, _: u64, call: SysCall, arg: u64) -> Trapped<u64, ReplayFailure> {
+        // Re-use the recorded result when the recorded syscall stream is
+        // still aligned (same call kind at the cursor); otherwise the
+        // execution has diverged and results are synthesized.
+        let v = &mut *self.values;
+        let recorded = v.region.syscalls.get(v.sys).filter(|s| s.call == call).map(|s| s.ret);
+        if recorded.is_some() {
+            v.sys += 1;
+        }
+        Ok(match call {
+            SysCall::Alloc => self.vmem.alloc(recorded, arg.max(1)),
+            SysCall::Free => {
+                self.vmem.free(arg)?;
+                0
+            }
+            SysCall::Print => {
+                self.outputs.push(arg);
+                arg
+            }
+            SysCall::Tid => self.tid as u64,
+            SysCall::Yield | SysCall::Nop => 0,
+        })
+    }
 }

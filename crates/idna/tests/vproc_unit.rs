@@ -7,9 +7,10 @@ use std::sync::Arc;
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
 use idna_replay::vproc::{AccessSite, PairOrder, ReplayFailure, Vproc, VprocConfig};
-use tvm::isa::{Cond, Reg, RmwOp, SysCall};
+use tvm::isa::{BinOp, Cond, Reg, RmwOp, SysCall};
+use tvm::memory::{GLOBAL_LIMIT, HEAP_BASE};
 use tvm::scheduler::RunConfig;
-use tvm::{Program, ProgramBuilder};
+use tvm::{Fault, Program, ProgramBuilder};
 
 /// Builds, records, and replays; returns the trace.
 fn trace_of(b: ProgramBuilder, cfg: RunConfig) -> (Arc<Program>, ReplayTrace) {
@@ -308,7 +309,7 @@ fn budget_exhaustion_is_a_replay_failure() {
     let (program, trace) = trace_of(b, RunConfig::round_robin(1));
     let w = site_at(&program, &trace, "unrelated_store");
     let r = site_at(&program, &trace, "read_a0");
-    let vproc = Vproc::new(&trace, VprocConfig { step_budget: 500, ..VprocConfig::default() });
+    let vproc = Vproc::new(&trace, VprocConfig::default());
     // The helper is not part of the pair, so its store to 0xA1 only reaches
     // the vproc if it happened before the pair's regions (live-in). Under
     // round-robin(1) the helper runs interleaved; depending on version
@@ -363,4 +364,95 @@ fn outputs_participate_in_live_out_equality() {
     assert_ne!(x, y);
     assert_eq!(x.b.regs[0], 3);
     assert_eq!(y.b.regs[0], 0);
+}
+
+/// Replays `(w, r)` both ways: the recorded order (`w` first) completes
+/// without a fault, and the flipped order leaves exactly `fault` in the
+/// reader's live-out — a completed replay, not a replay failure.
+fn assert_flipped_order_faults(trace: &ReplayTrace, w: &AccessSite, r: &AccessSite, fault: Fault) {
+    let vproc = Vproc::new(trace, VprocConfig::default());
+    let recorded = vproc.run_pair(w, r, PairOrder::AThenB).expect("recorded order replays");
+    assert!(!recorded.any_fault(), "{recorded:?}");
+    let flipped = vproc.run_pair(w, r, PairOrder::BThenA).expect("flipped order replays");
+    assert_eq!((flipped.a.fault, flipped.b.fault), (None, Some(fault)), "{flipped:?}");
+}
+
+#[test]
+fn a_racy_zero_divisor_faults_inside_the_vproc() {
+    // The flipped order reads the divisor before the writer sets it, and
+    // divides by the live-in zero.
+    let mut b = ProgramBuilder::new();
+    b.thread("w");
+    b.movi(Reg::R1, 4).mark("set_divisor").store(Reg::R1, Reg::R15, 0xD0).halt();
+    b.thread("r");
+    for _ in 0..3 {
+        b.movi(Reg::R13, 0); // delay: the recorded read sees 4
+    }
+    b.mark("read_divisor")
+        .load(Reg::R2, Reg::R15, 0xD0)
+        .movi(Reg::R1, 100)
+        .bin(BinOp::Div, Reg::R3, Reg::R1, Reg::R2)
+        .halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let w = site_at(&program, &trace, "set_divisor");
+    let r = site_at(&program, &trace, "read_divisor");
+    assert_flipped_order_faults(&trace, &w, &r, Fault::DivideByZero);
+}
+
+#[test]
+fn a_racy_pointer_into_the_unmapped_gap_faults_with_invalid_access() {
+    // The pointer starts between the globals and the heap; the writer
+    // swings it to a global before the recorded reader follows it.
+    let gap = GLOBAL_LIMIT + 8;
+    let mut b = ProgramBuilder::new();
+    b.global(0xE0, gap);
+    b.thread("w");
+    b.movi(Reg::R1, 0xE8).mark("swing").store(Reg::R1, Reg::R15, 0xE0).halt();
+    b.thread("r");
+    for _ in 0..3 {
+        b.movi(Reg::R13, 0); // delay: the recorded read sees the global
+    }
+    b.mark("read_ptr").load(Reg::R6, Reg::R15, 0xE0).load(Reg::R7, Reg::R6, 0).halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let w = site_at(&program, &trace, "swing");
+    let r = site_at(&program, &trace, "read_ptr");
+    assert_flipped_order_faults(&trace, &w, &r, Fault::InvalidAccess { addr: gap });
+}
+
+#[test]
+fn an_off_base_free_stays_outside_the_live_window() {
+    // The flipped order reads a pointer one word past the allocation's
+    // base. Every system call is a sequencer point, so the reader's region
+    // ends before its free: the live phases never execute a free, and the
+    // off-base pointer shows as a register difference instead of an
+    // `InvalidFree` fault.
+    let off_base = HEAP_BASE + 1;
+    let mut b = ProgramBuilder::new();
+    b.global(0xF0, off_base);
+    b.thread("owner");
+    b.movi(Reg::R0, 2)
+        .syscall(SysCall::Alloc) // the first allocation: its base is HEAP_BASE
+        .mark("publish")
+        .store(Reg::R0, Reg::R15, 0xF0)
+        .halt();
+    b.thread("freer");
+    for _ in 0..6 {
+        b.movi(Reg::R13, 0); // delay: the recorded read sees the base
+    }
+    b.mark("read_ptr")
+        .load(Reg::R6, Reg::R15, 0xF0)
+        .mov(Reg::R0, Reg::R6)
+        .syscall(SysCall::Free)
+        .halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let w = site_at(&program, &trace, "publish");
+    let r = site_at(&program, &trace, "read_ptr");
+    let vproc = Vproc::new(&trace, VprocConfig::default());
+    for (order, freed) in [(PairOrder::AThenB, HEAP_BASE), (PairOrder::BThenA, off_base)] {
+        let out = vproc.run_pair(&w, &r, order).expect("both orders replay");
+        assert!(!out.any_fault(), "{order:?}: {out:?}");
+        let parked = program.instr(out.b.pc);
+        assert!(matches!(parked, Some(tvm::Instr::Syscall { call: SysCall::Free })), "{out:?}");
+        assert_eq!(out.b.regs[0], freed, "{order:?}: the pointer the free would get");
+    }
 }

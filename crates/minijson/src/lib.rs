@@ -113,11 +113,6 @@ impl Json {
     }
 
     #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        self.as_i128().and_then(|i| i64::try_from(i).ok())
-    }
-
-    #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
         self.as_i128().and_then(|i| usize::try_from(i).ok())
     }

@@ -2,9 +2,9 @@
 //!
 //! A submission's report is a pure function of the assembled program, the
 //! submitted log container bytes, and the classifier options that can
-//! change it: the virtual processor's step budget and permissive flags,
-//! the per-race instance budget, and the static trust tier (worker count
-//! and batching never change a report). The cache binds exactly those
+//! change it: the virtual processor's permissive flags and the static trust
+//! tier (worker count and batching never change a report; the step and
+//! instance budgets are constants). The cache binds exactly those
 //! inputs into a [`WorkloadKey`] and keeps, per workload, one file
 //! `DIR/<32 hex digits>.rrr` holding the finished report JSON, so a hit
 //! skips log decode, replay, detection, classification and rendering.
@@ -12,9 +12,9 @@
 //! # Record format
 //!
 //! ```text
-//! magic "RRREPRT3" ‖ checksum [16] ‖ identity [16] ‖ step budget u64 ‖
-//! permissive flags u8 ‖ max instances u64 ‖ trust tier flags u8 ‖
-//! log length u64 ‖ program length u64 ‖ program ‖ report JSON (compact)
+//! magic "RRREPRT4" ‖ checksum [16] ‖ identity [16] ‖ permissive flags u8 ‖
+//! trust tier flags u8 ‖ log length u64 ‖ program length u64 ‖ program ‖
+//! report JSON (compact)
 //! ```
 //!
 //! Integers are little-endian. The program is its canonical disassembly
@@ -50,13 +50,14 @@ use minijson::Json;
 use replay_race::classify::ClassifierConfig;
 use tvm::Program;
 
-/// Record-file magic: `RR` report record, format version `3`. Bump the
+/// Record-file magic: `RR` report record, format version `4`. Bump the
 /// version whenever the record layout changes or a pipeline change alters
 /// any report, or records written by an older build keep serving its
 /// bytes. Version 2 reports quote a pc that carries several marks by its
 /// smallest name. Version 3 adds the trust-tier byte to the options, as
-/// the service now honors `--trust-static`.
-pub const RECORD_MAGIC: &[u8; 8] = b"RRREPRT3";
+/// the service now honors `--trust-static`. Version 4 drops the step and
+/// instance budgets from the options, as both are constants.
+pub const RECORD_MAGIC: &[u8; 8] = b"RRREPRT4";
 
 /// Record file extension.
 const RECORD_EXT: &str = "rrr";
@@ -118,13 +119,10 @@ impl WorkloadKey {
     pub fn new(program: &Program, log: &[u8], classifier: &ClassifierConfig) -> Self {
         let program = tvm::asm::disassemble(program);
         let (vproc, trust) = (classifier.vproc, classifier.trust_static);
-        let mut options = Vec::with_capacity(18);
-        options.extend_from_slice(&vproc.step_budget.to_le_bytes());
-        options.push(
+        let options = [
             u8::from(vproc.permissive_unknown_loads) | u8::from(vproc.permissive_control_flow) << 1,
-        );
-        options.extend_from_slice(&(classifier.max_instances_per_race as u64).to_le_bytes());
-        options.push(u8::from(trust.skips_benign()) | u8::from(trust.skips_unreachable()) << 1);
+            u8::from(trust.skips_benign()) | u8::from(trust.skips_unreachable()) << 1,
+        ];
         let identity = digest128(&[program.as_bytes(), log, &options]);
         let mut header = Vec::with_capacity(16 + options.len() + 16 + program.len());
         header.extend_from_slice(&identity);

@@ -74,11 +74,7 @@ fn seeded_entries(seed: u64, n: usize) -> Vec<(WorkloadKey, String)> {
             let log: Vec<u8> = (0..16 + rng.below(48)).map(|_| rng.next() as u8).collect();
             let vproc =
                 if rng.below(2) == 0 { VprocConfig::default() } else { VprocConfig::permissive() };
-            let classifier = ClassifierConfig {
-                vproc,
-                max_instances_per_race: 1 + rng.below(3000) as usize,
-                ..ClassifierConfig::default()
-            };
+            let classifier = ClassifierConfig { vproc, ..ClassifierConfig::default() };
             (WorkloadKey::new(&program, &log, &classifier), report(&mut rng).to_string_compact())
         })
         .collect()
@@ -190,7 +186,9 @@ fn a_record_under_another_identity_is_a_miss() {
 
 /// A record of an earlier format version is a miss even when every other
 /// byte is intact: version 1 records may quote another mark name for a pc
-/// that carries several, and version 2 records carry no trust tier.
+/// that carries several, version 2 records carry no trust tier, and
+/// version 3 records carry the step and instance budgets, which are now
+/// constants.
 #[test]
 fn a_previous_version_record_is_a_miss() {
     let entries = seeded_entries(0x2e2e_a1a1, 3);
@@ -199,7 +197,7 @@ fn a_previous_version_record_is_a_miss() {
     for (key, report) in &entries {
         let path = dir.join(key.file_name());
         let full = std::fs::read(&path).unwrap();
-        for magic in [b"RRREPRT1", b"RRREPRT2"] {
+        for magic in [b"RRREPRT1", b"RRREPRT2", b"RRREPRT3"] {
             let mut old = full.clone();
             old[..8].copy_from_slice(magic);
             std::fs::write(&path, &old).unwrap();

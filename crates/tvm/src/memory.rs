@@ -91,12 +91,6 @@ impl Memory {
         self.words.get(addr)
     }
 
-    /// Whether `addr` is currently mapped.
-    #[must_use]
-    pub fn is_mapped(&self, addr: u64) -> bool {
-        self.check(addr).is_ok()
-    }
-
     /// Allocates `size` words (at least one) and returns the base address.
     pub fn alloc(&mut self, size: u64) -> u64 {
         let size = size.max(1);

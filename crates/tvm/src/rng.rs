@@ -62,11 +62,6 @@ impl SplitMix64 {
     pub fn next_index(&mut self, len: usize) -> usize {
         usize::try_from(self.next_below(len as u64)).expect("index fits usize")
     }
-
-    /// A random bool with probability `num/denom` of being true.
-    pub fn next_ratio(&mut self, num: u64, denom: u64) -> bool {
-        self.next_below(denom) < num
-    }
 }
 
 #[cfg(test)]

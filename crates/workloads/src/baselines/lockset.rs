@@ -16,7 +16,7 @@
 //!   and stores a non-zero value,
 //! * **release**: an atomic exchange/store of 0 to a currently held `L`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use tvm::exec::{AccessKind, Observer, StepInfo};
 use tvm::isa::Instr;
@@ -95,12 +95,6 @@ impl LocksetDetector {
     #[must_use]
     pub fn warned_locations(&self) -> usize {
         self.warnings.iter().map(|w| w.addr).collect::<BTreeSet<_>>().len()
-    }
-
-    /// The per-location states, for inspection in tests and reports.
-    #[must_use]
-    pub fn location_states(&self) -> BTreeMap<u64, LocationState> {
-        self.locations.iter().map(|(&a, info)| (a, info.state)).collect()
     }
 
     fn on_access(&mut self, tid: usize, pc: usize, addr: u64, kind: AccessKind) {

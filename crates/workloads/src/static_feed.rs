@@ -135,10 +135,7 @@ pub fn classify_static_warnings(
 
     // The detector, pre-filtered to the candidate set, materializes every
     // warning that races in this schedule.
-    let detector = DetectorConfig {
-        prefilter: Some(Arc::new(candidates.clone())),
-        ..DetectorConfig::default()
-    };
+    let detector = DetectorConfig { prefilter: Some(Arc::new(candidates.clone())) };
     let detected = detect_races(trace, &detector);
 
     // Index the trace's accesses by pc for the ordered fallback.

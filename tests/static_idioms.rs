@@ -89,13 +89,8 @@ fn idiom_tagging_and_prefilter_leave_detector_and_classifier_output_identical() 
             let trace = replay(&program, &recording.log).expect("fresh recordings replay");
 
             let unfiltered = detect_races(&trace, &DetectorConfig::default());
-            let filtered = detect_races(
-                &trace,
-                &DetectorConfig {
-                    prefilter: Some(Arc::clone(&candidates)),
-                    ..DetectorConfig::default()
-                },
-            );
+            let filtered =
+                detect_races(&trace, &DetectorConfig { prefilter: Some(Arc::clone(&candidates)) });
             assert_eq!(
                 filtered.instances, unfiltered.instances,
                 "{id}: prefilter changed instances"

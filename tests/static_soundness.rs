@@ -56,10 +56,7 @@ fn every_dynamic_race_is_a_static_candidate_and_the_prefilter_is_exact() {
             }
             dynamic_races += unfiltered.instances.len();
 
-            let filtered_config = DetectorConfig {
-                prefilter: Some(Arc::clone(&candidates)),
-                ..DetectorConfig::default()
-            };
+            let filtered_config = DetectorConfig { prefilter: Some(Arc::clone(&candidates)) };
             let filtered = detect_races(&trace, &filtered_config);
             assert_eq!(
                 filtered.instances, unfiltered.instances,
