@@ -1,5 +1,7 @@
 //! Microbenchmark of the virtual processor: the cost of one dual-order
-//! replay (the unit of work behind the paper's 280× analysis overhead).
+//! replay (the unit of work behind the paper's 280× analysis overhead),
+//! both as two `run_pair` replays and as the `run_unit` call classification
+//! makes.
 
 use bench::timing::{measure, report};
 
@@ -20,9 +22,26 @@ fn main() {
     assert!(!detected.instances.is_empty(), "browser must have race instances");
     let instance = detected.instances[0];
     let vproc = Vproc::new(&trace, VprocConfig::default());
+    // The unit classification replays `instance` in: every detected instance
+    // on its racing region pair.
+    let unit: Vec<_> = detected
+        .instances
+        .iter()
+        .filter(|i| (i.a.region, i.b.region) == (instance.a.region, instance.b.region))
+        .map(|i| (i.a, i.b))
+        .collect();
 
     let m = measure(20, 200, || vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB));
     report("vproc", "single_order_replay", &m, None);
     let m = measure(20, 200, || classify_instance(&vproc, &instance));
     report("vproc", "classify_instance_both_orders", &m, None);
+    let m = measure(20, 200, || vproc.run_unit(&unit[..1], |_, _| false));
+    report("vproc", "run_unit_one_instance", &m, None);
+    let m = measure(20, 200, || vproc.run_unit(&unit, |_, _| false));
+    report(
+        "vproc",
+        &format!("run_unit_region_pair_{}_instances", unit.len()),
+        &m,
+        Some(unit.len() as u64),
+    );
 }

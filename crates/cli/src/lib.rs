@@ -41,8 +41,10 @@
 //!
 //! `--jobs N` sets the classifier's worker-thread count (0 or omitted =
 //! available parallelism, 1 = single-threaded); `--batch` toggles
-//! shared-prefix batched replay (`shared`, the default, executes each
-//! racing region pair's common oracle prefix once and forks per pair).
+//! shared-prefix replay (`shared`, the default, executes each racing
+//! region pair's common oracle prefix once for every pair and both orders
+//! and forks per pair and order; `off` replays each order of each pair
+//! from scratch).
 //! Neither changes the classification, only its cost. `--replay-stats` on
 //! `races` appends the replay-engine counters — vproc replays and the
 //! batch/fork/prefix figures — to the text report, or as a `replay_stats`
@@ -319,10 +321,12 @@ fn replay_stats_text(classification: &ClassificationResult) -> String {
     let batching = classification.batch_stats;
     format!(
         "{} vproc replays\n\
-         batching: {} batch(es), {} forked resume(s), {} prefix instrs saved, {} live-in index hits\n",
+         batching: {} batch(es), {} forked resume(s), {} prefix execution(s), \
+         {} prefix instrs saved, {} live-in index hits\n",
         classification.vproc_replays,
         batching.batches,
         batching.forks,
+        batching.prefix_executions,
         batching.prefix_instrs_saved,
         batching.live_in_index_hits,
     )
@@ -1103,6 +1107,8 @@ mod tests {
         assert!(text.contains("vproc replays\n"), "{text}");
         assert!(text.contains("batching:"), "{text}");
         assert!(text.contains("live-in index hits"), "{text}");
+        // RACY's one instance replays both orders from one prefix per side.
+        assert!(text.contains(", 2 prefix execution(s), "), "{text}");
         // JSON: a replay_stats sibling of races, with the batching object.
         let json =
             cmd_races(&prog, &log, true, &ClassifierConfig::default(), None, false, true).unwrap();
@@ -1129,7 +1135,9 @@ mod tests {
             "off".into(),
         ];
         let out = dispatch(&args).unwrap();
-        assert!(out.contains("batching: 0 batch(es)"), "{out}");
+        // Unbatched, each order replays its own prefixes.
+        let unbatched = "batching: 0 batch(es), 0 forked resume(s), 4 prefix execution(s), ";
+        assert!(out.contains(unbatched), "{out}");
         let args: Vec<String> = vec![
             "races".into(),
             prog.display().to_string(),

@@ -27,9 +27,12 @@
 //!    instance under [`BatchMode::Off`];
 //! 2. **resolves** the units in one worker loop, inline at
 //!    [`ClassifierConfig::jobs`] 1 and on scoped threads otherwise: a
-//!    worker pulls a unit from a shared cursor, replays each order of it
-//!    with one [`Vproc::run_batch`] call, and resolves every instance where
-//!    it replayed;
+//!    worker pulls a unit from a shared cursor and resolves every instance
+//!    of it under both orders with one [`Vproc::run_unit`] call, which
+//!    runs each side's oracle prefix once for every instance and both
+//!    orders and compares the orders in place; under [`BatchMode::Off`]
+//!    the unit's one instance replays through two [`Vproc::run_pair`]
+//!    calls instead, the paper-literal reference;
 //! 3. **assembles** the per-race outcomes sequentially, folding the
 //!    resolved instances in plan order.
 //!
@@ -37,11 +40,10 @@
 //! planning, the result is bit-for-bit identical at any job count, batched
 //! or not.
 //!
-//! A worker drops each instance's live-outs once it is resolved, except
-//! for a race's first exposing instance in the unit; assembly keeps the
-//! pair of each race's first exposing instance when it is State-Change
-//! ([`ClassifiedRace::exposing_live_outs`]), so the report renders the
-//! difference without replaying anything.
+//! Live-outs are built only for a race's first exposing instance in a
+//! unit, when it is State-Change; assembly keeps the pair of each race's
+//! first exposing instance ([`ClassifiedRace::exposing_live_outs`]), so
+//! the report renders the difference without replaying anything.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,7 +54,7 @@ use tvm::fasthash::FastHashMap;
 use idna_replay::region::RegionId;
 use idna_replay::replayer::ReplayTrace;
 use idna_replay::vproc::{
-    AccessSite, BatchStats, PairLiveOut, PairOrder, ReplayFailure, Vproc, VprocConfig,
+    AccessSite, BatchStats, PairLiveOut, PairOrder, PairOutcome, ReplayFailure, Vproc, VprocConfig,
 };
 use racecheck::{PredictedVerdict, Reach};
 
@@ -175,16 +177,17 @@ impl ClassifiedRace {
 }
 
 /// Whether planned instances sharing a racing region pair replay together
-/// through the shared-prefix batch engine ([`Vproc::run_batch`]).
+/// through the shared-prefix engine ([`Vproc::run_unit`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Every planned instance is a unit of its own: each order replays
-    /// individually (a one-pair [`Vproc::run_batch`] is a
-    /// [`Vproc::run_pair`]).
+    /// Every planned instance is a unit of its own, replayed from scratch
+    /// by two [`Vproc::run_pair`] calls, one per order — the paper-literal
+    /// reference the shared engine is checked against.
     Off,
     /// Planned instances are grouped by racing region pair during the
-    /// planner's sequential walk; each group replays once per order,
-    /// executing its common oracle prefix once and forking per pair. The
+    /// planner's sequential walk; each group is one [`Vproc::run_unit`]
+    /// call, which executes the group's common oracle prefix once for
+    /// every instance and both orders and forks per pair and order. The
     /// classification is byte-identical to `Off` at any job count (pinned
     /// by `tests/batch_equiv.rs`); only the cost changes.
     #[default]
@@ -334,13 +337,14 @@ pub struct ClassificationResult {
     /// Virtual-processor replays executed: two per analyzed instance, the
     /// cost metric of the overhead experiment.
     pub vproc_replays: u64,
-    /// Shared-prefix batch-engine counters, summed over every worker's
-    /// [`Vproc`]: multi-pair batches run (at most one per order of each
-    /// unit), pairs forked from checkpoints, prefix executions, oracle
-    /// instructions saved, live-in index hits. All zero under
-    /// [`BatchMode::Off`] except the prefix-execution and index-hit
-    /// counters, which the unbatched engine also feeds. The CLI's stats
-    /// block, `--replay-stats` and the benches all read the counters here.
+    /// Replay-engine counters, summed over every worker's [`Vproc`]:
+    /// multi-pair units (at most one per unit), order replays forked from
+    /// checkpoints, prefix executions (two per unit, or two per
+    /// [`Vproc::run_pair`]), oracle instructions saved, live-in index hits
+    /// (see [`BatchStats`]). All zero under [`BatchMode::Off`] except the
+    /// prefix-execution and index-hit counters, which `run_pair` also
+    /// feeds. The CLI's stats block, `--replay-stats` and the benches all
+    /// read the counters here.
     pub batch_stats: BatchStats,
     /// Races recorded benign on static authority alone (zero replays),
     /// under the [`TrustStatic`] skip tiers (`skip-benign` idiom
@@ -380,49 +384,48 @@ impl ClassificationResult {
     }
 }
 
-/// Combines the two ordered live-outs of one instance into its
-/// classification — the comparison half of [`classify_instance`], shared
-/// with the planned engine.
-fn combine_outcomes(
-    trace: &ReplayTrace,
-    instance: &RaceInstance,
-    fwd: &Result<PairLiveOut, ReplayFailure>,
-    rev: &Result<PairLiveOut, ReplayFailure>,
-) -> ClassifiedInstance {
-    let (outcome, original_order) = match (fwd, rev) {
-        (Ok(x), Ok(y)) => {
-            let original = if x.matches_recorded(trace, &instance.a, &instance.b) {
+/// Classifies one instance from the outcome of its two orders — the
+/// comparison half of [`classify_instance`], shared with the unit engine.
+fn combine_outcomes(instance: &RaceInstance, pair: &PairOutcome) -> ClassifiedInstance {
+    let (outcome, original_order) = match pair.orders {
+        [Ok(x), Ok(y)] => {
+            let original = if x {
                 Some(PairOrder::AThenB)
-            } else if y.matches_recorded(trace, &instance.a, &instance.b) {
+            } else if y {
                 Some(PairOrder::BThenA)
             } else {
                 None
             };
-            let outcome =
-                if x == y { InstanceOutcome::NoStateChange } else { InstanceOutcome::StateChange };
+            let outcome = if pair.same {
+                InstanceOutcome::NoStateChange
+            } else {
+                InstanceOutcome::StateChange
+            };
             (outcome, original)
         }
-        (Ok(x), Err(f)) => {
-            let original =
-                x.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::AThenB);
-            (InstanceOutcome::ReplayFailure(*f), original)
-        }
-        (Err(f), Ok(y)) => {
-            let original =
-                y.matches_recorded(trace, &instance.a, &instance.b).then_some(PairOrder::BThenA);
-            (InstanceOutcome::ReplayFailure(*f), original)
-        }
-        (Err(f), Err(_)) => (InstanceOutcome::ReplayFailure(*f), None),
+        [Ok(x), Err(f)] => (InstanceOutcome::ReplayFailure(f), x.then_some(PairOrder::AThenB)),
+        [Err(f), Ok(y)] => (InstanceOutcome::ReplayFailure(f), y.then_some(PairOrder::BThenA)),
+        [Err(f), Err(_)] => (InstanceOutcome::ReplayFailure(f), None),
     };
     ClassifiedInstance { instance: *instance, outcome, original_order }
+}
+
+/// Replays both orders of one instance from scratch, one
+/// [`Vproc::run_pair`] call each — the paper-literal reference the unit
+/// engine is checked against.
+fn replay_both_orders(
+    vproc: &Vproc<'_>,
+    instance: &RaceInstance,
+) -> (PairOutcome, [Result<PairLiveOut, ReplayFailure>; 2]) {
+    let (a, b) = (&instance.a, &instance.b);
+    let live_outs = PairOrder::BOTH.map(|order| vproc.run_pair(a, b, order));
+    (PairOutcome::of(vproc.trace(), a, b, &live_outs), live_outs)
 }
 
 /// Classifies one race instance by replaying both orders.
 #[must_use]
 pub fn classify_instance(vproc: &Vproc<'_>, instance: &RaceInstance) -> ClassifiedInstance {
-    let fwd = vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB);
-    let rev = vproc.run_pair(&instance.a, &instance.b, PairOrder::BThenA);
-    combine_outcomes(vproc.trace(), instance, &fwd, &rev)
+    combine_outcomes(instance, &replay_both_orders(vproc, instance).0)
 }
 
 /// One planned instance resolved where it replayed, with the two live-outs
@@ -452,35 +455,46 @@ fn form_units(planned: &[(usize, RaceInstance)], batching: BatchMode) -> Vec<Vec
     units
 }
 
-/// Replays both orders of one unit, one [`Vproc::run_batch`] call per
-/// order, and resolves each instance on the spot. A unit's instances are
-/// in plan order, so a race's instances in it are contiguous; the live-outs
-/// are kept only for each race's first exposing instance in the unit, and
-/// only when that instance is State-Change.
+/// Replays both orders of one unit and resolves each instance on the spot:
+/// one [`Vproc::run_unit`] call under [`BatchMode::Shared`], and the unit's
+/// one instance through two [`Vproc::run_pair`] calls under
+/// [`BatchMode::Off`]. A unit's instances are in plan order, so a race's
+/// instances in it are contiguous; the live-outs are kept only for each
+/// race's first exposing instance in the unit, and only when that instance
+/// is State-Change.
 fn run_unit(
     vproc: &Vproc<'_>,
     planned: &[(usize, RaceInstance)],
     unit: &[usize],
+    batching: BatchMode,
     pairs: &mut Vec<(AccessSite, AccessSite)>,
 ) -> Vec<Resolved> {
-    pairs.clear();
-    pairs.extend(unit.iter().map(|&i| (planned[i].1.a, planned[i].1.b)));
-    let [fwd, rev] = PairOrder::BOTH.map(|order| vproc.run_batch(pairs, order));
     let mut exposed_race = None;
+    let mut keep = |i: usize, pair: &PairOutcome| {
+        let (race, instance) = &planned[unit[i]];
+        let outcome = combine_outcomes(instance, pair).outcome;
+        if !outcome.is_harmful_signal() || exposed_race == Some(*race) {
+            return false;
+        }
+        exposed_race = Some(*race);
+        outcome == InstanceOutcome::StateChange
+    };
+    let resolved = if batching == BatchMode::Off {
+        let &[i] = unit else { unreachable!("an unbatched unit is one instance") };
+        let (outcome, live_outs) = replay_both_orders(vproc, &planned[i].1);
+        let kept = match (keep(0, &outcome), live_outs) {
+            (true, [Ok(fwd), Ok(rev)]) => Some(Box::new([fwd, rev])),
+            _ => None,
+        };
+        vec![(outcome, kept)]
+    } else {
+        pairs.clear();
+        pairs.extend(unit.iter().map(|&i| (planned[i].1.a, planned[i].1.b)));
+        vproc.run_unit(pairs, keep)
+    };
     unit.iter()
-        .zip(fwd.into_iter().zip(rev))
-        .map(|(&i, (x, y))| {
-            let (race, instance) = &planned[i];
-            let ci = combine_outcomes(vproc.trace(), instance, &x, &y);
-            let mut kept = None;
-            if ci.outcome.is_harmful_signal() && exposed_race != Some(*race) {
-                exposed_race = Some(*race);
-                if let (InstanceOutcome::StateChange, Ok(x), Ok(y)) = (ci.outcome, x, y) {
-                    kept = Some(Box::new([x, y]));
-                }
-            }
-            (ci, kept)
-        })
+        .zip(resolved)
+        .map(|(&i, (outcome, kept))| (combine_outcomes(&planned[i].1, &outcome), kept))
         .collect()
 }
 
@@ -495,6 +509,7 @@ fn run_units(
     vproc_config: VprocConfig,
     planned: &[(usize, RaceInstance)],
     units: &[Vec<usize>],
+    batching: BatchMode,
     workers: usize,
 ) -> (Vec<Resolved>, BatchStats) {
     let slots: Vec<OnceLock<Resolved>> = planned.iter().map(|_| OnceLock::new()).collect();
@@ -503,7 +518,8 @@ fn run_units(
         let vproc = Vproc::new(trace, vproc_config);
         let mut pairs = Vec::new();
         while let Some(unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            for (&i, resolved) in unit.iter().zip(run_unit(&vproc, planned, unit, &mut pairs)) {
+            let resolved = run_unit(&vproc, planned, unit, batching, &mut pairs);
+            for (&i, resolved) in unit.iter().zip(resolved) {
                 slots[i].set(resolved).expect("each plan index is in one unit");
             }
         }
@@ -586,7 +602,7 @@ pub fn classify_races_with(
     // where they replayed.
     let units = form_units(&planned, config.batching);
     let (resolved, batch_stats) =
-        run_units(trace, config.vproc, &planned, &units, config.effective_jobs());
+        run_units(trace, config.vproc, &planned, &units, config.batching, config.effective_jobs());
     result.vproc_replays = 2 * planned.len() as u64;
     result.batch_stats = batch_stats;
 

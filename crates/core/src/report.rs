@@ -270,7 +270,6 @@ fn scenario_to_json(s: &ReplayScenario) -> Json {
                 ReplayFailure::UnknownStore { addr } => {
                     ("UnknownStore", vec![("addr", addr.into())])
                 }
-                ReplayFailure::UnknownFree { addr } => ("UnknownFree", vec![("addr", addr.into())]),
                 ReplayFailure::UnrecordedControlFlow { tid, pc } => {
                     ("UnrecordedControlFlow", vec![("tid", tid.into()), ("pc", pc.into())])
                 }
@@ -331,7 +330,6 @@ fn scenario_from_json(doc: &Json) -> Result<ReplayScenario, String> {
             InstanceOutcome::ReplayFailure(match failure.field("kind")?.as_str() {
                 Some("UnknownLoad") => ReplayFailure::UnknownLoad { addr: addr()? },
                 Some("UnknownStore") => ReplayFailure::UnknownStore { addr: addr()? },
-                Some("UnknownFree") => ReplayFailure::UnknownFree { addr: addr()? },
                 Some("UnrecordedControlFlow") => ReplayFailure::UnrecordedControlFlow {
                     tid: failure.field("tid")?.as_usize().ok_or("tid must be an integer")?,
                     pc: failure.field("pc")?.as_usize().ok_or("pc must be an integer")?,

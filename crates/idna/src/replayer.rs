@@ -20,7 +20,7 @@ use crate::image::{LiveInIndex, ReplayImage};
 use crate::region::{regions_of, Region, RegionId};
 
 /// Architectural snapshot of one thread at a region boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThreadSnapshot {
     pub regs: [u64; NUM_REGS],
     pub pc: usize,

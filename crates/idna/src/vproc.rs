@@ -23,26 +23,37 @@
 //! from the live-in image (the versioned memory at the earlier region's
 //! entry) and raises the machine's memory faults. Reads of addresses the
 //! recording never saw, or control flow leaving the recorded code
-//! footprint, are **replay failures** (§4.2.1).
+//! footprint, are **replay failures** (§4.2.1). The live phases never
+//! execute a system call — every system call is a sequencer point, the
+//! completion phase stops before one, and the order phase executes only a
+//! racing access — so they change nothing but memory words.
 //!
-//! # Shared-prefix batched replay
+//! # One prefix for both orders
 //!
-//! Most pair replays of the same region pair differ only in *where* the
-//! racing instructions sit; the oracle phase up to the racing indexes is
-//! identical work re-done per pair. [`Vproc::run_batch`] executes that
-//! common prefix **once** per side, parks a cheap [fork-point
-//! checkpoint](ThreadSnapshot) at every distinct racing index (a checkpoint
-//! chain when the indexes are spread across the region), and resolves each
-//! pair by resuming phases 2–3 from the nearest checkpoint. Memory state is
-//! forked with an undo log — the virtual memory journals every touched
-//! word and rolls back after each pair instead of deep-copying — and
-//! live-in fetches go through the trace's materialized [`LiveInIndex`]
-//! (one binary search) rather than a versioned-memory history scan. The
-//! batch engine is bit-for-bit equivalent to looping [`Vproc::run_pair`];
-//! `tests/batch_equiv.rs` in the workspace root pins that. Work saved is
+//! The oracle phase does not depend on the order, and most pairs of one
+//! region pair differ only in *where* the racing instructions sit.
+//! [`Vproc::run_unit`] resolves every pair of a region pair under both
+//! orders in one call. Each side's oracle prefix runs **once**, parking a
+//! cheap [fork-point checkpoint](ThreadSnapshot) at every distinct racing
+//! index (a checkpoint chain when the indexes spread across the region).
+//! Each pair applies its phase-1 memory once, replays a-then-b and then
+//! b-then-a from its checkpoints, and compares the two against the live
+//! state: the exits in their arena slots, and the words each order's live
+//! phases wrote, merged by address. Memory is forked with an undo log — the
+//! virtual memory journals every touched word and rolls back between the
+//! orders and after each pair instead of deep-copying. A [`PairLiveOut`] is
+//! built only for a pair the caller keeps. Live-in fetches go through the
+//! trace's materialized [`LiveInIndex`] (one binary search) rather than a
+//! versioned-memory history scan.
+//!
+//! [`Vproc::run_pair`] replays one order of one pair from scratch; it is the
+//! reference. `run_unit`'s outcomes equal [`PairOutcome::of`] two `run_pair`
+//! results, and its kept live-outs equal them (`tests/vproc_unit.rs` here
+//! and `tests/batch_equiv.rs` in the workspace root pin both). Work saved is
 //! accounted in [`BatchStats`].
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::fmt;
@@ -59,10 +70,6 @@ use crate::replayer::{
     step_recorded, HeapState, Recorded, RegionValues, ReplayTrace, ReplayedRegion, Stepped,
     ThreadSnapshot, Trap, Trapped,
 };
-
-/// Synthetic heap range for allocations performed during divergent live
-/// execution (far above anything the recorded run could have produced).
-const VPROC_FRESH_BASE: u64 = 1 << 40;
 
 /// One side of a data race: a dynamic memory access in a replayed region.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -117,8 +124,6 @@ pub enum ReplayFailure {
     UnknownLoad { addr: u64 },
     /// A store touched an address never seen when the log was taken.
     UnknownStore { addr: u64 },
-    /// A free of an allocation the recording knows nothing about.
-    UnknownFree { addr: u64 },
     /// Control flow reached code outside the thread's recorded footprint.
     UnrecordedControlFlow { tid: usize, pc: usize },
     /// The replay did not converge within the step budget (e.g. a spin loop
@@ -139,9 +144,6 @@ impl fmt::Display for ReplayFailure {
             }
             ReplayFailure::UnknownStore { addr } => {
                 write!(f, "store to unrecorded address {addr:#x}")
-            }
-            ReplayFailure::UnknownFree { addr } => {
-                write!(f, "free of unrecorded address {addr:#x}")
             }
             ReplayFailure::UnrecordedControlFlow { tid, pc } => {
                 write!(f, "thread {tid} reached unrecorded code at pc {pc}")
@@ -181,24 +183,31 @@ impl VprocConfig {
     }
 }
 
-/// Work accounting for the shared-prefix batch engine.
+/// Work accounting for the replay engines.
 ///
 /// Counters accumulate inside a [`Vproc`] and are drained with
 /// [`Vproc::take_stats`]; the classifier sums them across workers (u64
 /// addition commutes, so the totals are deterministic at any job count).
+/// A pair is *inside the budget* when its oracle distance (both sides'
+/// instructions from region entry to the racing access) is below
+/// [`STEP_BUDGET`]; [`Vproc::run_unit`] fails the others without executing
+/// anything.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Multi-pair batches executed through the fork-point engine.
+    /// Multi-pair units: one per [`Vproc::run_unit`] call with at least two
+    /// pairs inside the budget.
     pub batches: u64,
-    /// Pairs resolved by forking from a shared-prefix checkpoint.
+    /// Order replays of those units' pairs resumed from a shared-prefix
+    /// checkpoint: two per pair inside the budget, one per order.
     pub forks: u64,
     /// Region prefix executions actually performed: 2 per [`Vproc::run_pair`]
-    /// and 2 per multi-pair batch. The unbatched engine would have performed
-    /// `2 × (run_pair calls + forks)`; the difference is the saving.
+    /// and 2 per [`Vproc::run_unit`] call with a pair inside the budget —
+    /// each side's prefix runs once for every pair and both orders.
     pub prefix_executions: u64,
-    /// Oracle instructions *not* re-executed thanks to prefix sharing: the
-    /// sum of every forked pair's oracle distance minus the one prefix the
-    /// batch actually ran.
+    /// Oracle instructions *not* executed thanks to the shared prefix: for
+    /// each `run_unit` call, twice the sum of its pairs' oracle distances
+    /// (what one `run_pair` per order and pair executes) minus the prefix it
+    /// actually ran (each side to its last racing index, once).
     pub prefix_instrs_saved: u64,
     /// Live-in fetches answered by the materialized per-region
     /// [`LiveInIndex`].
@@ -259,18 +268,53 @@ impl PairLiveOut {
     /// in race reports.
     #[must_use]
     pub fn matches_recorded(&self, trace: &ReplayTrace, a: &AccessSite, b: &AccessSite) -> bool {
-        let ra = trace.region(a.region);
-        let rb = trace.region(b.region);
-        thread_matches(&self.a, ra) && thread_matches(&self.b, rb)
+        self.a.exit().matches(trace.region(a.region))
+            && self.b.exit().matches(trace.region(b.region))
     }
 }
 
-fn thread_matches(out: &ThreadLiveOut, region: &ReplayedRegion) -> bool {
-    out.fault.is_none()
-        && out.regs == region.exit.regs
-        && out.pc == region.exit.pc
-        && out.call_stack == region.exit.call_stack
-        && out.outputs == region.outputs
+impl ThreadLiveOut {
+    fn exit(&self) -> Exit<'_> {
+        Exit {
+            regs: &self.regs,
+            pc: self.pc,
+            call_stack: &self.call_stack,
+            fault: self.fault,
+            outputs: &self.outputs,
+        }
+    }
+}
+
+/// One pair replayed under both orders: what classification reads of the
+/// two live-outs.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PairOutcome {
+    /// Per order, a-then-b first: whether the replay reproduced both
+    /// regions' recorded exits ([`PairLiveOut::matches_recorded`]), or why
+    /// it failed.
+    pub orders: [Result<bool, ReplayFailure>; 2],
+    /// Whether both orders completed with equal live-outs.
+    pub same: bool,
+}
+
+impl PairOutcome {
+    /// The outcome of a pair's two [`Vproc::run_pair`] results, a-then-b
+    /// first — the reference [`Vproc::run_unit`] computes in place.
+    #[must_use]
+    pub fn of(
+        trace: &ReplayTrace,
+        a: &AccessSite,
+        b: &AccessSite,
+        [fwd, rev]: &[Result<PairLiveOut, ReplayFailure>; 2],
+    ) -> Self {
+        let recorded = |r: &Result<PairLiveOut, ReplayFailure>| {
+            r.as_ref().map(|out| out.matches_recorded(trace, a, b)).map_err(|&f| f)
+        };
+        PairOutcome {
+            orders: [recorded(fwd), recorded(rev)],
+            same: matches!((fwd, rev), (Ok(x), Ok(y)) if x == y),
+        }
+    }
 }
 
 /// One state mutation performed by the oracle phase.
@@ -300,8 +344,6 @@ enum UndoOp {
     Alloc { base: u64, prev_size: Option<u64>, was_freed: bool },
     /// `base` entered `vfreed`.
     FreeMark { base: u64 },
-    /// The fresh-allocation cursor advanced from `prev`.
-    Fresh { prev: u64 },
 }
 
 /// Memory as seen by the virtual processor: local writes over the live-in
@@ -320,7 +362,6 @@ struct VMem<'a> {
     vallocs: FastHashMap<u64, u64>,
     /// Bases freed during this replay.
     vfreed: BTreeSet<u64>,
-    fresh: u64,
     permissive: bool,
     /// Fetches answered by `live_in`, drained into [`BatchStats`].
     index_hits: u64,
@@ -340,7 +381,6 @@ impl<'a> VMem<'a> {
             writes: FastHashMap::default(),
             vallocs: FastHashMap::default(),
             vfreed: BTreeSet::new(),
-            fresh: VPROC_FRESH_BASE,
             permissive,
             index_hits: 0,
             undo: None,
@@ -388,11 +428,34 @@ impl<'a> VMem<'a> {
             match op {
                 OracleOp::CopyIn { addr, value } => self.copy_in(addr, value),
                 OracleOp::Write { addr, value } => self.write_word(addr, value),
-                OracleOp::Alloc { base, size } => {
-                    self.alloc(Some(base), size);
-                }
+                OracleOp::Alloc { base, size } => self.alloc(base, size),
                 OracleOp::Free { base } => self.mark_freed(base),
             }
+        }
+    }
+
+    /// The journal's length: a mark to roll back to.
+    fn journal_len(&self) -> usize {
+        self.undo.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Lists into `out` every word written since the journal was at
+    /// `mark`, sorted by address, with its value at `mark` and now.
+    fn written_since(&self, mark: usize, out: &mut Vec<Written>) {
+        out.clear();
+        let journal = self.undo.as_deref().expect("undo mode on");
+        out.extend(journal[mark..].iter().map(|&op| match op {
+            UndoOp::Write { addr, prev } => Written { addr, before: prev, after: 0 },
+            UndoOp::Alloc { .. } | UndoOp::FreeMark { .. } => {
+                unreachable!("the live phases execute no system call, so they write only words")
+            }
+        }));
+        // A stable sort keeps each address's first write first, and its
+        // displaced value is the value at `mark`.
+        out.sort_by_key(|w| w.addr);
+        out.dedup_by_key(|w| w.addr);
+        for w in out.iter_mut() {
+            w.after = self.writes[&w.addr];
         }
     }
 
@@ -425,7 +488,6 @@ impl<'a> VMem<'a> {
                 UndoOp::FreeMark { base } => {
                     self.vfreed.remove(&base);
                 }
-                UndoOp::Fresh { prev } => self.fresh = prev,
             }
         }
         self.undo = Some(journal);
@@ -528,55 +590,20 @@ impl<'a> VMem<'a> {
         Ok(())
     }
 
-    fn alloc(&mut self, recorded_base: Option<u64>, size: u64) -> u64 {
-        let size = size.max(1);
-        let base = match recorded_base {
-            Some(b) => b,
-            None => {
-                let b = self.fresh;
-                if let Some(journal) = &mut self.undo {
-                    journal.push(UndoOp::Fresh { prev: b });
-                }
-                self.fresh += size + 1;
-                b
-            }
-        };
-        let prev_size = self.vallocs.insert(base, size);
+    /// Applies a recorded allocation of `size` words at `base`, journaling
+    /// the displaced state.
+    fn alloc(&mut self, base: u64, size: u64) {
+        let prev_size = self.vallocs.insert(base, size.max(1));
         let was_freed = self.vfreed.remove(&base);
         if let Some(journal) = &mut self.undo {
             journal.push(UndoOp::Alloc { base, prev_size, was_freed });
         }
-        base
-    }
-
-    fn free(&mut self, base: u64) -> Trapped<(), ReplayFailure> {
-        if self.vfreed.contains(&base) {
-            // Double free: the paper's Figure 2 bug, observed.
-            return Err(Trap::Fault(Fault::InvalidFree { addr: base }));
-        }
-        if self.vallocs.contains_key(&base) {
-            self.mark_freed(base);
-            return Ok(());
-        }
-        if self.damage_tainted(base) {
-            return Err(Trap::Fail(ReplayFailure::LogDamage));
-        }
-        match self.trace.heap.state_at(base, self.base_version) {
-            HeapState::Live { base: b } if b == base => {
-                self.mark_freed(base);
-                Ok(())
-            }
-            HeapState::Live { .. } | HeapState::Freed { .. } => {
-                Err(Trap::Fault(Fault::InvalidFree { addr: base }))
-            }
-            HeapState::Unknown => Err(Trap::Fail(ReplayFailure::UnknownFree { addr: base })),
-        }
     }
 }
 
-/// A fork point parked during a batch's shared-prefix execution: enough to
-/// rebuild a [`VThread`] exactly as the unbatched oracle phase would have
-/// left it at this racing index.
+/// A fork point parked during a unit's shared-prefix execution: enough to
+/// rebuild a [`VThread`] exactly as [`Vproc::run_pair`]'s oracle phase
+/// would have left it at this racing index.
 ///
 /// Outputs are *not* stored: the oracle reproduces the recording exactly,
 /// so the thread's output buffer at the checkpoint is a prefix of
@@ -594,41 +621,47 @@ struct Checkpoint {
     done: bool,
 }
 
+/// A word the live phases of one order wrote: its value before them
+/// (`None` when the virtual memory did not hold it yet) and after.
+#[derive(Copy, Clone, Debug)]
+struct Written {
+    addr: u64,
+    before: Option<u64>,
+    after: u64,
+}
+
+impl Written {
+    /// Whether the word ends holding its value from before the live phases
+    /// — what an order that never wrote it leaves there.
+    fn unchanged(&self) -> bool {
+        self.before == Some(self.after)
+    }
+}
+
 /// Reusable per-[`Vproc`] working state — the pooled scratch behind both
-/// [`Vproc::run_pair`] and [`Vproc::run_batch`].
+/// [`Vproc::run_pair`] and [`Vproc::run_unit`].
 ///
 /// The seed implementation cloned `region.entry` (registers, pc, and a
-/// freshly allocated call stack) for each thread on every replay — twice
-/// per race instance for the two pair orders, and again for every instance
-/// of the same static race. The arena keeps one copy per thread slot and
-/// overwrites it in place, so steady-state replays allocate nothing for
-/// snapshots or outputs. Both engines record the oracle's op streams into
-/// the pool; the batch engine extends it with per-side checkpoint chains,
-/// stop lists, and the fork undo journal. All of it is capacity-reused
-/// across replays (and, because each classifier worker owns its `Vproc`,
-/// across that worker's whole run).
-#[derive(Debug)]
+/// freshly allocated call stack) for each thread on every replay. The arena
+/// keeps one copy per thread slot and overwrites it in place, so
+/// steady-state replays allocate nothing for snapshots or outputs. Both
+/// engines record the oracle's op streams into the pool; `run_unit` extends
+/// it with per-side checkpoint chains, stop lists, the fork undo journal
+/// and each order's written words. All of it is capacity-reused across
+/// replays (and, because each classifier worker owns its `Vproc`, across
+/// that worker's whole run).
+#[derive(Debug, Default)]
 struct SnapshotArena {
-    snaps: [ThreadSnapshot; 2],
-    outputs: [Vec<u64>; 2],
+    /// Thread slots, `[order][side]`: `run_pair` uses order 0; `run_unit`
+    /// keeps a-then-b's exits in order 0 while b-then-a runs in order 1.
+    snaps: [[ThreadSnapshot; 2]; 2],
+    outputs: [[Vec<u64>; 2]; 2],
     checkpoints: [Vec<Checkpoint>; 2],
     ops: [Vec<OracleOp>; 2],
     stops: [Vec<u64>; 2],
     journal: Vec<UndoOp>,
-}
-
-impl Default for SnapshotArena {
-    fn default() -> Self {
-        let blank = ThreadSnapshot { regs: [0; NUM_REGS], pc: 0, call_stack: Vec::new() };
-        SnapshotArena {
-            snaps: [blank.clone(), blank],
-            outputs: [Vec::new(), Vec::new()],
-            checkpoints: [Vec::new(), Vec::new()],
-            ops: [Vec::new(), Vec::new()],
-            stops: [Vec::new(), Vec::new()],
-            journal: Vec::new(),
-        }
-    }
+    /// Per order, the words its live phases wrote, sorted by address.
+    written: [Vec<Written>; 2],
 }
 
 /// Overwrites `snap` with `from`, reusing its call-stack allocation.
@@ -637,6 +670,29 @@ fn reset_snapshot(snap: &mut ThreadSnapshot, from: &ThreadSnapshot) {
     snap.pc = from.pc;
     snap.call_stack.clear();
     snap.call_stack.extend_from_slice(&from.call_stack);
+}
+
+/// A thread's exit as the live-out comparison reads it, borrowed from a
+/// [`ThreadLiveOut`] or from a thread still in its arena slot. The thread id
+/// is left out: both orders of a pair replay the same two threads.
+#[derive(PartialEq)]
+struct Exit<'s> {
+    regs: &'s [u64; NUM_REGS],
+    pc: usize,
+    call_stack: &'s [usize],
+    fault: Option<Fault>,
+    outputs: &'s [u64],
+}
+
+impl Exit<'_> {
+    /// Whether this exit reproduces `region`'s recorded exit.
+    fn matches(&self, region: &ReplayedRegion) -> bool {
+        self.fault.is_none()
+            && *self.regs == region.exit.regs
+            && self.pc == region.exit.pc
+            && self.call_stack == region.exit.call_stack
+            && self.outputs == region.outputs
+    }
 }
 
 /// Per-thread virtual-processor state. The snapshot and output buffers are
@@ -649,7 +705,6 @@ struct VThread<'a, 's> {
     /// Absolute thread-local instruction index about to execute. Only the
     /// oracle's source reads it, so only the oracle step advances it.
     instr: u64,
-    racing_index: u64,
     outputs: &'s mut Vec<u64>,
     fault: Option<Fault>,
     done: bool,
@@ -659,7 +714,6 @@ impl<'a, 's> VThread<'a, 's> {
     /// A thread at its region's entry, in the arena slot `(snap, outputs)`.
     fn new(
         region: &'a ReplayedRegion,
-        racing_index: u64,
         (snap, outputs): (&'s mut ThreadSnapshot, &'s mut Vec<u64>),
     ) -> Self {
         reset_snapshot(snap, &region.entry);
@@ -669,7 +723,6 @@ impl<'a, 's> VThread<'a, 's> {
             values: RegionValues::new(region),
             snap,
             instr: region.region.start_instr,
-            racing_index,
             outputs,
             fault: None,
             done: false,
@@ -680,7 +733,6 @@ impl<'a, 's> VThread<'a, 's> {
     /// the checkpointed racing index, reusing the arena slot's allocations.
     fn from_checkpoint(
         region: &'a ReplayedRegion,
-        racing_index: u64,
         cp: &Checkpoint,
         (snap, outputs): (&'s mut ThreadSnapshot, &'s mut Vec<u64>),
     ) -> Self {
@@ -692,10 +744,19 @@ impl<'a, 's> VThread<'a, 's> {
             values: RegionValues { region, access: cp.access_cursor, sys: cp.sys_cursor },
             snap,
             instr: cp.instr,
-            racing_index,
             outputs,
             fault: None,
             done: cp.done,
+        }
+    }
+
+    fn exit(&self) -> Exit<'_> {
+        Exit {
+            regs: &self.snap.regs,
+            pc: self.snap.pc,
+            call_stack: &self.snap.call_stack,
+            fault: self.fault,
+            outputs: self.outputs,
         }
     }
 
@@ -722,10 +783,10 @@ pub struct Vproc<'a> {
     trace: &'a ReplayTrace,
     config: VprocConfig,
     /// Pooled scratch; see [`SnapshotArena`]. The `RefCell` keeps `run_pair`
-    /// and `run_batch` callable through `&self` (each classifier worker owns
+    /// and `run_unit` callable through `&self` (each classifier worker owns
     /// its own `Vproc`, so there is no sharing to guard).
     scratch: RefCell<SnapshotArena>,
-    /// Batch-engine work counters, drained by [`Vproc::take_stats`].
+    /// Engine work counters, drained by [`Vproc::take_stats`].
     stats: Cell<BatchStats>,
 }
 
@@ -802,12 +863,13 @@ impl<'a> Vproc<'a> {
     ) -> Result<PairLiveOut, ReplayFailure> {
         let mut scratch = self.scratch.borrow_mut();
         let SnapshotArena {
-            snaps: [snap_a, snap_b], outputs: [out_a, out_b], ops: [ops, _], ..
+            snaps: [[snap_a, snap_b], _],
+            outputs: [[out_a, out_b], _],
+            ops: [ops, _],
+            ..
         } = &mut *scratch;
-        let mut threads = [
-            VThread::new(ra, a.instr_index, (snap_a, out_a)),
-            VThread::new(rb, b.instr_index, (snap_b, out_b)),
-        ];
+        let mut threads = [VThread::new(ra, (snap_a, out_a)), VThread::new(rb, (snap_b, out_b))];
+        let racing_index = [a.instr_index, b.instr_index];
         let mut budget = STEP_BUDGET;
 
         // Phase 1: oracle-replay each thread up to its racing instruction
@@ -817,7 +879,7 @@ impl<'a> Vproc<'a> {
         for idx in phase_a_order {
             let t = &mut threads[idx];
             ops.clear();
-            while t.instr < t.racing_index {
+            while t.instr < racing_index[idx] {
                 if budget == 0 {
                     return Err(ReplayFailure::BudgetExhausted);
                 }
@@ -833,7 +895,8 @@ impl<'a> Vproc<'a> {
 
     /// Phases 2–3: the racing instructions live in the prescribed order,
     /// then both threads round-robin to their region ends. Shared verbatim
-    /// by the unbatched and fork-resumed paths — equivalence depends on it.
+    /// by `run_pair` and the fork-resumed orders of `run_unit` —
+    /// equivalence depends on it.
     fn run_phases_2_3(
         &self,
         threads: &mut [VThread<'_, '_>; 2],
@@ -894,72 +957,67 @@ impl<'a> Vproc<'a> {
         Ok(())
     }
 
-    /// Replays every pair of a batch — all sharing one `(region_a,
-    /// region_b)` pair — under `order`, executing the common oracle prefix
-    /// once and forking each pair from the checkpoint at its racing
-    /// indexes.
+    /// Resolves every pair of a unit — all sharing one `(region_a,
+    /// region_b)` pair — under both orders, running each side's oracle
+    /// prefix once for all of them.
     ///
-    /// Bit-for-bit equivalent to calling [`Vproc::run_pair`] on each pair
-    /// in sequence; results come back in input order. Singleton batches
-    /// simply delegate to [`Vproc::run_pair`].
+    /// Each side's prefix runs to its last racing index, parking a
+    /// checkpoint at every racing index on the way. Each pair then applies
+    /// its phase-1 ops once and replays a-then-b and b-then-a from its
+    /// checkpoints, rolling the memory back to the phase-1 state in
+    /// between, and the two orders are compared against the live state.
+    /// `keep(i, &outcome)` is asked once per pair, in input order; the
+    /// pair's two live-outs are built only when it answers yes and both
+    /// orders completed.
+    ///
+    /// Every outcome equals [`PairOutcome::of`] the pair's two
+    /// [`Vproc::run_pair`] results, and kept live-outs equal those results;
+    /// both come back in input order.
     ///
     /// # Panics
     ///
     /// Panics if the pairs do not all share the first pair's region pair,
     /// or if the two sites are in the same thread (not a data race).
-    pub fn run_batch(
+    pub fn run_unit(
         &self,
         pairs: &[(AccessSite, AccessSite)],
-        order: PairOrder,
-    ) -> Vec<Result<PairLiveOut, ReplayFailure>> {
+        mut keep: impl FnMut(usize, &PairOutcome) -> bool,
+    ) -> Vec<(PairOutcome, Option<Box<[PairLiveOut; 2]>>)> {
         let Some((first_a, first_b)) = pairs.first() else { return Vec::new() };
-        if pairs.len() == 1 {
-            return vec![self.run_pair(first_a, first_b, order)];
-        }
         assert!(
             pairs.iter().all(|(a, b)| a.region == first_a.region && b.region == first_b.region),
-            "batch must share one region pair"
+            "a unit must share one region pair"
         );
         assert_ne!(first_a.tid(), first_b.tid(), "racing accesses must be in different threads");
         let ra = self.trace.region(first_a.region);
         let rb = self.trace.region(first_b.region);
+        let distance = |(a, b): &(AccessSite, AccessSite)| {
+            ra.region.instr_offset(a.instr_index) + rb.region.instr_offset(b.instr_index)
+        };
 
-        // Price every pair up front: a pair whose oracle distance alone
-        // reaches the budget fails exactly like the unbatched engine would
-        // (phase 2 always needs at least one step of headroom), without
-        // executing anything.
-        let budget = STEP_BUDGET;
-        let mut results: Vec<Option<Result<PairLiveOut, ReplayFailure>>> = vec![None; pairs.len()];
-        let mut survivors: Vec<usize> = Vec::with_capacity(pairs.len());
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            let pa = ra.region.instr_offset(a.instr_index) + rb.region.instr_offset(b.instr_index);
-            if pa >= budget {
-                results[i] = Some(Err(ReplayFailure::BudgetExhausted));
-            } else {
-                survivors.push(i);
-            }
-        }
-        if survivors.len() <= 1 {
-            // Nothing to share; resolve any lone survivor the plain way.
-            if let Some(&i) = survivors.first() {
-                results[i] = Some(self.run_pair(&pairs[i].0, &pairs[i].1, order));
-            }
-            return results.into_iter().map(|r| r.expect("every slot filled")).collect();
-        }
-
-        let base_version = ra.version.min(rb.version);
-        let mut vmem = VMem::new(self.trace, base_version, self.config.permissive_unknown_loads);
         let mut scratch = self.scratch.borrow_mut();
-        let arena = &mut *scratch;
+        let SnapshotArena {
+            snaps: [[snap_xa, snap_xb], [snap_ya, snap_yb]],
+            outputs: [[out_xa, out_xb], [out_ya, out_yb]],
+            checkpoints: [cps_a, cps_b],
+            ops: [ops_a, ops_b],
+            stops: [stops_a, stops_b],
+            journal,
+            written: [written_x, written_y],
+        } = &mut *scratch;
 
-        // The checkpoint chain: distinct racing indexes per side, sorted.
-        let [stops_a, stops_b] = &mut arena.stops;
+        // The checkpoint chain: distinct racing indexes per side, sorted,
+        // of the pairs inside the budget. A pair whose oracle distance
+        // alone reaches the budget fails in both orders exactly like
+        // `run_pair` would (phase 2 always needs at least one step of
+        // headroom), without executing anything.
         stops_a.clear();
         stops_b.clear();
-        for &i in &survivors {
-            stops_a.push(pairs[i].0.instr_index);
-            stops_b.push(pairs[i].1.instr_index);
+        for (a, b) in pairs.iter().filter(|&pair| distance(pair) < STEP_BUDGET) {
+            stops_a.push(a.instr_index);
+            stops_b.push(b.instr_index);
         }
+        let survivors = stops_a.len() as u64;
         for stops in [&mut *stops_a, &mut *stops_b] {
             stops.sort_unstable();
             stops.dedup();
@@ -967,70 +1025,143 @@ impl<'a> Vproc<'a> {
 
         // Execute each side's oracle prefix once, recording its ops and
         // parking a checkpoint at every stop.
-        let [cps_a, cps_b] = &mut arena.checkpoints;
-        let [ops_a, ops_b] = &mut arena.ops;
-        let [snap_a, snap_b] = &mut arena.snaps;
-        let [out_a, out_b] = &mut arena.outputs;
         for (region, stops, cps, ops, snap, out) in [
-            (ra, &*stops_a, &mut *cps_a, &mut *ops_a, &mut *snap_a, &mut *out_a),
-            (rb, &*stops_b, &mut *cps_b, &mut *ops_b, &mut *snap_b, &mut *out_b),
+            (ra, &*stops_a, &mut *cps_a, &mut *ops_a, &mut *snap_xa, &mut *out_xa),
+            (rb, &*stops_b, &mut *cps_b, &mut *ops_b, &mut *snap_xb, &mut *out_xb),
         ] {
             cps.clear();
             ops.clear();
-            run_prefix(self.trace, region, stops, ops, (snap, out), cps);
+            if !stops.is_empty() {
+                run_prefix(self.trace, region, stops, ops, (snap, out), cps);
+            }
         }
 
         // The first-applied side is the earlier-replayed region, matching
-        // the unbatched phase-1 order; its effect up to its earliest stop
-        // is shared by every pair, so apply it once, un-journaled.
+        // `run_pair`'s phase-1 order; its effect up to its earliest stop is
+        // shared by every pair, so apply it once, un-journaled.
+        let base_version = ra.version.min(rb.version);
+        let mut vmem = VMem::new(self.trace, base_version, self.config.permissive_unknown_loads);
         let a_first = ra.version <= rb.version;
         let (first_ops, second_ops) = if a_first { (&*ops_a, &*ops_b) } else { (&*ops_b, &*ops_a) };
-        let base_len = if a_first { cps_a[0].ops_len } else { cps_b[0].ops_len };
+        let first_cps = if a_first { &*cps_a } else { &*cps_b };
+        let base_len = first_cps.first().map_or(0, |cp| cp.ops_len);
         vmem.apply_ops(&first_ops[..base_len]);
-        arena.journal.clear();
-        vmem.undo = Some(std::mem::take(&mut arena.journal));
+        journal.clear();
+        vmem.undo = Some(std::mem::take(journal));
 
+        let mut resolved = Vec::with_capacity(pairs.len());
         let mut total_oracle = 0u64;
-        for &i in &survivors {
-            let (a, b) = &pairs[i];
-            let off_a = ra.region.instr_offset(a.instr_index);
-            let off_b = rb.region.instr_offset(b.instr_index);
-            total_oracle += off_a + off_b;
+        for (i, pair) in pairs.iter().enumerate() {
+            let distance = distance(pair);
+            if distance >= STEP_BUDGET {
+                let failed = Err(ReplayFailure::BudgetExhausted);
+                let outcome = PairOutcome { orders: [failed; 2], same: false };
+                keep(i, &outcome);
+                resolved.push((outcome, None));
+                continue;
+            }
+            total_oracle += distance;
+            let (a, b) = pair;
             let cp_a = &cps_a[stops_a.binary_search(&a.instr_index).expect("stop parked")];
             let cp_b = &cps_b[stops_b.binary_search(&b.instr_index).expect("stop parked")];
             // Memory: the first side's delta past the shared base, then the
-            // second side in full — the unbatched phase-1 sequence.
+            // second side in full — `run_pair`'s phase-1 sequence.
             let (first_cp, second_cp) = if a_first { (cp_a, cp_b) } else { (cp_b, cp_a) };
             vmem.apply_ops(&first_ops[base_len..first_cp.ops_len]);
             vmem.apply_ops(&second_ops[..second_cp.ops_len]);
-            let mut threads = [
-                VThread::from_checkpoint(ra, a.instr_index, cp_a, (&mut *snap_a, &mut *out_a)),
-                VThread::from_checkpoint(rb, b.instr_index, cp_b, (&mut *snap_b, &mut *out_b)),
+            let phase_1 = vmem.journal_len();
+            let budget = STEP_BUDGET - distance;
+
+            // a-then-b, whose exits stay in the order-0 slots and whose
+            // written words are listed before the memory rolls back.
+            let mut x = [
+                VThread::from_checkpoint(ra, cp_a, (&mut *snap_xa, &mut *out_xa)),
+                VThread::from_checkpoint(rb, cp_b, (&mut *snap_xb, &mut *out_xb)),
             ];
-            let res = self
-                .run_phases_2_3(&mut threads, &mut vmem, budget - (off_a + off_b), order)
-                .map(|()| collect_live_out(&threads, &vmem));
-            results[i] = Some(res);
+            let fwd = self.run_phases_2_3(&mut x, &mut vmem, budget, PairOrder::AThenB);
+            if fwd.is_ok() {
+                vmem.written_since(phase_1, written_x);
+            }
+            vmem.rollback_to(phase_1);
+            // b-then-a, from the same checkpoints and phase-1 state.
+            let mut y = [
+                VThread::from_checkpoint(ra, cp_a, (&mut *snap_ya, &mut *out_ya)),
+                VThread::from_checkpoint(rb, cp_b, (&mut *snap_yb, &mut *out_yb)),
+            ];
+            let rev = self.run_phases_2_3(&mut y, &mut vmem, budget, PairOrder::BThenA);
+            if rev.is_ok() {
+                vmem.written_since(phase_1, written_y);
+            }
+
+            let recorded =
+                |t: &[VThread<'_, '_>; 2]| t[0].exit().matches(ra) && t[1].exit().matches(rb);
+            let completed = fwd.is_ok() && rev.is_ok();
+            let outcome = PairOutcome {
+                orders: [fwd.map(|()| recorded(&x)), rev.map(|()| recorded(&y))],
+                same: completed
+                    && x[0].exit() == y[0].exit()
+                    && x[1].exit() == y[1].exit()
+                    && same_memory(written_x, written_y),
+            };
+            let kept = (keep(i, &outcome) && completed).then(|| {
+                // b-then-a is the live state; a-then-b is its exits over the
+                // phase-1 memory with its written words applied on top.
+                let rev = collect_live_out(&y, &vmem);
+                vmem.rollback_to(phase_1);
+                let mut fwd = collect_live_out(&x, &vmem);
+                fwd.writes.extend(written_x.iter().map(|w| (w.addr, w.after)));
+                Box::new([fwd, rev])
+            });
             vmem.rollback_to(0);
+            resolved.push((outcome, kept));
         }
 
         // Return the journal to the pool and settle the books.
-        arena.journal = vmem.undo.take().expect("undo mode still on");
-        let prefix_cost = ra.region.instr_offset(*stops_a.last().expect("survivors have stops"))
-            + rb.region.instr_offset(*stops_b.last().expect("survivors have stops"));
-        self.bump(|s| {
-            s.batches += 1;
-            s.forks += survivors.len() as u64;
-            s.prefix_executions += 2;
-            s.prefix_instrs_saved += total_oracle - prefix_cost;
-            s.live_in_index_hits += vmem.index_hits;
-        });
-        results.into_iter().map(|r| r.expect("every slot filled")).collect()
+        *journal = vmem.undo.take().expect("undo mode still on");
+        if let (Some(&last_a), Some(&last_b)) = (stops_a.last(), stops_b.last()) {
+            let prefix_cost = ra.region.instr_offset(last_a) + rb.region.instr_offset(last_b);
+            let shared = survivors > 1;
+            self.bump(|s| {
+                s.batches += u64::from(shared);
+                s.forks += if shared { 2 * survivors } else { 0 };
+                s.prefix_executions += 2;
+                s.prefix_instrs_saved += 2 * total_oracle - prefix_cost;
+                s.live_in_index_hits += vmem.index_hits;
+            });
+        }
+        resolved
+    }
+}
+
+/// Whether two orders that started from one phase-1 state end with equal
+/// memory, given the words each one's live phases wrote (sorted by
+/// address): a word both wrote must end equal, and a word only one wrote
+/// must still hold its phase-1 value, which the other order left there.
+/// One merge pass over the two lists.
+fn same_memory(x: &[Written], y: &[Written]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (x.get(i), y.get(j)) {
+            (None, None) => return true,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(wx), Some(wy)) => wx.addr.cmp(&wy.addr),
+        };
+        let same = match next {
+            Ordering::Equal => x[i].after == y[j].after,
+            Ordering::Less => x[i].unchanged(),
+            Ordering::Greater => y[j].unchanged(),
+        };
+        if !same {
+            return false;
+        }
+        i += usize::from(next != Ordering::Greater);
+        j += usize::from(next != Ordering::Less);
     }
 }
 
 /// Collects both threads' live-outs plus the memory/heap effect, leaving
-/// the virtual memory intact (the batch engine rolls it back afterwards).
+/// the virtual memory intact (`run_unit` rolls it back afterwards).
 fn collect_live_out(threads: &[VThread<'_, '_>; 2], vmem: &VMem<'_>) -> PairLiveOut {
     let [ta, tb] = threads;
     PairLiveOut {
@@ -1053,8 +1184,7 @@ fn run_prefix(
     slot: (&mut ThreadSnapshot, &mut Vec<u64>),
     checkpoints: &mut Vec<Checkpoint>,
 ) {
-    let last = *stops.last().expect("batch has at least one stop");
-    let mut t = VThread::new(region, last, slot);
+    let mut t = VThread::new(region, slot);
     let mut si = 0;
     loop {
         while si < stops.len() && t.instr == stops[si] {
@@ -1161,7 +1291,7 @@ fn step_live(
     if !allow_unrecorded_cf && !trace.in_footprint(t.tid, pc) {
         return Err(ReplayFailure::UnrecordedControlFlow { tid: t.tid, pc });
     }
-    let mut live = Live { tid: t.tid, values: &mut t.values, outputs: &mut *t.outputs, vmem };
+    let mut live = Live { vmem };
     match step_recorded(trace.decoded(), t.snap, t.instr, &mut live)? {
         Stepped::Next => {}
         Stepped::Halted => t.done = true,
@@ -1173,16 +1303,12 @@ fn step_live(
     Ok(())
 }
 
-/// The live phases' source: the virtual memory, plus the region's recorded
-/// system-call results while the run still lines up with them.
-struct Live<'t, 'a, 'm> {
-    tid: usize,
-    values: &'t mut RegionValues<'a>,
-    outputs: &'t mut Vec<u64>,
+/// The live phases' source: the virtual memory.
+struct Live<'t, 'm> {
     vmem: &'t mut VMem<'m>,
 }
 
-impl Recorded for Live<'_, '_, '_> {
+impl Recorded for Live<'_, '_> {
     type Error = ReplayFailure;
 
     fn load(&mut self, _: u64, _: usize, addr: u64) -> Trapped<u64, ReplayFailure> {
@@ -1193,27 +1319,11 @@ impl Recorded for Live<'_, '_, '_> {
         self.vmem.store(addr, value)
     }
 
-    fn syscall(&mut self, _: u64, call: SysCall, arg: u64) -> Trapped<u64, ReplayFailure> {
-        // Re-use the recorded result when the recorded syscall stream is
-        // still aligned (same call kind at the cursor); otherwise the
-        // execution has diverged and results are synthesized.
-        let v = &mut *self.values;
-        let recorded = v.region.syscalls.get(v.sys).filter(|s| s.call == call).map(|s| s.ret);
-        if recorded.is_some() {
-            v.sys += 1;
-        }
-        Ok(match call {
-            SysCall::Alloc => self.vmem.alloc(recorded, arg.max(1)),
-            SysCall::Free => {
-                self.vmem.free(arg)?;
-                0
-            }
-            SysCall::Print => {
-                self.outputs.push(arg);
-                arg
-            }
-            SysCall::Tid => self.tid as u64,
-            SysCall::Yield | SysCall::Nop => 0,
-        })
+    fn syscall(&mut self, _: u64, call: SysCall, _: u64) -> Trapped<u64, ReplayFailure> {
+        unreachable!(
+            "the live phases executed {call:?}: every system call is a sequencer point, \
+             the completion phase stops before one, and the order phase executes only a \
+             racing access, which the replayer never records for a system call"
+        )
     }
 }

@@ -1,12 +1,15 @@
 //! Focused tests of the virtual processor's semantics: phase structure,
 //! live-in reconstruction, replay-failure detection, fault surfacing, and
-//! the permissive extensions.
+//! the permissive extensions. Every fixture also resolves its pair through
+//! `run_unit` and checks it against two `run_pair` replays.
 
 use std::sync::Arc;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
-use idna_replay::vproc::{AccessSite, PairOrder, ReplayFailure, Vproc, VprocConfig};
+use idna_replay::vproc::{
+    AccessSite, BatchStats, PairOrder, PairOutcome, ReplayFailure, Vproc, VprocConfig, STEP_BUDGET,
+};
 use tvm::isa::{BinOp, Cond, Reg, RmwOp, SysCall};
 use tvm::memory::{GLOBAL_LIMIT, HEAP_BASE};
 use tvm::scheduler::RunConfig;
@@ -21,23 +24,73 @@ fn trace_of(b: ProgramBuilder, cfg: RunConfig) -> (Arc<Program>, ReplayTrace) {
     (program, trace)
 }
 
-/// Finds the site of the access made by the marked instruction.
-fn site_at(program: &Program, trace: &ReplayTrace, mark: &str) -> AccessSite {
+/// The sites of every access the marked instruction made, in replay order.
+fn sites_at(program: &Program, trace: &ReplayTrace, mark: &str) -> Vec<AccessSite> {
     let pc = program.mark(mark).unwrap_or_else(|| panic!("mark {mark}"));
-    for region in trace.regions() {
-        for acc in &region.accesses {
-            if acc.pc == pc {
-                return AccessSite {
-                    region: region.region.id,
-                    instr_index: acc.instr_index,
-                    pc,
-                    addr: acc.addr,
-                    kind: acc.kind,
-                };
-            }
+    let sites: Vec<AccessSite> = trace
+        .regions()
+        .iter()
+        .flat_map(|region| {
+            region.accesses.iter().filter(|acc| acc.pc == pc).map(|acc| AccessSite {
+                region: region.region.id,
+                instr_index: acc.instr_index,
+                pc,
+                addr: acc.addr,
+                kind: acc.kind,
+            })
+        })
+        .collect();
+    assert!(!sites.is_empty(), "no access recorded at mark {mark}");
+    sites
+}
+
+/// Finds the site of the first access made by the marked instruction.
+fn site_at(program: &Program, trace: &ReplayTrace, mark: &str) -> AccessSite {
+    sites_at(program, trace, mark)[0]
+}
+
+/// Resolves `pairs` as one unit, keeping every pair's live-outs, and checks
+/// each pair against two `run_pair` replays on a fresh virtual processor:
+/// the outcome (live-out equality, each order's recorded-order match, the
+/// failures) and the kept live-outs. Returns the outcomes and the unit's
+/// engine counters.
+fn assert_unit_matches_run_pair(
+    trace: &ReplayTrace,
+    config: VprocConfig,
+    pairs: &[(AccessSite, AccessSite)],
+) -> (Vec<PairOutcome>, BatchStats) {
+    let vproc = Vproc::new(trace, config);
+    let mut asked = Vec::new();
+    let resolved = vproc.run_unit(pairs, |i, _| {
+        asked.push(i);
+        true
+    });
+    assert_eq!(
+        asked,
+        (0..pairs.len()).collect::<Vec<_>>(),
+        "keep is asked once per pair, in order"
+    );
+    let reference = Vproc::new(trace, config);
+    for ((a, b), (outcome, kept)) in pairs.iter().zip(&resolved) {
+        let live_outs = PairOrder::BOTH.map(|order| reference.run_pair(a, b, order));
+        let expected = PairOutcome::of(trace, a, b, &live_outs);
+        assert_eq!(*outcome, expected, "pair {a:?} {b:?}: {live_outs:?}");
+        match live_outs {
+            [Ok(fwd), Ok(rev)] => assert_eq!(kept.as_deref(), Some(&[fwd, rev])),
+            _ => assert!(kept.is_none(), "a failed order keeps no live-outs"),
         }
     }
-    panic!("no access recorded at mark {mark}");
+    (resolved.into_iter().map(|(outcome, _)| outcome).collect(), vproc.take_stats())
+}
+
+/// [`assert_unit_matches_run_pair`] on the one pair `(a, b)`.
+fn assert_pair_unit_matches(
+    trace: &ReplayTrace,
+    config: VprocConfig,
+    a: &AccessSite,
+    b: &AccessSite,
+) {
+    assert_unit_matches_run_pair(trace, config, &[(*a, *b)]);
 }
 
 #[test]
@@ -61,6 +114,7 @@ fn order_controls_the_observed_value() {
     // Memory ends the same either way (the store always lands).
     assert_eq!(store_first.writes.get(&0x40), Some(&5));
     assert_eq!(load_first.writes.get(&0x40), Some(&5));
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -79,6 +133,7 @@ fn live_in_comes_from_global_initializers() {
     assert_eq!(load_first.b.regs[2], 77, "live-in must include global initializers");
     let store_first = vproc.run_pair(&w, &r, PairOrder::AThenB).unwrap();
     assert_eq!(store_first, load_first, "a redundant write is order-insensitive");
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -113,6 +168,7 @@ fn live_in_includes_earlier_regions_writes() {
         let out = vproc.run_pair(&w, &r, order).unwrap();
         assert_eq!(out.b.regs[4], 9, "{order:?}: pre-race region write visible via live-in");
     }
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -146,15 +202,15 @@ fn unknown_heap_load_is_a_replay_failure_and_permissive_mode_continues() {
         "{outcomes:?}"
     );
 
-    let permissive = Vproc::new(
-        &trace,
-        VprocConfig { permissive_unknown_loads: true, ..VprocConfig::default() },
-    );
+    let config = VprocConfig { permissive_unknown_loads: true, ..VprocConfig::default() };
+    let permissive = Vproc::new(&trace, config);
     for order in PairOrder::BOTH {
         let out = permissive.run_pair(&w, &r, order).expect("permissive mode continues");
         // The unknown load returns the zero-fill value.
         assert!(out.b.fault.is_none());
     }
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
+    assert_pair_unit_matches(&trace, config, &w, &r);
 }
 
 #[test]
@@ -194,11 +250,13 @@ fn cold_branch_is_unrecorded_control_flow() {
 
     // With permissive control flow, both orders complete and converge
     // (the cold path is semantically idempotent here).
-    let permissive =
-        Vproc::new(&trace, VprocConfig { permissive_control_flow: true, ..VprocConfig::default() });
+    let config = VprocConfig { permissive_control_flow: true, ..VprocConfig::default() };
+    let permissive = Vproc::new(&trace, config);
     let a = permissive.run_pair(&w, &r, PairOrder::AThenB).unwrap();
     let b2 = permissive.run_pair(&w, &r, PairOrder::BThenA).unwrap();
     assert_eq!(a, b2);
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
+    assert_pair_unit_matches(&trace, config, &w, &r);
 }
 
 #[test]
@@ -227,6 +285,7 @@ fn regions_end_before_syscalls_so_frees_stay_outside_the_window() {
     assert!(matches!(program.instr(out.a.pc), Some(tvm::Instr::Syscall { .. })), "{out:?}");
     assert!(matches!(program.instr(out.b.pc), Some(tvm::Instr::Syscall { .. })), "{out:?}");
     assert!(out.a.fault.is_none() && out.b.fault.is_none());
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -283,6 +342,7 @@ fn use_after_free_faults_inside_the_vproc() {
         o.as_ref().is_ok_and(|out| matches!(out.b.fault, Some(tvm::Fault::UseAfterFree { .. })))
     });
     assert!(faulted, "expected a UseAfterFree live-out: {outcomes:?}");
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -323,6 +383,7 @@ fn budget_exhaustion_is_a_replay_failure() {
             Err(other) => panic!("unexpected failure kind: {other}"),
         }
     }
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 #[test]
@@ -343,6 +404,7 @@ fn atomic_racing_access_is_supported() {
     // rmw first: 0+1 then overwritten by 10. store first: 10+1 = 11.
     assert_eq!(rmw_first.writes.get(&0xB0), Some(&10));
     assert_eq!(store_first.writes.get(&0xB0), Some(&11));
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &a, &p);
 }
 
 #[test]
@@ -364,6 +426,7 @@ fn outputs_participate_in_live_out_equality() {
     assert_ne!(x, y);
     assert_eq!(x.b.regs[0], 3);
     assert_eq!(y.b.regs[0], 0);
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
 }
 
 /// Replays `(w, r)` both ways: the recorded order (`w` first) completes
@@ -375,6 +438,7 @@ fn assert_flipped_order_faults(trace: &ReplayTrace, w: &AccessSite, r: &AccessSi
     assert!(!recorded.any_fault(), "{recorded:?}");
     let flipped = vproc.run_pair(w, r, PairOrder::BThenA).expect("flipped order replays");
     assert_eq!((flipped.a.fault, flipped.b.fault), (None, Some(fault)), "{flipped:?}");
+    assert_pair_unit_matches(trace, VprocConfig::default(), w, r);
 }
 
 #[test]
@@ -455,4 +519,125 @@ fn an_off_base_free_stays_outside_the_live_window() {
         assert!(matches!(parked, Some(tvm::Instr::Syscall { call: SysCall::Free })), "{out:?}");
         assert_eq!(out.b.regs[0], freed, "{order:?}: the pointer the free would get");
     }
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
+}
+
+#[test]
+fn a_word_only_the_flipped_order_writes_is_a_state_change() {
+    // The reader stores to 0x1A8 only when its racy read of the flag sees
+    // zero, which only the flipped order (reader first) does. Both orders
+    // end with the same registers and pc, so that one word, written by
+    // b-then-a alone, is the whole difference.
+    let mut b = ProgramBuilder::new();
+    b.thread("w");
+    b.movi(Reg::R1, 1).mark("set_flag").store(Reg::R1, Reg::R15, 0x1A0).halt();
+    b.thread("r");
+    for _ in 0..3 {
+        b.movi(Reg::R13, 0); // delay: the recorded read sees the flag set
+    }
+    let skip = b.fresh_label("skip");
+    b.mark("read_flag")
+        .load(Reg::R2, Reg::R15, 0x1A0)
+        .branch(Cond::Ne, Reg::R2, Reg::R15, skip)
+        .movi(Reg::R3, 1)
+        .store(Reg::R3, Reg::R15, 0x1A8)
+        .label(skip)
+        .movi(Reg::R2, 0)
+        .movi(Reg::R3, 0)
+        .halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let w = site_at(&program, &trace, "set_flag");
+    let r = site_at(&program, &trace, "read_flag");
+    // The recording never ran the guarded store, so the flipped order
+    // reaches it only under the permissive control-flow extension.
+    let config = VprocConfig { permissive_control_flow: true, ..VprocConfig::default() };
+    let vproc = Vproc::new(&trace, config);
+    let fwd = vproc.run_pair(&w, &r, PairOrder::AThenB).unwrap();
+    let rev = vproc.run_pair(&w, &r, PairOrder::BThenA).unwrap();
+    assert_eq!((&fwd.a, &fwd.b), (&rev.a, &rev.b), "the two orders' exits agree");
+    assert_eq!(fwd.writes.get(&0x1A8), None);
+    assert_eq!(rev.writes.get(&0x1A8), Some(&1));
+    let (outcomes, _) = assert_unit_matches_run_pair(&trace, config, &[(w, r)]);
+    // Both orders reproduce the recorded exits; only the memory differs.
+    assert_eq!(outcomes[0], PairOutcome { orders: [Ok(true), Ok(true)], same: false });
+}
+
+#[test]
+fn a_unit_spread_across_its_regions_resolves_from_the_checkpoint_chain() {
+    // Both loops run inside one sequencing region each, so every store x
+    // load pair shares one region pair, and the racing indexes spread
+    // across both regions: each side's checkpoint chain has four stops.
+    // The writer stores one value, so once the word holds it some pairs
+    // no longer depend on the order.
+    let mut b = ProgramBuilder::new();
+    b.thread("w");
+    let wloop = b.fresh_label("wloop");
+    b.movi(Reg::R1, 5)
+        .movi(Reg::R2, 4)
+        .label(wloop)
+        .mark("w_store")
+        .store(Reg::R1, Reg::R15, 0x1B0)
+        .subi(Reg::R2, Reg::R2, 1)
+        .branch(Cond::Ne, Reg::R2, Reg::R15, wloop)
+        .halt();
+    b.thread("r");
+    let rloop = b.fresh_label("rloop");
+    b.movi(Reg::R4, 4)
+        .label(rloop)
+        .mark("r_load")
+        .load(Reg::R3, Reg::R15, 0x1B0)
+        .bin(BinOp::Add, Reg::R5, Reg::R5, Reg::R3)
+        .subi(Reg::R4, Reg::R4, 1)
+        .branch(Cond::Ne, Reg::R4, Reg::R15, rloop)
+        .movi(Reg::R3, 0)
+        .halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let stores = sites_at(&program, &trace, "w_store");
+    let loads = sites_at(&program, &trace, "r_load");
+    assert_eq!((stores.len(), loads.len()), (4, 4));
+    // Later loads first: the unit's pair order need not follow the chain.
+    let pairs: Vec<_> =
+        loads.iter().rev().flat_map(|&r| stores.iter().map(move |&w| (w, r))).collect();
+    let (outcomes, stats) = assert_unit_matches_run_pair(&trace, VprocConfig::default(), &pairs);
+    assert!(outcomes.iter().any(|o| o.same) && outcomes.iter().any(|o| !o.same), "{outcomes:?}");
+    assert_eq!((stats.batches, stats.forks, stats.prefix_executions), (1, 32, 2), "{stats:?}");
+}
+
+#[test]
+fn a_pair_past_the_step_budget_fails_without_executing() {
+    // The writer's second store sits more than STEP_BUDGET instructions
+    // into its region, so its pair fails in both orders before anything
+    // executes, where `run_pair`'s oracle phase runs out. The first
+    // store's pair in the same unit runs its prefix and then fails too:
+    // its completion phase crosses the same loop.
+    let mut b = ProgramBuilder::new();
+    b.thread("w");
+    let spin = b.fresh_label("spin");
+    b.movi(Reg::R1, 7)
+        .mark("early")
+        .store(Reg::R1, Reg::R15, 0x1C0)
+        .movi(Reg::R2, STEP_BUDGET / 2 + 1)
+        .label(spin)
+        .subi(Reg::R2, Reg::R2, 1)
+        .branch(Cond::Ne, Reg::R2, Reg::R15, spin)
+        .mark("late")
+        .store(Reg::R1, Reg::R15, 0x1C0)
+        .halt();
+    b.thread("r");
+    b.mark("read").load(Reg::R3, Reg::R15, 0x1C0).halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(1));
+    let early = site_at(&program, &trace, "early");
+    let late = site_at(&program, &trace, "late");
+    let r = site_at(&program, &trace, "read");
+    let offset = |s: &AccessSite| trace.region(s.region).region.instr_offset(s.instr_index);
+    assert!(offset(&late) + offset(&r) >= STEP_BUDGET);
+    let (outcomes, stats) =
+        assert_unit_matches_run_pair(&trace, VprocConfig::default(), &[(late, r), (early, r)]);
+    let exhausted = PairOutcome { orders: [Err(ReplayFailure::BudgetExhausted); 2], same: false };
+    assert_eq!(outcomes, [exhausted; 2]);
+    // Only the first store's pair is inside the budget: no batch and no
+    // fork, one prefix per side up to that pair, and its second order's
+    // copy of the prefix saved.
+    let counters = (stats.batches, stats.forks, stats.prefix_executions, stats.prefix_instrs_saved);
+    assert_eq!(counters, (0, 0, 2, offset(&early) + offset(&r)), "{stats:?}");
 }

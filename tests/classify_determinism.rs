@@ -1,22 +1,29 @@
 //! Determinism guarantees of the parallel classification engine: for every
 //! workloads pattern, the classification is bit-for-bit identical at any
-//! job count, every analyzed instance costs exactly two replays, and
-//! merging split classifications equals classifying everything at once.
+//! job count, every analyzed instance costs exactly two replays, merging
+//! split classifications equals classifying everything at once, and the
+//! engine's work counters on the corpus executions are exact.
 
 use std::collections::BTreeSet;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::{replay, ReplayTrace};
+use idna_replay::vproc::BatchStats;
 use replay_race::classify::{
-    classify_races_with, merge_classifications, ClassificationResult, ClassifierConfig,
+    classify_races_with, merge_classifications, BatchMode, ClassificationResult, ClassifierConfig,
 };
 use replay_race::detect::{detect_races, DetectedRaces, DetectorConfig};
 use tvm::scheduler::RunConfig;
-use workloads::corpus::{corpus_program, instance_ids};
+use workloads::corpus::{corpus_executions, corpus_program, instance_ids};
 
 /// Records and replays one corpus pattern in isolation.
 fn pattern_trace(id: &str, schedule: &RunConfig) -> (ReplayTrace, DetectedRaces) {
-    let enabled: BTreeSet<&str> = [id].into_iter().collect();
+    execution_trace(&[id], schedule)
+}
+
+/// Records and replays the corpus program with the given patterns enabled.
+fn execution_trace(enabled: &[&str], schedule: &RunConfig) -> (ReplayTrace, DetectedRaces) {
+    let enabled: BTreeSet<&str> = enabled.iter().copied().collect();
     let program = corpus_program(&enabled);
     let recording = record(&program, schedule);
     let trace = replay(&program, &recording.log).expect("fresh recordings replay");
@@ -112,5 +119,41 @@ fn merging_split_executions_equals_classifying_everything_at_once() {
             classify_with(&trace, &second, 2),
         ]);
         assert_identical(&whole, &merged, id);
+    }
+}
+
+#[test]
+fn engine_counters_are_exact_on_the_corpus_executions() {
+    // Summed over the 20 pinned executions with trust off. Shared: one
+    // `run_unit` per region pair runs each side's prefix once for both
+    // orders — 70 multi-pair units plus 42 single-instance units, two
+    // prefix executions each. Off: two `run_pair` calls per instance, each
+    // running both prefixes. Both replay the same 2,318 orders.
+    let traces: Vec<_> = corpus_executions()
+        .iter()
+        .map(|exec| execution_trace(&exec.enabled, &exec.schedule))
+        .collect();
+    let shared = BatchStats {
+        batches: 70,
+        forks: 2_234,
+        prefix_executions: 224,
+        prefix_instrs_saved: 94_444,
+        live_in_index_hits: 141,
+    };
+    let unbatched =
+        BatchStats { prefix_executions: 4_636, live_in_index_hits: 141, ..BatchStats::default() };
+    for jobs in [1, 2] {
+        for (batching, expected) in [(BatchMode::Shared, shared), (BatchMode::Off, unbatched)] {
+            let config = ClassifierConfig { jobs, batching, ..ClassifierConfig::default() };
+            let mut replays = 0;
+            let mut stats = BatchStats::default();
+            for (trace, detected) in &traces {
+                let result = classify_races_with(trace, detected, &config, None);
+                replays += result.vproc_replays;
+                stats.absorb(result.batch_stats);
+            }
+            assert_eq!(replays, 2_318, "{batching:?} jobs={jobs}");
+            assert_eq!(stats, expected, "{batching:?} jobs={jobs}");
+        }
     }
 }
