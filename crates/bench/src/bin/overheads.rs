@@ -72,8 +72,9 @@ fn main() {
     result.timings.native = native;
 
     // The "before" baseline: the reference interpreter (decodes `Instr`
-    // on every step) over the same program and schedule. This is what the
-    // seed tree shipped; the decoded/reference ratio is the predecode win.
+    // on every step and reports every step as a `StepInfo`) over the same
+    // program and schedule. Both runs share the scheduler's one loop, so
+    // the decoded/reference ratio is the interpreter's win alone.
     let decoded = Arc::new(DecodedProgram::new(program.clone()));
     let mut reference = Duration::MAX;
     for _ in 0..reps {

@@ -9,8 +9,9 @@
 //! image is backed by [`tvm::pagestore::PagedWords`] — the same paged
 //! open-addressing store the machine's own memory uses: one multiplicative
 //! hash plus a linear probe finds a zero-initialized fixed-size page, and
-//! the word is a direct index into it; sparse high addresses (the virtual
-//! processor's fresh allocations at `1 << 40`) fall back to a plain map.
+//! the word is a direct index into it; sparse high addresses (heap
+//! addresses past `2^32`, once the allocator has handed out about 4G words)
+//! fall back to a plain map.
 //!
 //! The image semantics are exactly the seed's: unwritten addresses read as
 //! zero (`tvm` memory is zero-initialized). The tests below pin that
@@ -159,7 +160,7 @@ mod tests {
                 0 => rng.next_u64() % 0x1_0000,                   // globals
                 1 => 0x10_0000 + rng.next_u64() % 4096,           // heap
                 2 => rng.next_u64() % (SPARSE_ADDR_LIMIT >> 10),  // mid
-                _ => (1 << 40) + (rng.next_u64() % 256) * 0x1000, // vproc-like
+                _ => (1 << 40) + (rng.next_u64() % 256) * 0x1000, // sparse heap
             };
             if rng.next_index(3) == 0 {
                 let value = rng.next_u64();

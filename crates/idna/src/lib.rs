@@ -11,9 +11,11 @@
 //!   call (§3.1–3.2).
 //! * [`replayer`] — deterministic replay, one sequencing region at a time in
 //!   global sequencer order, producing a queryable [`ReplayTrace`] (§3.3).
-//!   Its one instruction body also runs every phase of the virtual
-//!   processor, from recorded values or from its virtual memory, and time
-//!   travel ([`ReplayTrace::state_before`], the state before any recorded
+//!   It re-executes with the machine's own instruction body,
+//!   [`tvm::exec::step`], reading values from the thread's log. The same
+//!   body runs every phase of the virtual processor, from recorded values
+//!   or from its virtual memory, and time travel
+//!   ([`ReplayTrace::state_before`], the state before any recorded
 //!   instruction).
 //! * [`region`] — sequencing regions and the overlap relation that defines
 //!   happens-before data races (§3.4).

@@ -2,38 +2,29 @@
 //! region at a time, in global sequencer order, and produces a
 //! [`ReplayTrace`] — the complete, queryable history the race detector and
 //! the classification virtual processor operate on.
+//!
+//! Replay runs the machine's own instruction body, [`tvm::exec::step`],
+//! with a [`Source`] that reads load values and system-call results from
+//! the thread's log, so a replay reproduces the recorded run instruction
+//! for instruction. `RegionValues` reads a replayed region back the same
+//! way, for time travel and the virtual processor's oracle phase.
 
 use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use tvm::exec::AccessKind;
+use tvm::exec::{step, AccessKind, Source, Stepped, Trap, Trapped};
 use tvm::fasthash::FastHashMap;
-use tvm::isa::{Reg, SysCall, NUM_REGS};
-use tvm::machine::{Fault, MAX_CALL_DEPTH};
-use tvm::predecode::{Decoded, DecodedProgram};
+use tvm::isa::SysCall;
+use tvm::machine::Fault;
+pub use tvm::machine::ThreadSnapshot;
+use tvm::predecode::DecodedProgram;
 use tvm::program::Program;
 
 use crate::damage::TraceDamage;
 use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
 use crate::image::{LiveInIndex, ReplayImage};
 use crate::region::{regions_of, Region, RegionId};
-
-/// Architectural snapshot of one thread at a region boundary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ThreadSnapshot {
-    pub regs: [u64; NUM_REGS],
-    pub pc: usize,
-    pub call_stack: Vec<usize>,
-}
-
-impl ThreadSnapshot {
-    /// Reads one register.
-    #[must_use]
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
-    }
-}
 
 /// One replayed dynamic memory access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -244,7 +235,7 @@ impl ReplayTrace {
         let mut snap = region.entry.clone();
         let mut values = RegionValues::new(region);
         for index in region.region.start_instr..instr_index {
-            let Ok(stepped) = step_recorded(&self.decoded, &mut snap, index, &mut values);
+            let Ok(stepped) = step(&self.decoded, &mut snap, index, &mut values);
             match stepped {
                 Stepped::Next => {}
                 Stepped::Halted => break,
@@ -530,7 +521,7 @@ fn replay_region(
         let instr_index = t.instr;
         t.instr += 1;
         // A halt or a fault ends the thread where the recording ended it.
-        t.finished = step_recorded(decoded, &mut t.snap, instr_index, &mut rec)? != Stepped::Next;
+        t.finished = step(decoded, &mut t.snap, instr_index, &mut rec)? != Stepped::Next;
     }
     let FromLog { accesses, syscalls, outputs, .. } = rec;
     // Publish this region's writes into the versioned global image.
@@ -540,162 +531,6 @@ fn replay_region(
         }
     }
     Ok(ReplayedRegion { region, version, entry, exit: t.snap.clone(), accesses, syscalls, outputs })
-}
-
-/// Where a recorded step's values come from: the thread's log while the
-/// replayer builds a region, a replayed region read back (the virtual
-/// processor's oracle phase and [`ReplayTrace::state_before`]), or the
-/// virtual processor's memory in its live phases.
-pub(crate) trait Recorded {
-    /// Why the source cannot go on; sources that read a replayed region
-    /// back cannot fail.
-    type Error;
-
-    /// The value the load at `pc` read from `addr`.
-    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, Self::Error>;
-
-    /// The store at `pc` wrote `value` to `addr`.
-    fn store(
-        &mut self,
-        instr_index: u64,
-        pc: usize,
-        addr: u64,
-        value: u64,
-    ) -> Trapped<(), Self::Error>;
-
-    /// An atomic read-modify-write of `addr`: returns the value read, after
-    /// storing `new(old)` when that is `Some`.
-    fn update(
-        &mut self,
-        instr_index: u64,
-        pc: usize,
-        addr: u64,
-        new: impl FnOnce(u64) -> Option<u64>,
-    ) -> Trapped<u64, Self::Error> {
-        let old = self.load(instr_index, pc, addr)?;
-        if let Some(value) = new(old) {
-            self.store(instr_index, pc, addr, value)?;
-        }
-        Ok(old)
-    }
-
-    /// The result of system call `call`, made with `arg` in `r0`.
-    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Trapped<u64, Self::Error>;
-}
-
-/// Why a [`Recorded`] source supplied no value.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Trap<E> {
-    /// The instruction faults, so the snapshot is left as it was.
-    Fault(Fault),
-    /// The source cannot go on.
-    Fail(E),
-}
-
-/// A [`Recorded`] source's value, or the trap that takes its place.
-pub(crate) type Trapped<T, E> = Result<T, Trap<E>>;
-
-/// How one recorded step ended.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Stepped {
-    /// The instruction completed; the snapshot is at the next one.
-    Next,
-    /// The thread halted.
-    Halted,
-    /// The instruction faulted, so the snapshot is left as it was.
-    Faulted(Fault),
-}
-
-/// Executes one instruction from `snap`, with the values `rec` supplies:
-/// the one instruction body the replayer, the virtual processor's phases
-/// and time travel share.
-///
-/// # Errors
-///
-/// Propagates the source's error when it cannot go on.
-#[inline]
-pub(crate) fn step_recorded<R: Recorded>(
-    decoded: &DecodedProgram,
-    snap: &mut ThreadSnapshot,
-    instr_index: u64,
-    rec: &mut R,
-) -> Result<Stepped, R::Error> {
-    match execute(decoded, snap, instr_index, rec) {
-        Ok(stepped) => Ok(stepped),
-        Err(Trap::Fault(fault)) => Ok(Stepped::Faulted(fault)),
-        Err(Trap::Fail(error)) => Err(error),
-    }
-}
-
-/// [`step_recorded`]'s instruction body; the machine's own faults trap
-/// like the source's.
-#[inline]
-fn execute<R: Recorded>(
-    decoded: &DecodedProgram,
-    snap: &mut ThreadSnapshot,
-    instr_index: u64,
-    rec: &mut R,
-) -> Trapped<Stepped, R::Error> {
-    let pc = snap.pc;
-    let Some(&op) = decoded.op(pc) else { return Err(Trap::Fault(Fault::PcOutOfRange { pc })) };
-    let regs = &mut snap.regs;
-    let at = |base: u8, offset: i64| regs[usize::from(base)].wrapping_add(offset as u64);
-    let divide_by_zero = Trap::Fault(Fault::DivideByZero);
-    let mut next = pc + 1;
-    match op {
-        Decoded::MovImm { dst, imm } => regs[usize::from(dst)] = imm,
-        Decoded::Mov { dst, src } => regs[usize::from(dst)] = regs[usize::from(src)],
-        Decoded::Bin { op, dst, lhs, rhs } => {
-            regs[usize::from(dst)] =
-                op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]).ok_or(divide_by_zero)?;
-        }
-        Decoded::BinImm { op, dst, lhs, imm } => {
-            regs[usize::from(dst)] = op.apply(regs[usize::from(lhs)], imm).ok_or(divide_by_zero)?;
-        }
-        Decoded::Load { dst, base, offset } => {
-            regs[usize::from(dst)] = rec.load(instr_index, pc, at(base, offset))?;
-        }
-        Decoded::Store { src, base, offset } => {
-            rec.store(instr_index, pc, at(base, offset), regs[usize::from(src)])?;
-        }
-        Decoded::AtomicRmw { op, dst, base, offset, src } => {
-            let operand = regs[usize::from(src)];
-            let old =
-                rec.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)))?;
-            regs[usize::from(dst)] = old;
-        }
-        Decoded::AtomicCas { dst, base, offset, expected, new } => {
-            let (expected, new) = (regs[usize::from(expected)], regs[usize::from(new)]);
-            let old = rec.update(instr_index, pc, at(base, offset), |old| {
-                (old == expected).then_some(new)
-            })?;
-            regs[usize::from(dst)] = u64::from(old == expected);
-        }
-        Decoded::Fence => {}
-        Decoded::Jump { target } => next = target as usize,
-        Decoded::Branch { cond, lhs, rhs, target } => {
-            if cond.eval(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
-                next = target as usize;
-            }
-        }
-        Decoded::Call { target } => {
-            if snap.call_stack.len() >= MAX_CALL_DEPTH {
-                return Err(Trap::Fault(Fault::CallStackOverflow));
-            }
-            snap.call_stack.push(next);
-            next = target as usize;
-        }
-        Decoded::Ret => {
-            next = snap.call_stack.pop().ok_or(Trap::Fault(Fault::CallStackUnderflow))?
-        }
-        Decoded::Syscall { call } => {
-            let r0 = Reg::R0.index();
-            regs[r0] = rec.syscall(instr_index, call, regs[r0])?;
-        }
-        Decoded::Halt => return Ok(Stepped::Halted),
-    }
-    snap.pc = next;
-    Ok(Stepped::Next)
 }
 
 /// The replayer's source: the thread's log, read the way the recorder
@@ -727,7 +562,7 @@ impl FromLog<'_, '_> {
     }
 }
 
-impl Recorded for FromLog<'_, '_> {
+impl Source for FromLog<'_, '_> {
     type Error = ReplayError;
 
     fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, ReplayError> {
@@ -793,7 +628,7 @@ impl<'a> RegionValues<'a> {
     }
 }
 
-impl Recorded for RegionValues<'_> {
+impl Source for RegionValues<'_> {
     type Error = Infallible;
 
     fn load(&mut self, _: u64, _: usize, _: u64) -> Trapped<u64, Infallible> {
@@ -820,7 +655,7 @@ impl Recorded for RegionValues<'_> {
 mod tests {
     use super::*;
     use crate::recorder::record;
-    use tvm::isa::Cond;
+    use tvm::isa::{Cond, Reg};
     use tvm::scheduler::RunConfig;
     use tvm::ProgramBuilder;
 

@@ -3,7 +3,8 @@
 //! operations, producing comparable live-outs.
 //!
 //! Execution proceeds in three phases. Every phase steps through the
-//! replayer's one instruction body; only the source of each value differs.
+//! machine's own instruction body, [`tvm::exec::step`], as the replayer
+//! does; only the source of each value differs.
 //!
 //! 1. **Oracle phase** — each thread is replayed *from the log* (via the
 //!    recorded access values) up to, but not including, its racing
@@ -58,18 +59,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::fmt;
 
-use tvm::exec::AccessKind;
+use tvm::exec::{step, AccessKind, Source, Stepped, Trap, Trapped};
 use tvm::fasthash::FastHashMap;
 use tvm::isa::{SysCall, NUM_REGS};
-use tvm::machine::Fault;
+use tvm::machine::{Fault, ThreadSnapshot};
 use tvm::memory::{GLOBAL_LIMIT, HEAP_BASE};
 
 use crate::image::LiveInIndex;
 use crate::region::RegionId;
-use crate::replayer::{
-    step_recorded, HeapState, Recorded, RegionValues, ReplayTrace, ReplayedRegion, Stepped,
-    ThreadSnapshot, Trap, Trapped,
-};
+use crate::replayer::{HeapState, RegionValues, ReplayTrace, ReplayedRegion};
 
 /// One side of a data race: a dynamic memory access in a replayed region.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -1212,7 +1210,7 @@ fn step_oracle(trace: &ReplayTrace, t: &mut VThread<'_, '_>, ops: &mut Vec<Oracl
     let instr_index = t.instr;
     t.instr += 1;
     let mut oracle = Oracle { values: &mut t.values, outputs: &mut *t.outputs, ops };
-    let Ok(stepped) = step_recorded(trace.decoded(), t.snap, instr_index, &mut oracle);
+    let Ok(stepped) = step(trace.decoded(), t.snap, instr_index, &mut oracle);
     match stepped {
         Stepped::Next => {}
         Stepped::Halted => t.done = true,
@@ -1228,7 +1226,7 @@ struct Oracle<'t, 'a> {
     ops: &'t mut Vec<OracleOp>,
 }
 
-impl Recorded for Oracle<'_, '_> {
+impl Source for Oracle<'_, '_> {
     type Error = Infallible;
 
     fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, Infallible> {
@@ -1292,7 +1290,7 @@ fn step_live(
         return Err(ReplayFailure::UnrecordedControlFlow { tid: t.tid, pc });
     }
     let mut live = Live { vmem };
-    match step_recorded(trace.decoded(), t.snap, t.instr, &mut live)? {
+    match step(trace.decoded(), t.snap, t.instr, &mut live)? {
         Stepped::Next => {}
         Stepped::Halted => t.done = true,
         Stepped::Faulted(fault) => {
@@ -1308,7 +1306,7 @@ struct Live<'t, 'm> {
     vmem: &'t mut VMem<'m>,
 }
 
-impl Recorded for Live<'_, '_> {
+impl Source for Live<'_, '_> {
     type Error = ReplayFailure;
 
     fn load(&mut self, _: u64, _: usize, addr: u64) -> Trapped<u64, ReplayFailure> {

@@ -1,13 +1,27 @@
 //! The interpreter: single-instruction stepping with full observability.
 //!
-//! Every executed instruction produces a [`StepInfo`] describing its memory
-//! accesses, sequencer assignment, system-call result, fault, and output.
-//! Recording (crate `idna-replay`) and the online race-detector baselines
-//! hang off the [`Observer`] trait.
+//! [`step`] is the workspace's one instruction body. It executes one
+//! predecoded instruction over a thread's [`ThreadSnapshot`], with the
+//! memory values and system-call results a [`Source`] supplies. The machine
+//! runs it over its own memory and output stream ([`Machine::step_into`],
+//! [`Machine::step_native`]); crate `idna-replay` runs it over a thread's
+//! log (the replayer), a replayed region read back (the virtual processor's
+//! oracle phase, time travel) and the virtual processor's memory (its live
+//! phases).
+//!
+//! Every instruction the machine executes produces a [`StepInfo`]
+//! describing its memory accesses, sequencer assignment, system-call
+//! result, fault, and output. Recording (crate `idna-replay`) and the
+//! online race-detector baselines hang off the [`Observer`] trait. The seed
+//! interpreter over [`Instr`], [`Machine::step_into_reference`], stays as
+//! the differential-testing oracle for [`step`].
+
+use std::convert::Infallible;
 
 use crate::isa::{Instr, Reg, SysCall};
-use crate::machine::{Fault, Machine, OutputRecord, ThreadStatus, MAX_CALL_DEPTH};
-use crate::predecode::Decoded;
+use crate::machine::{Fault, Machine, OutputRecord, ThreadSnapshot, ThreadStatus, MAX_CALL_DEPTH};
+use crate::memory::Memory;
+use crate::predecode::{Decoded, DecodedProgram};
 
 /// Kind of a memory access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -88,11 +102,11 @@ pub trait Observer {
 /// required but no observation is wanted.
 impl Observer for () {}
 
-/// Destination of per-step side observations (memory accesses, syscall
-/// results, output, yields). The interpreter body is generic over this so
-/// the unobserved native path ([`Machine::step_native`]) monomorphizes the
-/// event plumbing away entirely while sharing one copy of the semantics
-/// with the recorded path.
+/// Destination of the machine's per-step side observations (memory
+/// accesses, syscall results, output, yields). The machine's [`Source`] is
+/// generic over this, so the unobserved native path
+/// ([`Machine::step_native`]) monomorphizes the event plumbing away while
+/// running the same body, [`step`], as the recorded path.
 trait StepSink {
     fn access(&mut self, ev: MemAccessEvent);
     fn syscall(&mut self, ev: SyscallEvent);
@@ -138,8 +152,9 @@ impl StepSink for NativeSink {
     }
 }
 
-/// What [`Machine::step_native`] reports: just enough for a scheduler to
-/// maintain its runnable set and preempt on yields.
+/// What a scheduler reads of one step: just enough to maintain its
+/// runnable set and preempt on yields. [`Machine::step_native`] returns it,
+/// and the scheduler reads the same off an observed step's [`StepInfo`].
 #[derive(Copy, Clone, Debug)]
 pub struct NativeOutcome {
     /// The instruction was a `sys.yield` scheduling hint.
@@ -172,6 +187,15 @@ impl StepInfo {
             yielded: false,
         }
     }
+
+    /// What a scheduler reads of this step.
+    pub(crate) fn outcome(&self) -> NativeOutcome {
+        NativeOutcome {
+            yielded: self.yielded,
+            ended: self.halted || self.fault.is_some(),
+            fault: self.fault,
+        }
+    }
 }
 
 impl Machine {
@@ -189,23 +213,17 @@ impl Machine {
     /// Like [`Machine::step`], but reuses `info`'s buffers instead of
     /// allocating. Every field of `info` is overwritten.
     ///
-    /// Dispatches over the machine's predecoded instruction stream; the
-    /// original fetch-from-`Program` interpreter is retained as
-    /// [`Machine::step_into_reference`] and the two are pinned step-for-step
-    /// identical by the `predecode_equiv` suite.
+    /// Runs the one instruction body, [`step`], over the machine's
+    /// predecoded program; the original fetch-from-`Program` interpreter is
+    /// retained as [`Machine::step_into_reference`] and the two are pinned
+    /// step-for-step identical by the `predecode_equiv` suite.
     ///
     /// # Panics
     ///
     /// Panics if the thread is not [`ThreadStatus::Ready`].
     pub fn step_into(&mut self, tid: usize, info: &mut StepInfo) {
         let pc = self.begin_step(tid, info);
-
-        let Some(&op) = self.decoded().op(pc) else {
-            self.fault_out_of_range(tid, pc, info);
-            return;
-        };
-        // `op` exists, so `pc` indexes the program text.
-        info.instr = self.program().instrs()[pc];
+        info.instr = self.program().instr(pc).copied().unwrap_or(Instr::Halt);
 
         // Sequencers are logged when the synchronization instruction or
         // system call executes (paper §3.2); we assign the timestamp before
@@ -216,14 +234,13 @@ impl Machine {
             info.sequencer = Some(self.take_seq());
         }
 
-        let next_pc = self.execute_decoded(tid, pc, op, info);
-        self.finish_step(tid, next_pc, info);
+        let stepped = self.step_body(tid, info.thread_step, info);
+        self.finish_step(tid, stepped, info);
     }
 
     /// The seed interpreter: fetches [`Instr`] from the [`Program`] and
-    /// dispatches over it. Kept as the differential-testing oracle for the
-    /// predecoded fast path (and as the "before" baseline for throughput
-    /// comparisons); production callers go through [`Machine::step_into`].
+    /// dispatches over it. Kept as the differential-testing oracle for
+    /// [`step`]; production callers go through [`Machine::step_into`].
     ///
     /// [`Program`]: crate::program::Program
     ///
@@ -234,14 +251,22 @@ impl Machine {
         let pc = self.begin_step(tid, info);
 
         let Some(&instr) = self.program().instr(pc) else {
-            self.fault_out_of_range(tid, pc, info);
+            info.instr = Instr::Halt;
+            self.finish_step(tid, Stepped::Faulted(Fault::PcOutOfRange { pc }), info);
             return;
         };
         info.instr = instr;
         info.sequencer = instr.is_sequencer_point().then(|| self.take_seq());
 
-        let next_pc = self.execute(tid, pc, &instr, info);
-        self.finish_step(tid, next_pc, info);
+        let stepped = match self.execute(tid, pc, &instr, info) {
+            Ok(Some(next)) => {
+                self.thread_mut(tid).set_pc(next);
+                Stepped::Next
+            }
+            Ok(None) => Stepped::Halted,
+            Err(fault) => Stepped::Faulted(fault),
+        };
+        self.finish_step(tid, stepped, info);
     }
 
     /// Executes one instruction on thread `tid` without materializing a
@@ -258,32 +283,33 @@ impl Machine {
         assert!(self.thread(tid).status().is_ready(), "stepping a thread that is not ready: {tid}");
         let pc = self.thread(tid).pc();
         self.bump_global_step();
-        self.thread_mut(tid).bump_steps();
-
-        let Some(&op) = self.decoded().op(pc) else {
-            let fault = Fault::PcOutOfRange { pc };
-            self.terminate(tid, ThreadStatus::Faulted(fault));
-            return NativeOutcome { yielded: false, ended: true, fault: Some(fault) };
-        };
+        let instr_index = self.thread_mut(tid).bump_steps();
         if self.decoded().is_sequencer_point(pc) {
             self.take_seq();
         }
 
         let mut sink = NativeSink { yielded: false };
-        match self.execute_decoded(tid, pc, op, &mut sink) {
-            Ok(Some(next)) => {
-                self.thread_mut(tid).set_pc(next);
-                NativeOutcome { yielded: sink.yielded, ended: false, fault: None }
-            }
-            Ok(None) => {
+        match self.step_body(tid, instr_index, &mut sink) {
+            Stepped::Next => NativeOutcome { yielded: sink.yielded, ended: false, fault: None },
+            Stepped::Halted => {
                 self.terminate(tid, ThreadStatus::Halted);
                 NativeOutcome { yielded: false, ended: true, fault: None }
             }
-            Err(fault) => {
+            Stepped::Faulted(fault) => {
                 self.terminate(tid, ThreadStatus::Faulted(fault));
                 NativeOutcome { yielded: false, ended: true, fault: Some(fault) }
             }
         }
+    }
+
+    /// Runs [`step`] on thread `tid` over the machine's memory and output
+    /// stream, reporting to `sink`.
+    #[inline]
+    fn step_body<K: StepSink>(&mut self, tid: usize, instr_index: u64, sink: &mut K) -> Stepped {
+        let (decoded, snap, mem, output) = self.step_parts(tid);
+        let mut src = MachineSource { mem, output, tid, sink };
+        let Ok(stepped) = step(decoded, snap, instr_index, &mut src);
+        stepped
     }
 
     /// Shared step prologue: bumps counters and resets `info`. Returns the
@@ -306,34 +332,20 @@ impl Machine {
         pc
     }
 
-    /// Shared step epilogue: advances the pc or terminates the thread.
-    fn finish_step(
-        &mut self,
-        tid: usize,
-        next_pc: Result<Option<usize>, Fault>,
-        info: &mut StepInfo,
-    ) {
-        match next_pc {
-            Ok(Some(next)) => self.thread_mut(tid).set_pc(next),
-            Ok(None) => {
+    /// Shared step epilogue: terminates the thread when it halted or
+    /// faulted.
+    fn finish_step(&mut self, tid: usize, stepped: Stepped, info: &mut StepInfo) {
+        match stepped {
+            Stepped::Next => {}
+            Stepped::Halted => {
                 info.halted = true;
-                let end = self.terminate(tid, ThreadStatus::Halted);
-                info.end_sequencer = Some(end);
+                info.end_sequencer = Some(self.terminate(tid, ThreadStatus::Halted));
             }
-            Err(fault) => {
+            Stepped::Faulted(fault) => {
                 info.fault = Some(fault);
-                let end = self.terminate(tid, ThreadStatus::Faulted(fault));
-                info.end_sequencer = Some(end);
+                info.end_sequencer = Some(self.terminate(tid, ThreadStatus::Faulted(fault)));
             }
         }
-    }
-
-    fn fault_out_of_range(&mut self, tid: usize, pc: usize, info: &mut StepInfo) {
-        let fault = Fault::PcOutOfRange { pc };
-        let end = self.terminate(tid, ThreadStatus::Faulted(fault));
-        info.instr = Instr::Halt;
-        info.fault = Some(fault);
-        info.end_sequencer = Some(end);
     }
 
     fn terminate(&mut self, tid: usize, status: ThreadStatus) -> u64 {
@@ -344,7 +356,8 @@ impl Machine {
         ts
     }
 
-    /// Executes the instruction body. Returns the next pc, or `None` to halt.
+    /// The reference instruction body over [`Instr`]. Returns the next pc,
+    /// or `None` to halt.
     fn execute(
         &mut self,
         tid: usize,
@@ -436,7 +449,9 @@ impl Machine {
                 Ok(Some(ret))
             }
             Instr::Syscall { call } => {
-                let ret = self.do_syscall(tid, call, info)?;
+                let arg = self.thread(tid).reg(Reg::R0);
+                let (_, _, mem, output) = self.step_parts(tid);
+                let ret = do_syscall(mem, output, tid, call, arg, info)?;
                 self.thread_mut(tid).set_reg(Reg::R0, ret);
                 info.syscall(SyscallEvent { call, ret });
                 Ok(Some(next))
@@ -444,141 +459,225 @@ impl Machine {
             Instr::Halt => Ok(None),
         }
     }
+}
 
-    /// Executes a predecoded instruction body. Behaviourally identical to
-    /// [`Machine::execute`] — the two are pinned against each other by the
-    /// `predecode_equiv` suite — but dispatches over the 16-byte [`Decoded`]
-    /// form with raw register indices, so the hot path does no `Reg`
-    /// re-validation and reads only the operand bytes it needs.
-    fn execute_decoded<S: StepSink>(
+/// Where one step's memory values and system-call results come from, and
+/// where its effects go: the machine's memory and output stream while a
+/// program runs or is recorded, and in crate `idna-replay` a thread's log,
+/// a replayed region read back, or the virtual processor's memory.
+pub trait Source {
+    /// Why the source cannot go on; sources that cannot fail use
+    /// [`Infallible`].
+    type Error;
+
+    /// The value the load at `pc` reads from `addr`.
+    fn load(&mut self, instr_index: u64, pc: usize, addr: u64) -> Trapped<u64, Self::Error>;
+
+    /// The store at `pc` writes `value` to `addr`.
+    fn store(
         &mut self,
-        tid: usize,
+        instr_index: u64,
         pc: usize,
-        op: Decoded,
-        info: &mut S,
-    ) -> Result<Option<usize>, Fault> {
-        let next = pc + 1;
-        match op {
-            Decoded::MovImm { dst, imm } => {
-                self.thread_mut(tid).set_reg_raw(dst, imm);
-                Ok(Some(next))
-            }
-            Decoded::Mov { dst, src } => {
-                let v = self.thread(tid).reg_raw(src);
-                self.thread_mut(tid).set_reg_raw(dst, v);
-                Ok(Some(next))
-            }
-            Decoded::Bin { op, dst, lhs, rhs } => {
-                let l = self.thread(tid).reg_raw(lhs);
-                let r = self.thread(tid).reg_raw(rhs);
-                let v = op.apply(l, r).ok_or(Fault::DivideByZero)?;
-                self.thread_mut(tid).set_reg_raw(dst, v);
-                Ok(Some(next))
-            }
-            Decoded::BinImm { op, dst, lhs, imm } => {
-                let l = self.thread(tid).reg_raw(lhs);
-                let v = op.apply(l, imm).ok_or(Fault::DivideByZero)?;
-                self.thread_mut(tid).set_reg_raw(dst, v);
-                Ok(Some(next))
-            }
-            Decoded::Load { dst, base, offset } => {
-                let addr = self.thread(tid).reg_raw(base).wrapping_add(offset as u64);
-                let v = self.memory().read(addr)?;
-                info.access(MemAccessEvent { addr, value: v, kind: AccessKind::Read });
-                self.thread_mut(tid).set_reg_raw(dst, v);
-                Ok(Some(next))
-            }
-            Decoded::Store { src, base, offset } => {
-                let addr = self.thread(tid).reg_raw(base).wrapping_add(offset as u64);
-                let v = self.thread(tid).reg_raw(src);
-                self.memory_mut().write(addr, v)?;
-                info.access(MemAccessEvent { addr, value: v, kind: AccessKind::Write });
-                Ok(Some(next))
-            }
-            Decoded::AtomicRmw { op, dst, base, offset, src } => {
-                let addr = self.thread(tid).reg_raw(base).wrapping_add(offset as u64);
-                let old = self.memory().read(addr)?;
-                info.access(MemAccessEvent { addr, value: old, kind: AccessKind::Read });
-                let operand = self.thread(tid).reg_raw(src);
-                let new = op.apply(old, operand);
-                self.memory_mut().write(addr, new)?;
-                info.access(MemAccessEvent { addr, value: new, kind: AccessKind::Write });
-                self.thread_mut(tid).set_reg_raw(dst, old);
-                Ok(Some(next))
-            }
-            Decoded::AtomicCas { dst, base, offset, expected, new } => {
-                let addr = self.thread(tid).reg_raw(base).wrapping_add(offset as u64);
-                let old = self.memory().read(addr)?;
-                info.access(MemAccessEvent { addr, value: old, kind: AccessKind::Read });
-                let exp = self.thread(tid).reg_raw(expected);
-                let success = old == exp;
-                if success {
-                    let nv = self.thread(tid).reg_raw(new);
-                    self.memory_mut().write(addr, nv)?;
-                    info.access(MemAccessEvent { addr, value: nv, kind: AccessKind::Write });
-                }
-                self.thread_mut(tid).set_reg_raw(dst, u64::from(success));
-                Ok(Some(next))
-            }
-            Decoded::Fence => Ok(Some(next)),
-            Decoded::Jump { target } => Ok(Some(target as usize)),
-            Decoded::Branch { cond, lhs, rhs, target } => {
-                let l = self.thread(tid).reg_raw(lhs);
-                let r = self.thread(tid).reg_raw(rhs);
-                Ok(Some(if cond.eval(l, r) { target as usize } else { next }))
-            }
-            Decoded::Call { target } => {
-                let t = self.thread_mut(tid);
-                if t.call_stack().len() >= MAX_CALL_DEPTH {
-                    return Err(Fault::CallStackOverflow);
-                }
-                t.call_stack_mut().push(next);
-                Ok(Some(target as usize))
-            }
-            Decoded::Ret => {
-                let t = self.thread_mut(tid);
-                let ret = t.call_stack_mut().pop().ok_or(Fault::CallStackUnderflow)?;
-                Ok(Some(ret))
-            }
-            Decoded::Syscall { call } => {
-                let ret = self.do_syscall(tid, call, info)?;
-                self.thread_mut(tid).set_reg(Reg::R0, ret);
-                info.syscall(SyscallEvent { call, ret });
-                Ok(Some(next))
-            }
-            Decoded::Halt => Ok(None),
+        addr: u64,
+        value: u64,
+    ) -> Trapped<(), Self::Error>;
+
+    /// An atomic read-modify-write of `addr`: returns the value read, after
+    /// storing `new(old)` when that is `Some`.
+    fn update(
+        &mut self,
+        instr_index: u64,
+        pc: usize,
+        addr: u64,
+        new: impl FnOnce(u64) -> Option<u64>,
+    ) -> Trapped<u64, Self::Error> {
+        let old = self.load(instr_index, pc, addr)?;
+        if let Some(value) = new(old) {
+            self.store(instr_index, pc, addr, value)?;
         }
+        Ok(old)
     }
 
-    fn do_syscall<S: StepSink>(
-        &mut self,
-        tid: usize,
-        call: SysCall,
-        info: &mut S,
-    ) -> Result<u64, Fault> {
-        match call {
-            SysCall::Alloc => {
-                let size = self.thread(tid).reg(Reg::R0);
-                Ok(self.memory_mut().alloc(size))
-            }
-            SysCall::Free => {
-                let base = self.thread(tid).reg(Reg::R0);
-                self.memory_mut().free(base)?;
-                Ok(0)
-            }
-            SysCall::Print => {
-                let value = self.thread(tid).reg(Reg::R0);
-                self.push_output(OutputRecord { tid, value });
-                info.output(value);
-                Ok(value)
-            }
-            SysCall::Tid => Ok(tid as u64),
-            SysCall::Yield => {
-                info.yielded();
-                Ok(0)
-            }
-            SysCall::Nop => Ok(0),
+    /// The result of system call `call`, made with `arg` in `r0`.
+    fn syscall(&mut self, instr_index: u64, call: SysCall, arg: u64) -> Trapped<u64, Self::Error>;
+}
+
+/// Why a [`Source`] supplied no value.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Trap<E> {
+    /// The instruction faults, so the snapshot is left as it was.
+    Fault(Fault),
+    /// The source cannot go on.
+    Fail(E),
+}
+
+/// A [`Source`]'s value, or the trap that takes its place.
+pub type Trapped<T, E> = Result<T, Trap<E>>;
+
+/// How one step ended.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Stepped {
+    /// The instruction completed; the snapshot is at the next one.
+    Next,
+    /// The thread halted.
+    Halted,
+    /// The instruction faulted, so the snapshot is left as it was.
+    Faulted(Fault),
+}
+
+/// Executes the instruction at `snap.pc`, the thread's dynamic instruction
+/// `instr_index`, with the values `src` supplies: the one instruction body
+/// the machine, the replayer, the virtual processor's phases and time
+/// travel share. A pc past the program text faults
+/// [`Fault::PcOutOfRange`].
+///
+/// # Errors
+///
+/// Propagates the source's error when it cannot go on.
+#[inline]
+pub fn step<S: Source>(
+    decoded: &DecodedProgram,
+    snap: &mut ThreadSnapshot,
+    instr_index: u64,
+    src: &mut S,
+) -> Result<Stepped, S::Error> {
+    match execute(decoded, snap, instr_index, src) {
+        Ok(stepped) => Ok(stepped),
+        Err(Trap::Fault(fault)) => Ok(Stepped::Faulted(fault)),
+        Err(Trap::Fail(error)) => Err(error),
+    }
+}
+
+/// [`step`]'s instruction body; the instruction's own faults trap like the
+/// source's.
+#[inline]
+fn execute<S: Source>(
+    decoded: &DecodedProgram,
+    snap: &mut ThreadSnapshot,
+    instr_index: u64,
+    src: &mut S,
+) -> Trapped<Stepped, S::Error> {
+    let pc = snap.pc;
+    let Some(&op) = decoded.op(pc) else { return Err(Trap::Fault(Fault::PcOutOfRange { pc })) };
+    let regs = &mut snap.regs;
+    let at = |base: u8, offset: i64| regs[usize::from(base)].wrapping_add(offset as u64);
+    let divide_by_zero = Trap::Fault(Fault::DivideByZero);
+    let mut next = pc + 1;
+    match op {
+        Decoded::MovImm { dst, imm } => regs[usize::from(dst)] = imm,
+        Decoded::Mov { dst, src } => regs[usize::from(dst)] = regs[usize::from(src)],
+        Decoded::Bin { op, dst, lhs, rhs } => {
+            regs[usize::from(dst)] =
+                op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]).ok_or(divide_by_zero)?;
         }
+        Decoded::BinImm { op, dst, lhs, imm } => {
+            regs[usize::from(dst)] = op.apply(regs[usize::from(lhs)], imm).ok_or(divide_by_zero)?;
+        }
+        Decoded::Load { dst, base, offset } => {
+            regs[usize::from(dst)] = src.load(instr_index, pc, at(base, offset))?;
+        }
+        Decoded::Store { src: value, base, offset } => {
+            src.store(instr_index, pc, at(base, offset), regs[usize::from(value)])?;
+        }
+        Decoded::AtomicRmw { op, dst, base, offset, src: operand } => {
+            let operand = regs[usize::from(operand)];
+            let old =
+                src.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)))?;
+            regs[usize::from(dst)] = old;
+        }
+        Decoded::AtomicCas { dst, base, offset, expected, new } => {
+            let (expected, new) = (regs[usize::from(expected)], regs[usize::from(new)]);
+            let old = src.update(instr_index, pc, at(base, offset), |old| {
+                (old == expected).then_some(new)
+            })?;
+            regs[usize::from(dst)] = u64::from(old == expected);
+        }
+        Decoded::Fence => {}
+        Decoded::Jump { target } => next = target as usize,
+        Decoded::Branch { cond, lhs, rhs, target } => {
+            if cond.eval(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
+                next = target as usize;
+            }
+        }
+        Decoded::Call { target } => {
+            if snap.call_stack.len() >= MAX_CALL_DEPTH {
+                return Err(Trap::Fault(Fault::CallStackOverflow));
+            }
+            snap.call_stack.push(next);
+            next = target as usize;
+        }
+        Decoded::Ret => {
+            next = snap.call_stack.pop().ok_or(Trap::Fault(Fault::CallStackUnderflow))?
+        }
+        Decoded::Syscall { call } => {
+            let r0 = Reg::R0.index();
+            regs[r0] = src.syscall(instr_index, call, regs[r0])?;
+        }
+        Decoded::Halt => return Ok(Stepped::Halted),
+    }
+    snap.pc = next;
+    Ok(Stepped::Next)
+}
+
+/// The machine's [`Source`]: its memory and output stream, each access,
+/// system call, output and yield reported to a [`StepSink`].
+struct MachineSource<'m, K> {
+    mem: &'m mut Memory,
+    output: &'m mut Vec<OutputRecord>,
+    tid: usize,
+    sink: &'m mut K,
+}
+
+impl<K: StepSink> Source for MachineSource<'_, K> {
+    type Error = Infallible;
+
+    #[inline]
+    fn load(&mut self, _: u64, _: usize, addr: u64) -> Trapped<u64, Infallible> {
+        let value = self.mem.read(addr).map_err(Trap::Fault)?;
+        self.sink.access(MemAccessEvent { addr, value, kind: AccessKind::Read });
+        Ok(value)
+    }
+
+    #[inline]
+    fn store(&mut self, _: u64, _: usize, addr: u64, value: u64) -> Trapped<(), Infallible> {
+        self.mem.write(addr, value).map_err(Trap::Fault)?;
+        self.sink.access(MemAccessEvent { addr, value, kind: AccessKind::Write });
+        Ok(())
+    }
+
+    #[inline]
+    fn syscall(&mut self, _: u64, call: SysCall, arg: u64) -> Trapped<u64, Infallible> {
+        let ret = do_syscall(self.mem, self.output, self.tid, call, arg, self.sink)
+            .map_err(Trap::Fault)?;
+        self.sink.syscall(SyscallEvent { call, ret });
+        Ok(ret)
+    }
+}
+
+/// Runs system call `call` for thread `tid` with `arg` in `r0` and returns
+/// its result.
+fn do_syscall<K: StepSink>(
+    mem: &mut Memory,
+    output: &mut Vec<OutputRecord>,
+    tid: usize,
+    call: SysCall,
+    arg: u64,
+    sink: &mut K,
+) -> Result<u64, Fault> {
+    match call {
+        SysCall::Alloc => mem.alloc(arg),
+        SysCall::Free => mem.free(arg).map(|()| 0),
+        SysCall::Print => {
+            output.push(OutputRecord { tid, value: arg });
+            sink.output(arg);
+            Ok(arg)
+        }
+        SysCall::Tid => Ok(tid as u64),
+        SysCall::Yield => {
+            sink.yielded();
+            Ok(0)
+        }
+        SysCall::Nop => Ok(0),
     }
 }
 

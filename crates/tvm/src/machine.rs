@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::isa::NUM_REGS;
+use crate::isa::{Reg, NUM_REGS};
 use crate::memory::Memory;
 use crate::predecode::DecodedProgram;
 use crate::program::Program;
@@ -68,13 +68,29 @@ impl ThreadStatus {
     }
 }
 
-/// The architectural state of one thread.
+/// The architectural state of one thread at an instruction boundary:
+/// registers, pc and call stack. [`crate::exec::step`] executes one
+/// instruction over it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ThreadSnapshot {
+    pub regs: [u64; NUM_REGS],
+    pub pc: usize,
+    pub call_stack: Vec<usize>,
+}
+
+impl ThreadSnapshot {
+    /// Reads one register.
+    #[must_use]
+    pub fn reg(&self, r: Reg) -> u64 {
+        self.regs[r.index()]
+    }
+}
+
+/// One thread of a [`Machine`]: its architectural state plus life cycle.
 #[derive(Clone, Debug)]
 pub struct ThreadState {
     tid: usize,
-    regs: [u64; NUM_REGS],
-    pc: usize,
-    call_stack: Vec<usize>,
+    snap: ThreadSnapshot,
     status: ThreadStatus,
     /// Number of instructions this thread has executed.
     steps: u64,
@@ -92,9 +108,7 @@ impl ThreadState {
         }
         ThreadState {
             tid,
-            regs,
-            pc: entry,
-            call_stack: Vec::new(),
+            snap: ThreadSnapshot { regs, pc: entry, call_stack: Vec::new() },
             status: ThreadStatus::Ready,
             steps: 0,
             start_seq,
@@ -111,50 +125,37 @@ impl ThreadState {
     /// The register file.
     #[must_use]
     pub fn regs(&self) -> &[u64; NUM_REGS] {
-        &self.regs
+        &self.snap.regs
     }
 
     /// Reads one register.
     #[must_use]
-    pub fn reg(&self, r: crate::isa::Reg) -> u64 {
-        self.regs[r.index()]
+    pub fn reg(&self, r: Reg) -> u64 {
+        self.snap.reg(r)
     }
 
-    pub(crate) fn set_reg(&mut self, r: crate::isa::Reg, v: u64) {
-        self.regs[r.index()] = v;
-    }
-
-    /// Reads a register by raw index (predecoded dispatch; `i < NUM_REGS`
-    /// by construction).
-    #[inline]
-    pub(crate) fn reg_raw(&self, i: u8) -> u64 {
-        self.regs[i as usize]
-    }
-
-    /// Writes a register by raw index (predecoded dispatch).
-    #[inline]
-    pub(crate) fn set_reg_raw(&mut self, i: u8, v: u64) {
-        self.regs[i as usize] = v;
+    pub(crate) fn set_reg(&mut self, r: Reg, v: u64) {
+        self.snap.regs[r.index()] = v;
     }
 
     /// Current program counter.
     #[must_use]
     pub fn pc(&self) -> usize {
-        self.pc
+        self.snap.pc
     }
 
     pub(crate) fn set_pc(&mut self, pc: usize) {
-        self.pc = pc;
+        self.snap.pc = pc;
     }
 
     /// The call stack of return addresses.
     #[must_use]
     pub fn call_stack(&self) -> &[usize] {
-        &self.call_stack
+        &self.snap.call_stack
     }
 
     pub(crate) fn call_stack_mut(&mut self) -> &mut Vec<usize> {
-        &mut self.call_stack
+        &mut self.snap.call_stack
     }
 
     /// Current status.
@@ -314,6 +315,16 @@ impl Machine {
         &mut self.threads[tid]
     }
 
+    /// What one step of thread `tid` works on, borrowed apart: the
+    /// predecoded program, the thread's snapshot, memory and the output
+    /// stream.
+    pub(crate) fn step_parts(
+        &mut self,
+        tid: usize,
+    ) -> (&DecodedProgram, &mut ThreadSnapshot, &mut Memory, &mut Vec<OutputRecord>) {
+        (&self.decoded, &mut self.threads[tid].snap, &mut self.mem, &mut self.output)
+    }
+
     /// Thread ids that are still ready to run.
     #[must_use]
     pub fn runnable(&self) -> Vec<usize> {
@@ -330,10 +341,6 @@ impl Machine {
     #[must_use]
     pub fn output(&self) -> &[OutputRecord] {
         &self.output
-    }
-
-    pub(crate) fn push_output(&mut self, rec: OutputRecord) {
-        self.output.push(rec);
     }
 
     /// Total instructions executed across all threads.
@@ -364,7 +371,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Instr, Reg};
+    use crate::isa::Instr;
     use crate::program::ThreadSpec;
     use std::collections::HashMap;
 

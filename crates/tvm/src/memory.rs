@@ -92,37 +92,36 @@ impl Memory {
     }
 
     /// Allocates `size` words (at least one) and returns the base address.
-    pub fn alloc(&mut self, size: u64) -> u64 {
+    /// Bases are never recycled, so a new block's words read 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fault::InvalidAccess`] at the next free address when the
+    /// block and its red zone would pass `u64::MAX`; the allocator is left
+    /// as it was.
+    pub fn alloc(&mut self, size: u64) -> Result<u64, Fault> {
         let size = size.max(1);
         let base = self.next;
-        self.next = self.next + size + 1; // one-word red zone between allocations
+        // One-word red zone between allocations.
+        self.next = size
+            .checked_add(1)
+            .and_then(|span| base.checked_add(span))
+            .ok_or(Fault::InvalidAccess { addr: base })?;
         self.live.insert(base, size);
-        self.freed.remove(&base);
-        // Zero the allocation so recycled addresses (never recycled here, but
-        // keep the invariant simple) read as fresh.
-        for w in 0..size {
-            self.words.set(base + w, 0);
-        }
-        base
+        Ok(base)
     }
 
-    /// Frees the allocation at `base`.
+    /// Frees the allocation at `base`. Its words keep their values: every
+    /// checked access to them faults [`Fault::UseAfterFree`].
     ///
     /// # Errors
     ///
     /// Returns [`Fault::InvalidFree`] when `base` is not the base address of a
     /// live allocation — including the double-free case.
     pub fn free(&mut self, base: u64) -> Result<(), Fault> {
-        match self.live.remove(&base) {
-            Some(size) => {
-                self.freed.insert(base, size);
-                for w in 0..size {
-                    self.words.set(base + w, 0);
-                }
-                Ok(())
-            }
-            None => Err(Fault::InvalidFree { addr: base }),
-        }
+        let size = self.live.remove(&base).ok_or(Fault::InvalidFree { addr: base })?;
+        self.freed.insert(base, size);
+        Ok(())
     }
 
     /// Iterates over all non-zero words, in unspecified order.
@@ -130,7 +129,8 @@ impl Memory {
         self.words.iter_nonzero()
     }
 
-    /// A snapshot of the memory contents (non-zero words only).
+    /// A snapshot of the memory contents (non-zero words only). Freed
+    /// blocks are not zeroed, so their last values are in it too.
     #[must_use]
     pub fn snapshot(&self) -> HashMap<u64, u64> {
         self.iter_nonzero().collect()
@@ -142,6 +142,7 @@ impl Memory {
         self.live.len()
     }
 
+    #[inline]
     fn check(&self, addr: u64) -> Result<(), Fault> {
         if addr < GLOBAL_LIMIT {
             return Ok(());
@@ -184,7 +185,7 @@ mod tests {
     #[test]
     fn alloc_free_lifecycle() {
         let mut mem = Memory::new();
-        let a = mem.alloc(4);
+        let a = mem.alloc(4).unwrap();
         assert!(a >= HEAP_BASE);
         mem.write(a + 3, 9).unwrap();
         assert_eq!(mem.read(a + 3).unwrap(), 9);
@@ -199,8 +200,8 @@ mod tests {
     #[test]
     fn allocations_do_not_overlap() {
         let mut mem = Memory::new();
-        let a = mem.alloc(2);
-        let b = mem.alloc(2);
+        let a = mem.alloc(2).unwrap();
+        let b = mem.alloc(2).unwrap();
         assert!(b >= a + 2);
         mem.write(a, 1).unwrap();
         mem.write(b, 2).unwrap();
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn zero_sized_alloc_rounds_up() {
         let mut mem = Memory::new();
-        let a = mem.alloc(0);
+        let a = mem.alloc(0).unwrap();
         mem.write(a, 5).unwrap();
         assert_eq!(mem.read(a).unwrap(), 5);
     }
@@ -220,10 +221,36 @@ mod tests {
     #[test]
     fn freed_memory_reads_as_fault_not_zero() {
         let mut mem = Memory::new();
-        let a = mem.alloc(1);
+        let a = mem.alloc(1).unwrap();
         mem.write(a, 77).unwrap();
         mem.free(a).unwrap();
         assert!(matches!(mem.read(a), Err(Fault::UseAfterFree { .. })));
+    }
+
+    #[test]
+    fn a_huge_block_allocates_and_frees_without_touching_its_words() {
+        let mut mem = Memory::new();
+        let words = 1u64 << 32;
+        let a = mem.alloc(words).unwrap();
+        assert_eq!(mem.read(a + words - 1), Ok(0));
+        assert!(mem.read(a + words).is_err(), "red zone");
+        mem.free(a).unwrap();
+        assert_eq!(mem.read(a + words - 1), Err(Fault::UseAfterFree { addr: a + words - 1 }));
+        // Bases are never recycled, so the next block starts past the old one.
+        assert!(mem.alloc(1).unwrap() > a + words);
+    }
+
+    #[test]
+    fn a_block_past_the_address_space_faults_and_leaves_the_allocator_alone() {
+        let mut mem = Memory::new();
+        assert_eq!(mem.alloc(u64::MAX), Err(Fault::InvalidAccess { addr: HEAP_BASE }));
+        assert_eq!(mem.live_allocations(), 0);
+        assert_eq!(mem.alloc(2), Ok(HEAP_BASE));
+        assert_eq!(
+            mem.alloc(u64::MAX - HEAP_BASE),
+            Err(Fault::InvalidAccess { addr: HEAP_BASE + 3 })
+        );
+        assert_eq!(mem.alloc(1), Ok(HEAP_BASE + 3));
     }
 
     #[test]

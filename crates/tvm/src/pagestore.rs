@@ -8,9 +8,10 @@
 //! a small open-addressing *page table* of fixed-size, zero-initialized
 //! pages: one cheap multiplicative hash plus a linear probe finds the page,
 //! and the word is a direct index into it. Addresses at or above
-//! [`SPARSE_ADDR_LIMIT`] (for instance the virtual processor's fresh
-//! allocations at `1 << 40`) would waste a [`PAGE_WORDS`]-word page each, so
-//! they fall back to a plain map.
+//! [`SPARSE_ADDR_LIMIT`] would waste a [`PAGE_WORDS`]-word page each, so
+//! they fall back to a plain map. A program reaches them with heap
+//! addresses past `2^32`, once the allocator has handed out about 4G words
+//! (one large `sys.alloc` does it).
 //!
 //! Semantics are exactly those of a zero-defaulted map: unwritten addresses
 //! read as zero. The `store_matches_hashmap_model` test pins the
@@ -177,7 +178,7 @@ mod tests {
                 0 => rng.next_u64() % 0x1_0000,                   // globals
                 1 => 0x10_0000 + rng.next_u64() % 4096,           // heap
                 2 => rng.next_u64() % (SPARSE_ADDR_LIMIT >> 10),  // mid
-                _ => (1 << 40) + (rng.next_u64() % 256) * 0x1000, // vproc-like
+                _ => (1 << 40) + (rng.next_u64() % 256) * 0x1000, // sparse heap
             };
             if rng.next_index(3) == 0 {
                 let value = rng.next_u64();

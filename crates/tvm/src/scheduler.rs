@@ -6,7 +6,7 @@
 //! across runs. Distinct seeds produce distinct interleavings, which is how
 //! the evaluation corpus varies race instances across its 20 executions.
 
-use crate::exec::Observer;
+use crate::exec::{NativeOutcome, Observer, StepInfo};
 use crate::machine::{Fault, Machine};
 use crate::rng::SplitMix64;
 
@@ -101,7 +101,7 @@ impl Picker {
     fn pick(&mut self, runnable: &[usize]) -> usize {
         debug_assert!(!runnable.is_empty());
         // Keep running the current thread while its quantum lasts. The run
-        // loops preempt (zeroing `remaining`) whenever the current thread
+        // loop preempts (zeroing `remaining`) whenever the current thread
         // halts, faults, or yields — and only the stepping thread can leave
         // the runnable set — so a live quantum implies `cur` is still
         // runnable and no membership scan is needed on the per-instruction
@@ -109,21 +109,6 @@ impl Picker {
         if let Some(cur) = self.current {
             if self.remaining > 0 {
                 debug_assert!(runnable.contains(&cur));
-                self.remaining -= 1;
-                return cur;
-            }
-        }
-        self.pick_fresh(runnable)
-    }
-
-    /// The seed's picker, which re-verified the current thread's membership
-    /// in `runnable` on every step. Decisions are identical to [`Picker::pick`];
-    /// retained so [`run_reference`] preserves the seed scheduler's per-step
-    /// cost profile as the "before" baseline in throughput comparisons.
-    fn pick_seed(&mut self, runnable: &[usize]) -> usize {
-        debug_assert!(!runnable.is_empty());
-        if let Some(cur) = self.current {
-            if self.remaining > 0 && runnable.contains(&cur) {
                 self.remaining -= 1;
                 return cur;
             }
@@ -162,36 +147,64 @@ impl Picker {
 ///
 /// Execution is fully deterministic for a given `(program, config)` pair.
 pub fn run(machine: &mut Machine, config: &RunConfig, observer: &mut dyn Observer) -> RunSummary {
-    run_loop(machine, config, observer, Machine::step_into, Picker::pick)
+    run_observed(machine, config, observer, Machine::step_into)
 }
 
 /// [`run`], but stepping through the retained seed interpreter
 /// ([`Machine::step_into_reference`]) instead of the predecoded fast path.
 ///
-/// Exists for differential testing (the `predecode_equiv` suite pins the two
-/// paths step-for-step identical) and as the "before" baseline in throughput
-/// benchmarks.
+/// Exists for differential testing: the `predecode_equiv` suite pins the
+/// two paths step-for-step identical.
 pub fn run_reference(
     machine: &mut Machine,
     config: &RunConfig,
     observer: &mut dyn Observer,
 ) -> RunSummary {
-    run_loop(machine, config, observer, Machine::step_into_reference, Picker::pick_seed)
+    run_observed(machine, config, observer, Machine::step_into_reference)
 }
 
 /// [`run`] without an observer, stepping through [`Machine::step_native`]:
-/// no [`StepInfo`](crate::exec::StepInfo) is materialized, so this is the
-/// fastest way to execute a program and the native baseline the pipeline's
-/// overhead ratios divide by. Scheduling decisions are identical to
-/// [`run`]'s, so outputs, faults, and the step count all match.
+/// no [`StepInfo`] is materialized, so this is the fastest way to execute a
+/// program and the native baseline the pipeline's overhead ratios divide
+/// by. Scheduling decisions are identical to [`run`]'s, so outputs, faults,
+/// and the step count all match.
 pub fn run_native(machine: &mut Machine, config: &RunConfig) -> RunSummary {
+    run_loop(machine, config, Machine::step_native)
+}
+
+fn run_observed(
+    machine: &mut Machine,
+    config: &RunConfig,
+    observer: &mut dyn Observer,
+    step: impl Fn(&mut Machine, usize, &mut StepInfo),
+) -> RunSummary {
+    observer.on_start(machine);
+    let mut info = StepInfo::placeholder();
+    run_loop(machine, config, |machine, tid| {
+        step(machine, tid, &mut info);
+        observer.on_step(machine, &info);
+        info.outcome()
+    })
+}
+
+/// The scheduler's one loop: picks a thread, runs `step` on it, and keeps
+/// the runnable set and the picker's quantum up to date from what the step
+/// reports.
+#[inline]
+fn run_loop(
+    machine: &mut Machine,
+    config: &RunConfig,
+    mut step: impl FnMut(&mut Machine, usize) -> NativeOutcome,
+) -> RunSummary {
     let mut picker = Picker::new(config.policy);
     let mut steps = 0;
     let mut faults = Vec::new();
+    // Maintain the runnable set incrementally: recomputing it on every
+    // instruction dominates the cost of "native" execution otherwise.
     let mut runnable = machine.runnable();
     while !runnable.is_empty() && steps < config.max_steps {
         let tid = picker.pick(&runnable);
-        let out = machine.step_native(tid);
+        let out = step(machine, tid);
         steps += 1;
         if let Some(fault) = out.fault {
             faults.push((tid, fault));
@@ -203,40 +216,6 @@ pub fn run_native(machine: &mut Machine, config: &RunConfig) -> RunSummary {
             runnable.retain(|&t| t != tid);
             picker.preempt();
         }
-    }
-    RunSummary { steps, completed: runnable.is_empty(), faults }
-}
-
-fn run_loop(
-    machine: &mut Machine,
-    config: &RunConfig,
-    observer: &mut dyn Observer,
-    step: fn(&mut Machine, usize, &mut crate::exec::StepInfo),
-    pick: fn(&mut Picker, &[usize]) -> usize,
-) -> RunSummary {
-    observer.on_start(machine);
-    let mut picker = Picker::new(config.policy);
-    let mut steps = 0;
-    let mut faults = Vec::new();
-    // Maintain the runnable set incrementally: recomputing it on every
-    // instruction dominates the cost of "native" execution otherwise.
-    let mut runnable = machine.runnable();
-    let mut info = crate::exec::StepInfo::placeholder();
-    while !runnable.is_empty() && steps < config.max_steps {
-        let tid = pick(&mut picker, &runnable);
-        step(machine, tid, &mut info);
-        steps += 1;
-        if let Some(fault) = info.fault {
-            faults.push((tid, fault));
-        }
-        if info.yielded {
-            picker.preempt();
-        }
-        if info.halted || info.fault.is_some() {
-            runnable.retain(|&t| t != tid);
-            picker.preempt();
-        }
-        observer.on_step(machine, &info);
     }
     RunSummary { steps, completed: runnable.is_empty(), faults }
 }

@@ -5,14 +5,19 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use idna_replay::event::EndStatus;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
+use idna_replay::verify::verify_fidelity;
 use idna_replay::vproc::VprocConfig;
 use replay_race::classify::{ClassifierConfig, OutcomeGroup, Verdict};
 use replay_race::pipeline::{run_pipeline, PipelineConfig};
-use tvm::isa::Instr;
+use tvm::isa::{Instr, Reg, SysCall};
+use tvm::machine::{Fault, ThreadStatus};
+use tvm::memory::HEAP_BASE;
 use tvm::program::Program;
 use tvm::scheduler::RunConfig;
+use tvm::ProgramBuilder;
 use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
 
@@ -84,6 +89,33 @@ fn permissive_control_flow_fixes_the_replayer_limitation_races() {
         OutcomeGroup::NoStateChange,
         "the paper predicts the limitation races become no-state-change"
     );
+}
+
+#[test]
+fn an_allocation_past_the_address_space_faults_records_replays_and_classifies() {
+    // The allocating thread's block would pass u64::MAX, so its system call
+    // faults; its store beforehand races with the reader's load.
+    let mut b = ProgramBuilder::new();
+    b.thread("greedy");
+    b.movi(Reg::R1, 7).store(Reg::R1, Reg::R15, 0x10);
+    b.movi(Reg::R0, u64::MAX).syscall(SysCall::Alloc).halt();
+    b.thread("reader");
+    b.load(Reg::R2, Reg::R15, 0x10).print(Reg::R2).halt();
+    let program: Arc<Program> = Arc::new(b.build());
+    let schedule = RunConfig::round_robin(1);
+    let fault = Fault::InvalidAccess { addr: HEAP_BASE };
+
+    let recording = record(&program, &schedule);
+    assert_eq!(recording.machine.thread(0).status(), ThreadStatus::Faulted(fault));
+    assert_eq!(recording.log.threads[0].end_status, EndStatus::Faulted(fault));
+    let trace = replay(&program, &recording.log).expect("replay");
+    let fidelity = verify_fidelity(&program, &trace, &schedule);
+    assert!(fidelity.is_faithful(), "{fidelity}");
+
+    let result = run_pipeline(&program, &PipelineConfig::new(schedule)).expect("pipeline");
+    assert!(result.run_completed);
+    assert_eq!(result.detected.unique_races(), 1);
+    assert_eq!(result.classification.races.len(), 1);
 }
 
 #[test]
