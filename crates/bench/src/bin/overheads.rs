@@ -1,8 +1,13 @@
 //! E-OV: the paper's §5.1 overhead study. Records the browser stand-in
 //! (paper: an Internet Explorer session with 27 threads) and reports each
 //! pipeline phase's slowdown relative to native execution, plus the
-//! predecode speedup of the decoded interpreter over the reference
-//! (match-on-`Instr`) interpreter.
+//! speedup of native execution (the one instruction body,
+//! `tvm::exec::step`, unobserved) over the reference interpreter (a second
+//! body over `Instr` that reports every step as a `StepInfo`).
+//!
+//! Both interpreter baselines are timed over at least
+//! [`BASELINE_BUDGET`] of back-to-back runs and reported as the median
+//! with p10 and p90; the phase overheads divide by the native median.
 //!
 //! Paper numbers: record ≈6×, replay ≈10×, happens-before analysis ≈45×,
 //! classification ≈280×.
@@ -28,10 +33,52 @@ use replay_race::classify::{
 use replay_race::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
 use tvm::machine::Machine;
 use tvm::predecode::DecodedProgram;
-use tvm::scheduler::{run_reference, RunConfig};
+use tvm::scheduler::{run_native, run_reference, RunConfig};
 use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::eval::{run_corpus_with, run_corpus_with_predictions};
+
+/// Least wall-clock time each interpreter baseline is sampled over.
+const BASELINE_BUDGET: Duration = Duration::from_millis(100);
+/// Least number of runs in a baseline sample, so that its p10 and p90 each
+/// have at least ten runs beyond them.
+const BASELINE_MIN_RUNS: usize = 100;
+
+/// Wall-clock times of back-to-back runs of one baseline, sorted.
+struct Samples(Vec<Duration>);
+
+impl Samples {
+    /// Runs `f` back to back until [`BASELINE_BUDGET`] has passed and at
+    /// least [`BASELINE_MIN_RUNS`] runs were timed.
+    fn take(mut f: impl FnMut()) -> Self {
+        let mut runs = Vec::new();
+        let mut total = Duration::ZERO;
+        while total < BASELINE_BUDGET || runs.len() < BASELINE_MIN_RUNS {
+            let start = Instant::now();
+            f();
+            let elapsed = start.elapsed();
+            total += elapsed;
+            runs.push(elapsed);
+        }
+        runs.sort_unstable();
+        Samples(runs)
+    }
+
+    /// The `q` quantile (nearest rank), `0.0..=1.0`.
+    fn quantile(&self, q: f64) -> Duration {
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
+        let rank = ((self.0.len() - 1) as f64 * q).round() as usize;
+        self.0[rank]
+    }
+
+    fn median(&self) -> Duration {
+        self.quantile(0.5)
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,31 +105,32 @@ fn main() {
     let program = browser_program(&cfg);
     let run = RunConfig::chunked(7, 1, 8).with_max_steps(50_000_000);
 
-    // Take the fastest native baseline over several runs to stabilize the
-    // ratios (single shared machine: an interpreter run is deterministic,
-    // only the wall clock varies).
+    // The phase timings come from the last of several pipeline runs, so
+    // they are warm; native execution is sampled on its own below.
+    let pipeline = PipelineConfig { measure_native: false, ..PipelineConfig::new(run) };
     let mut result: Option<PipelineResult> = None;
-    let mut native = Duration::MAX;
     for _ in 0..reps {
-        let r = run_pipeline(&program, &PipelineConfig::new(run)).expect("pipeline");
-        native = native.min(r.timings.native);
-        result = Some(r);
+        result = Some(run_pipeline(&program, &pipeline).expect("pipeline"));
     }
     let mut result = result.expect("at least one rep");
-    result.timings.native = native;
 
-    // The "before" baseline: the reference interpreter (decodes `Instr`
-    // on every step and reports every step as a `StepInfo`) over the same
-    // program and schedule. Both runs share the scheduler's one loop, so
-    // the decoded/reference ratio is the interpreter's win alone.
+    // The native baseline is the denominator of every overhead ratio, and
+    // one interpreter run of the browser takes about a millisecond, so a
+    // few runs cannot resolve a change of a few percent: both baselines
+    // are sampled over at least `BASELINE_BUDGET`. The reference
+    // interpreter (a second body over `Instr` that reports every step as a
+    // `StepInfo`) runs the same program and schedule through the
+    // scheduler's one loop, so the ratio is the one body's win alone.
     let decoded = Arc::new(DecodedProgram::new(program.clone()));
-    let mut reference = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let native = Samples::take(|| {
+        let mut machine = Machine::with_decoded(decoded.clone());
+        run_native(&mut machine, &run);
+    });
+    let reference = Samples::take(|| {
         let mut machine = Machine::with_decoded(decoded.clone());
         run_reference(&mut machine, &run, &mut ());
-        reference = reference.min(start.elapsed());
-    }
+    });
+    result.timings.native = native.median();
 
     let t = &result.timings;
     println!(
@@ -96,13 +144,22 @@ fn main() {
         let i = result.instructions as f64;
         i / d.as_secs_f64().max(1e-12) / 1e6
     };
+    let speedup = reference.median().as_secs_f64() / t.native.as_secs_f64().max(1e-12);
     println!(
-        "native time: {:?} ({:.1} Minstr/s decoded; reference interpreter {:?}, {:.1} Minstr/s, speedup {:.2}x)",
+        "native time: median {:?} [p10 {:?}, p90 {:?}; {} runs] ({:.1} Minstr/s); \
+         reference interpreter median {:?} [p10 {:?}, p90 {:?}; {} runs] ({:.1} Minstr/s); \
+         speedup {:.2}x",
         t.native,
+        native.quantile(0.1),
+        native.quantile(0.9),
+        native.0.len(),
         minstr(t.native),
-        reference,
-        minstr(reference),
-        reference.as_secs_f64() / t.native.as_secs_f64().max(1e-12),
+        reference.median(),
+        reference.quantile(0.1),
+        reference.quantile(0.9),
+        reference.0.len(),
+        minstr(reference.median()),
+        speedup,
     );
     println!();
     println!("phase overheads vs native:");
@@ -353,14 +410,17 @@ fn main() {
         (
             "native",
             Json::obj(vec![
-                ("reference_ms", Json::from(ms(reference))),
-                ("reference_minstr_per_s", Json::from(minstr(reference))),
+                ("reference_ms", Json::from(ms(reference.median()))),
+                ("reference_p10_ms", Json::from(ms(reference.quantile(0.1)))),
+                ("reference_p90_ms", Json::from(ms(reference.quantile(0.9)))),
+                ("reference_samples", Json::from(reference.0.len())),
+                ("reference_minstr_per_s", Json::from(minstr(reference.median()))),
                 ("decoded_ms", Json::from(ms(t.native))),
+                ("decoded_p10_ms", Json::from(ms(native.quantile(0.1)))),
+                ("decoded_p90_ms", Json::from(ms(native.quantile(0.9)))),
+                ("decoded_samples", Json::from(native.0.len())),
                 ("decoded_minstr_per_s", Json::from(minstr(t.native))),
-                (
-                    "speedup",
-                    Json::from(reference.as_secs_f64() / t.native.as_secs_f64().max(1e-12)),
-                ),
+                ("speedup", Json::from(speedup)),
             ]),
         ),
         (

@@ -139,8 +139,7 @@ impl<'a> RegionIndex<'a> {
         for (i, acc) in region.accesses.iter().enumerate() {
             // `point_ts` stays index-aligned with `region.accesses` even when
             // the pre-filter keeps an access out of the address index.
-            let is_sync =
-                trace.program().instr(acc.pc).is_some_and(tvm::isa::Instr::is_sequencer_point);
+            let is_sync = trace.decoded().is_sequencer_point(acc.pc);
             // A sequencer-point instruction is the first instruction of its
             // region; its sequencer timestamp is the region's start.
             point_ts.push(is_sync.then_some(region.region.start_ts));

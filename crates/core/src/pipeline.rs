@@ -140,10 +140,10 @@ pub fn run_pipeline(
     program: &Arc<Program>,
     config: &PipelineConfig,
 ) -> Result<PipelineResult, ReplayError> {
-    // Predecode once; native execution, recording, replay, and the
-    // classification virtual processor all share this flat instruction
-    // stream (decode time is deliberately outside the phase timers — it is
-    // a one-time cost per program, not per stage).
+    // Flag the sequencer points once; native execution, recording, replay,
+    // and the classification virtual processor all share the result (the
+    // pass is deliberately outside the phase timers — it is a one-time cost
+    // per program, not per stage).
     let decoded = Arc::new(DecodedProgram::new(program.clone()));
 
     let mut native = Duration::ZERO;

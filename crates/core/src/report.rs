@@ -483,9 +483,6 @@ fn describe_difference(x: &PairLiveOut, y: &PairLiveOut) -> String {
             .collect();
         parts.push(format!("memory differs at {}", diffs.join(", ")));
     }
-    if x.freed != y.freed {
-        parts.push("freed allocations differ".to_string());
-    }
     if x.a.regs != y.a.regs || x.b.regs != y.b.regs {
         parts.push("register live-outs differ".to_string());
     }

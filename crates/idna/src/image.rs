@@ -1,23 +1,9 @@
-//! The paged replay image: the per-thread "what the replayer can reproduce"
-//! memory view, tuned for the recorder's hot path.
+//! The live-in index: a replay version's memory image, materialized once
+//! for the virtual processor's live-in fetches (paper §4.2).
 //!
-//! Both the recorder and the replayer consult a *replay image* on every load
-//! (paper §3.1): the value is logged (recorder) or taken from the log
-//! (replayer) only when it differs from the image. The seed implementation
-//! used a `HashMap<u64, u64>` per thread, paying a SipHash probe per memory
-//! access. Real programs touch memory with high spatial locality, so the
-//! image is backed by [`tvm::pagestore::PagedWords`] — the same paged
-//! open-addressing store the machine's own memory uses: one multiplicative
-//! hash plus a linear probe finds a zero-initialized fixed-size page, and
-//! the word is a direct index into it; sparse high addresses (heap
-//! addresses past `2^32`, once the allocator has handed out about 4G words)
-//! fall back to a plain map.
-//!
-//! The image semantics are exactly the seed's: unwritten addresses read as
-//! zero (`tvm` memory is zero-initialized). The tests below pin that
-//! equivalence against a `HashMap` model.
-
-use tvm::pagestore::PagedWords;
+//! The other image, each thread's replay image (paper §3.1), is a
+//! [`tvm::pagestore::PagedWords`] that the recorder and the replayer hold
+//! directly; the tests below pin it as they use it.
 
 /// A materialized live-in image for one replay version: every address the
 /// recording ever wrote, paired with its value as of that version, sorted
@@ -80,96 +66,146 @@ impl LiveInIndex {
     }
 }
 
-/// A thread's replay image; see the module docs.
-///
-/// # Examples
-///
-/// ```
-/// use idna_replay::image::ReplayImage;
-///
-/// let mut image = ReplayImage::new();
-/// assert_eq!(image.get(0x10), 0, "unwritten memory reads as zero");
-/// image.set(0x10, 7);
-/// image.set(1 << 40, 9); // sparse high address
-/// assert_eq!(image.get(0x10), 7);
-/// assert_eq!(image.get(1 << 40), 9);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct ReplayImage {
-    words: PagedWords,
-}
-
-impl ReplayImage {
-    /// An empty image: every address reads as zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The image's value at `addr` (zero when never written).
-    #[inline]
-    #[must_use]
-    pub fn get(&self, addr: u64) -> u64 {
-        self.words.get(addr)
-    }
-
-    /// Records `value` at `addr`.
-    #[inline]
-    pub fn set(&mut self, addr: u64, value: u64) {
-        self.words.set(addr, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tvm::pagestore::{PAGE_WORDS, SPARSE_ADDR_LIMIT};
+    use std::sync::Arc;
+    use tvm::isa::{BinOp, Cond, Reg, SysCall};
+    use tvm::pagestore::PAGE_WORDS;
     use tvm::rng::SplitMix64;
+    use tvm::{AccessKind, Machine, Observer, ProgramBuilder, RunConfig, StepInfo};
 
-    #[test]
-    fn unwritten_addresses_read_zero() {
-        let image = ReplayImage::new();
-        for addr in [0, 1, 63, 64, 0x10_0000, SPARSE_ADDR_LIMIT, u64::MAX] {
-            assert_eq!(image.get(addr), 0, "addr {addr:#x}");
+    use crate::event::{ReplayLog, ThreadEvent};
+    use crate::recorder::record;
+    use crate::replayer::replay;
+
+    /// The recorder's rule run over a `HashMap` image: per thread, the
+    /// `(load_index, value)` of every load that differs from the image.
+    #[derive(Default)]
+    struct HashMapImages {
+        images: Vec<HashMap<u64, u64>>,
+        loads: Vec<u64>,
+        logged: Vec<Vec<(u64, u64)>>,
+    }
+
+    impl Observer for HashMapImages {
+        fn on_start(&mut self, machine: &Machine) {
+            let n = machine.threads().len();
+            self.images = vec![HashMap::new(); n];
+            self.loads = vec![0; n];
+            self.logged = vec![Vec::new(); n];
+        }
+
+        fn on_step(&mut self, _machine: &Machine, info: &StepInfo) {
+            let image = &mut self.images[info.tid];
+            for acc in &info.accesses {
+                if acc.kind == AccessKind::Read {
+                    let load_index = self.loads[info.tid];
+                    self.loads[info.tid] += 1;
+                    if image.get(&acc.addr).copied().unwrap_or(0) != acc.value {
+                        self.logged[info.tid].push((load_index, acc.value));
+                    }
+                }
+                image.insert(acc.addr, acc.value);
+            }
         }
     }
 
-    #[test]
-    fn neighbors_in_a_page_stay_independent() {
-        let mut image = ReplayImage::new();
-        image.set(64, 1);
-        image.set(65, 2);
-        image.set(127, 3);
-        assert_eq!(image.get(64), 1);
-        assert_eq!(image.get(65), 2);
-        assert_eq!(image.get(127), 3);
-        assert_eq!(image.get(66), 0);
-        assert_eq!(image.get(128), 0, "next page untouched");
+    fn logged_loads(log: &ReplayLog) -> Vec<Vec<(u64, u64)>> {
+        log.threads
+            .iter()
+            .map(|t| {
+                t.events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        ThreadEvent::Load { load_index, value } => Some((load_index, value)),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn image_matches_hashmap_model() {
-        // Mixed low/heap/sparse-high addresses, overwrite-heavy: the paged
-        // image must agree with the seed's HashMap at every step.
-        let mut rng = SplitMix64::new(0x1d7a);
-        let mut image = ReplayImage::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for step in 0..20_000 {
-            let addr = match rng.next_index(4) {
-                0 => rng.next_u64() % 0x1_0000,                   // globals
-                1 => 0x10_0000 + rng.next_u64() % 4096,           // heap
-                2 => rng.next_u64() % (SPARSE_ADDR_LIMIT >> 10),  // mid
-                _ => (1 << 40) + (rng.next_u64() % 256) * 0x1000, // sparse heap
-            };
-            if rng.next_index(3) == 0 {
-                let value = rng.next_u64();
-                image.set(addr, value);
-                model.insert(addr, value);
-            }
-            let expect = model.get(&addr).copied().unwrap_or(0);
-            assert_eq!(image.get(addr), expect, "step {step}, addr {addr:#x}");
+        // Two threads race on shared globals and each overwrites its own
+        // heap block: the paged images must log exactly the loads a
+        // `HashMap` image would, under every schedule.
+        let mut b = ProgramBuilder::new();
+        for name in ["a", "b"] {
+            b.thread(name);
+            let top = b.fresh_label(&format!("{name}_top"));
+            b.movi(Reg::R0, PAGE_WORDS as u64)
+                .syscall(SysCall::Alloc)
+                .movi(Reg::R1, 0)
+                .movi(Reg::R3, 300)
+                .label(top)
+                .bini(BinOp::Mul, Reg::R2, Reg::R1, 37)
+                .andi(Reg::R2, Reg::R2, 0xff)
+                .load(Reg::R4, Reg::R2, 0)
+                .add(Reg::R4, Reg::R4, Reg::R1)
+                .store(Reg::R4, Reg::R2, 0)
+                .andi(Reg::R5, Reg::R1, PAGE_WORDS as u64 - 1)
+                .add(Reg::R5, Reg::R5, Reg::R0)
+                .load(Reg::R6, Reg::R5, 0)
+                .store(Reg::R4, Reg::R5, 0)
+                .addi(Reg::R1, Reg::R1, 1)
+                .branch(Cond::Ne, Reg::R1, Reg::R3, top)
+                .halt();
         }
+        let program = Arc::new(b.build());
+        let (mut logged, mut loads) = (0, 0);
+        for seed in 0..10 {
+            let config = RunConfig::random(seed).with_max_steps(100_000);
+            let mut model = HashMapImages::default();
+            tvm::run(&mut Machine::new(program.clone()), &config, &mut model);
+            let rec = record(&program, &config);
+            assert_eq!(logged_loads(&rec.log), model.logged, "seed {seed}");
+            logged += model.logged.iter().map(Vec::len).sum::<usize>();
+            loads += model.loads.iter().sum::<u64>();
+        }
+        assert!(logged > 0 && (logged as u64) < loads, "{logged} of {loads} loads logged");
+    }
+
+    #[test]
+    fn many_pages_survive_table_growth() {
+        // One thread writes 1000 distinct pages, forcing several grow()
+        // cycles, then reads each back: the recorder's image must know
+        // every value (nothing logged) and the replayer's must return it.
+        const PAGES: u64 = 1000;
+        let stride = PAGE_WORDS as u64;
+        let mut b = ProgramBuilder::new();
+        b.thread("pages");
+        let fill = b.fresh_label("fill");
+        let check = b.fresh_label("check");
+        b.movi(Reg::R1, 0)
+            .movi(Reg::R2, 1)
+            .movi(Reg::R3, PAGES * stride)
+            .label(fill)
+            .store(Reg::R2, Reg::R1, 0)
+            .addi(Reg::R1, Reg::R1, stride)
+            .addi(Reg::R2, Reg::R2, 1)
+            .branch(Cond::Ne, Reg::R1, Reg::R3, fill)
+            .movi(Reg::R1, 0)
+            .label(check)
+            .load(Reg::R4, Reg::R1, 0)
+            .addi(Reg::R1, Reg::R1, stride)
+            .branch(Cond::Ne, Reg::R1, Reg::R3, check)
+            .halt();
+        let program = Arc::new(b.build());
+        let rec = record(&program, &RunConfig::round_robin(1).with_max_steps(100_000));
+        assert_eq!(logged_loads(&rec.log), vec![Vec::new()], "the image lost a page");
+        let trace = replay(&program, &rec.log).expect("replay");
+        let reads: Vec<(u64, u64)> = trace
+            .regions()
+            .iter()
+            .flat_map(|r| &r.accesses)
+            .filter(|a| a.kind == AccessKind::Read)
+            .map(|a| (a.addr, a.value))
+            .collect();
+        let want: Vec<(u64, u64)> = (0..PAGES).map(|i| (i * stride, i + 1)).collect();
+        assert_eq!(reads, want);
     }
 
     #[test]
@@ -185,18 +221,6 @@ mod tests {
         assert_eq!(index.len(), model.len());
         for addr in 0..4096 {
             assert_eq!(index.get(addr), model.get(&addr).copied(), "addr {addr:#x}");
-        }
-    }
-
-    #[test]
-    fn many_pages_survive_table_growth() {
-        let mut image = ReplayImage::new();
-        // 1000 distinct pages forces several grow() cycles.
-        for i in 0..1000u64 {
-            image.set(i * PAGE_WORDS as u64, i + 1);
-        }
-        for i in 0..1000u64 {
-            assert_eq!(image.get(i * PAGE_WORDS as u64), i + 1, "page {i}");
         }
     }
 }

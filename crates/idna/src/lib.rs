@@ -65,7 +65,7 @@ pub mod vproc;
 pub use codec::{DecodeMode, DecodeReport, FrameInfo, FrameStatus, LogWriter};
 pub use damage::{ThreadDamage, TraceDamage};
 pub use event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
-pub use image::{LiveInIndex, ReplayImage};
+pub use image::LiveInIndex;
 pub use recorder::{record, record_with, Recorder, Recording};
 pub use region::{Region, RegionId};
 pub use replayer::{replay, replay_with, ReplayError, ReplayTrace, ReplayedRegion, ThreadSnapshot};

@@ -1,25 +1,18 @@
 //! The recorder: an [`Observer`] implementing iDNA's load-based
-//! checkpointing (paper §3.1–3.2).
-//!
-//! Per thread, the recorder maintains the *replay image* — the memory values
-//! the replayer will be able to reproduce from the thread's own history. A
-//! load value is logged only when it differs from the image (first accesses
-//! of non-zero memory, and values changed externally between this thread's
-//! accesses). This single rule captures every source of non-determinism:
-//! other threads, "DMA"-like system effects, everything — exactly the
-//! property iDNA relies on.
+//! checkpointing (paper §3.1–3.2): per thread, a load value is logged only
+//! when it differs from the thread's replay image.
 
 use std::collections::BTreeSet;
 
 use tvm::exec::{Observer, StepInfo};
 use tvm::machine::{Machine, ThreadStatus};
+use tvm::pagestore::PagedWords;
 use tvm::predecode::DecodedProgram;
 use tvm::program::Program;
 use tvm::scheduler::{run, RunConfig, RunSummary};
 use tvm::AccessKind;
 
 use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
-use crate::image::ReplayImage;
 
 use std::sync::Arc;
 
@@ -30,9 +23,16 @@ struct RecThread {
     start_pc: usize,
     start_ts: u64,
     events: Vec<ThreadEvent>,
-    /// The thread's replay image: what the replayer will believe memory
-    /// holds, based only on this thread's own history.
-    image: ReplayImage,
+    /// The thread's *replay image* (paper §3.1): the memory values the
+    /// replayer will be able to reproduce from this thread's own history,
+    /// unwritten addresses reading as zero like `tvm` memory. A load value
+    /// is logged only when it differs from the image (first accesses of
+    /// non-zero memory, and values changed externally between this
+    /// thread's accesses). This single rule captures every source of
+    /// non-determinism: other threads, "DMA"-like system effects,
+    /// everything — exactly the property iDNA relies on. The replayer
+    /// keeps the same image to read the values back.
+    image: PagedWords,
     loads: u64,
     syscalls: u64,
     instrs: u64,
@@ -194,8 +194,8 @@ pub fn record(program: &Arc<Program>, config: &RunConfig) -> Recording {
     record_with(&Arc::new(DecodedProgram::new(program.clone())), config)
 }
 
-/// [`record`], but reusing an already-predecoded program — the pipeline
-/// predecodes once and shares the result across native execution, recording,
+/// [`record`], but reusing an already built [`DecodedProgram`] — the
+/// pipeline builds one and shares it across native execution, recording,
 /// replay, and classification.
 #[must_use]
 pub fn record_with(decoded: &Arc<DecodedProgram>, config: &RunConfig) -> Recording {

@@ -18,12 +18,13 @@ use tvm::fasthash::FastHashMap;
 use tvm::isa::SysCall;
 use tvm::machine::Fault;
 pub use tvm::machine::ThreadSnapshot;
+use tvm::pagestore::PagedWords;
 use tvm::predecode::DecodedProgram;
 use tvm::program::Program;
 
 use crate::damage::TraceDamage;
 use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
-use crate::image::{LiveInIndex, ReplayImage};
+use crate::image::LiveInIndex;
 use crate::region::{regions_of, Region, RegionId};
 
 /// One replayed dynamic memory access.
@@ -253,8 +254,8 @@ impl ReplayTrace {
         self.decoded.program()
     }
 
-    /// The predecoded program this trace replays; the classification
-    /// virtual processor steps over it directly.
+    /// The program this trace replays, with its sequencer-point flags; the
+    /// classification virtual processor steps over it directly.
     #[must_use]
     pub fn decoded(&self) -> &Arc<DecodedProgram> {
         &self.decoded
@@ -377,7 +378,7 @@ impl<'a> RThread<'a> {
             finished: false,
             values: LogValues {
                 log,
-                image: ReplayImage::new(),
+                image: PagedWords::new(),
                 loads: 0,
                 sys: 0,
                 load_events,
@@ -392,7 +393,7 @@ impl<'a> RThread<'a> {
 /// A thread's logged values and the cursors that consume them.
 struct LogValues<'a> {
     log: &'a ThreadLog,
-    image: ReplayImage,
+    image: PagedWords,
     loads: u64,
     sys: u64,
     load_events: Vec<(u64, u64)>,
@@ -428,8 +429,8 @@ pub fn replay(program: &Arc<Program>, log: &ReplayLog) -> Result<ReplayTrace, Re
     replay_with(&Arc::new(DecodedProgram::new(program.clone())), log)
 }
 
-/// [`replay`], but reusing an already-predecoded program — the pipeline
-/// predecodes once and shares the result across all stages.
+/// [`replay`], but reusing an already built [`DecodedProgram`] — the
+/// pipeline builds one and shares it across all stages.
 ///
 /// # Errors
 ///

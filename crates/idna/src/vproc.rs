@@ -239,7 +239,9 @@ pub struct ThreadLiveOut {
 }
 
 /// The complete live-out of a dual-region replay: both threads'
-/// architectural state plus the memory and heap effects.
+/// architectural state plus the memory effect. The heap is not part of it:
+/// only phase 1's oracle ops allocate or free (the live phases execute no
+/// system call), so both orders of a pair always end with the same heap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairLiveOut {
     /// Live-out of site `a`'s thread.
@@ -248,10 +250,6 @@ pub struct PairLiveOut {
     pub b: ThreadLiveOut,
     /// Final value of every address written during the replay.
     pub writes: BTreeMap<u64, u64>,
-    /// Heap bases freed during the replay.
-    pub freed: BTreeSet<u64>,
-    /// Heap bases allocated during the replay.
-    pub allocated: BTreeSet<u64>,
 }
 
 impl PairLiveOut {
@@ -932,7 +930,7 @@ impl<'a> Vproc<'a> {
                         continue;
                     }
                     // Region end: the next instruction would log a sequencer
-                    // (one predecoded-flag byte load; out-of-range pcs are
+                    // (one sequencer-flag byte load; out-of-range pcs are
                     // not sequencer points, matching the seed's lookup).
                     self.trace.decoded().is_sequencer_point(t.snap.pc)
                 };
@@ -1158,7 +1156,7 @@ fn same_memory(x: &[Written], y: &[Written]) -> bool {
     }
 }
 
-/// Collects both threads' live-outs plus the memory/heap effect, leaving
+/// Collects both threads' live-outs plus the memory effect, leaving
 /// the virtual memory intact (`run_unit` rolls it back afterwards).
 fn collect_live_out(threads: &[VThread<'_, '_>; 2], vmem: &VMem<'_>) -> PairLiveOut {
     let [ta, tb] = threads;
@@ -1166,8 +1164,6 @@ fn collect_live_out(threads: &[VThread<'_, '_>; 2], vmem: &VMem<'_>) -> PairLive
         a: ta.live_out(),
         b: tb.live_out(),
         writes: vmem.writes.iter().map(|(&addr, &v)| (addr, v)).collect(),
-        freed: vmem.vfreed.clone(),
-        allocated: vmem.vallocs.keys().copied().collect(),
     }
 }
 

@@ -117,11 +117,10 @@ fn refcount_bug_shows_state_change_in_some_order_pair() {
                     if x != y {
                         found_differing = true;
                         // The difference must be observable: refcount value,
-                        // a fault, or the freed set.
+                        // a fault, or a thread's live-out.
                         assert!(
                             x.writes != y.writes
                                 || x.any_fault() != y.any_fault()
-                                || x.freed != y.freed
                                 || x.a != y.a
                                 || x.b != y.b,
                         );

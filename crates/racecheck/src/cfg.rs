@@ -13,6 +13,12 @@ use std::collections::BTreeSet;
 use tvm::isa::Instr;
 use tvm::program::Program;
 
+/// Whether the instruction at `pc` logs a sequencer (paper §3.2); pcs past
+/// the program text do not.
+pub(crate) fn is_sequencer(program: &Program, pc: usize) -> bool {
+    program.instr(pc).is_some_and(Instr::is_sequencer_point)
+}
+
 /// The control-flow graph of one thread.
 #[derive(Clone, Debug)]
 pub struct Cfg {

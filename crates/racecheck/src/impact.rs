@@ -42,7 +42,7 @@ use tvm::isa::{BinOp, Instr, Reg, SysCall};
 use tvm::program::Program;
 
 use crate::analysis::Access;
-use crate::cfg::Cfg;
+use crate::cfg::{is_sequencer, Cfg};
 
 /// How far a racy value can provably travel toward observable state.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,10 +116,6 @@ impl Default for ImpactVerdict {
 
 fn bit(r: Reg) -> u16 {
     1 << r.index()
-}
-
-fn is_sequencer(program: &Program, pc: usize) -> bool {
-    program.instr(pc).is_some_and(Instr::is_sequencer_point)
 }
 
 /// Computes pair impact verdicts over the per-thread CFGs. Read-taint walks

@@ -54,7 +54,7 @@ use tvm::program::Program;
 
 use crate::absint::ThreadFlow;
 use crate::analysis::{Demotion, ThreadSummary};
-use crate::cfg::Cfg;
+use crate::cfg::{is_sequencer, Cfg};
 
 /// Instructions scanned past the acquire atomic for its zero-test branch,
 /// and followed along the spin back-edge.
@@ -540,10 +540,6 @@ fn dominates(program: &Program, cfg: &Cfg, dom: usize, target: usize) -> bool {
         work.extend(cfg.successors(program, pc));
     }
     true
-}
-
-fn is_sequencer(program: &Program, pc: usize) -> bool {
-    program.instr(pc).is_some_and(Instr::is_sequencer_point)
 }
 
 /// Forward region-start dataflow: for each reachable pc, the set of

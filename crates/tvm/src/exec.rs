@@ -1,7 +1,7 @@
 //! The interpreter: single-instruction stepping with full observability.
 //!
 //! [`step`] is the workspace's one instruction body. It executes one
-//! predecoded instruction over a thread's [`ThreadSnapshot`], with the
+//! [`Instr`] of the program over a thread's [`ThreadSnapshot`], with the
 //! memory values and system-call results a [`Source`] supplies. The machine
 //! runs it over its own memory and output stream ([`Machine::step_into`],
 //! [`Machine::step_native`]); crate `idna-replay` runs it over a thread's
@@ -13,15 +13,16 @@
 //! describing its memory accesses, sequencer assignment, system-call
 //! result, fault, and output. Recording (crate `idna-replay`) and the
 //! online race-detector baselines hang off the [`Observer`] trait. The seed
-//! interpreter over [`Instr`], [`Machine::step_into_reference`], stays as
-//! the differential-testing oracle for [`step`].
+//! interpreter, [`Machine::step_into_reference`], is a second body over
+//! [`Instr`] written against the machine directly; it stays as the
+//! differential-testing oracle for [`step`].
 
 use std::convert::Infallible;
 
 use crate::isa::{Instr, Reg, SysCall};
 use crate::machine::{Fault, Machine, OutputRecord, ThreadSnapshot, ThreadStatus, MAX_CALL_DEPTH};
 use crate::memory::Memory;
-use crate::predecode::{Decoded, DecodedProgram};
+use crate::predecode::DecodedProgram;
 
 /// Kind of a memory access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -213,8 +214,7 @@ impl Machine {
     /// Like [`Machine::step`], but reuses `info`'s buffers instead of
     /// allocating. Every field of `info` is overwritten.
     ///
-    /// Runs the one instruction body, [`step`], over the machine's
-    /// predecoded program; the original fetch-from-`Program` interpreter is
+    /// Runs the one instruction body, [`step`]; the seed interpreter is
     /// retained as [`Machine::step_into_reference`] and the two are pinned
     /// step-for-step identical by the `predecode_equiv` suite.
     ///
@@ -228,7 +228,7 @@ impl Machine {
         // Sequencers are logged when the synchronization instruction or
         // system call executes (paper §3.2); we assign the timestamp before
         // the instruction's effects so the instruction begins a new
-        // sequencing region. The predecoded flags array answers the
+        // sequencing region. The program's sequencer flags answer the
         // per-step predicate with one byte load.
         if self.decoded().is_sequencer_point(pc) {
             info.sequencer = Some(self.take_seq());
@@ -558,62 +558,62 @@ fn execute<S: Source>(
     src: &mut S,
 ) -> Trapped<Stepped, S::Error> {
     let pc = snap.pc;
-    let Some(&op) = decoded.op(pc) else { return Err(Trap::Fault(Fault::PcOutOfRange { pc })) };
+    let Some(&instr) = decoded.instr(pc) else {
+        return Err(Trap::Fault(Fault::PcOutOfRange { pc }));
+    };
     let regs = &mut snap.regs;
-    let at = |base: u8, offset: i64| regs[usize::from(base)].wrapping_add(offset as u64);
+    let at = |base: Reg, offset: i64| regs[base.index()].wrapping_add(offset as u64);
     let divide_by_zero = Trap::Fault(Fault::DivideByZero);
     let mut next = pc + 1;
-    match op {
-        Decoded::MovImm { dst, imm } => regs[usize::from(dst)] = imm,
-        Decoded::Mov { dst, src } => regs[usize::from(dst)] = regs[usize::from(src)],
-        Decoded::Bin { op, dst, lhs, rhs } => {
-            regs[usize::from(dst)] =
-                op.apply(regs[usize::from(lhs)], regs[usize::from(rhs)]).ok_or(divide_by_zero)?;
+    match instr {
+        Instr::MovImm { dst, imm } => regs[dst.index()] = imm,
+        Instr::Mov { dst, src } => regs[dst.index()] = regs[src.index()],
+        Instr::Bin { op, dst, lhs, rhs } => {
+            regs[dst.index()] =
+                op.apply(regs[lhs.index()], regs[rhs.index()]).ok_or(divide_by_zero)?;
         }
-        Decoded::BinImm { op, dst, lhs, imm } => {
-            regs[usize::from(dst)] = op.apply(regs[usize::from(lhs)], imm).ok_or(divide_by_zero)?;
+        Instr::BinImm { op, dst, lhs, imm } => {
+            regs[dst.index()] = op.apply(regs[lhs.index()], imm).ok_or(divide_by_zero)?;
         }
-        Decoded::Load { dst, base, offset } => {
-            regs[usize::from(dst)] = src.load(instr_index, pc, at(base, offset))?;
+        Instr::Load { dst, base, offset } => {
+            regs[dst.index()] = src.load(instr_index, pc, at(base, offset))?;
         }
-        Decoded::Store { src: value, base, offset } => {
-            src.store(instr_index, pc, at(base, offset), regs[usize::from(value)])?;
+        Instr::Store { src: value, base, offset } => {
+            src.store(instr_index, pc, at(base, offset), regs[value.index()])?;
         }
-        Decoded::AtomicRmw { op, dst, base, offset, src: operand } => {
-            let operand = regs[usize::from(operand)];
+        Instr::AtomicRmw { op, dst, base, offset, src: operand } => {
+            let operand = regs[operand.index()];
             let old =
                 src.update(instr_index, pc, at(base, offset), |old| Some(op.apply(old, operand)))?;
-            regs[usize::from(dst)] = old;
+            regs[dst.index()] = old;
         }
-        Decoded::AtomicCas { dst, base, offset, expected, new } => {
-            let (expected, new) = (regs[usize::from(expected)], regs[usize::from(new)]);
+        Instr::AtomicCas { dst, base, offset, expected, new } => {
+            let (expected, new) = (regs[expected.index()], regs[new.index()]);
             let old = src.update(instr_index, pc, at(base, offset), |old| {
                 (old == expected).then_some(new)
             })?;
-            regs[usize::from(dst)] = u64::from(old == expected);
+            regs[dst.index()] = u64::from(old == expected);
         }
-        Decoded::Fence => {}
-        Decoded::Jump { target } => next = target as usize,
-        Decoded::Branch { cond, lhs, rhs, target } => {
-            if cond.eval(regs[usize::from(lhs)], regs[usize::from(rhs)]) {
-                next = target as usize;
+        Instr::Fence => {}
+        Instr::Jump { target } => next = target,
+        Instr::Branch { cond, lhs, rhs, target } => {
+            if cond.eval(regs[lhs.index()], regs[rhs.index()]) {
+                next = target;
             }
         }
-        Decoded::Call { target } => {
+        Instr::Call { target } => {
             if snap.call_stack.len() >= MAX_CALL_DEPTH {
                 return Err(Trap::Fault(Fault::CallStackOverflow));
             }
             snap.call_stack.push(next);
-            next = target as usize;
+            next = target;
         }
-        Decoded::Ret => {
-            next = snap.call_stack.pop().ok_or(Trap::Fault(Fault::CallStackUnderflow))?
-        }
-        Decoded::Syscall { call } => {
+        Instr::Ret => next = snap.call_stack.pop().ok_or(Trap::Fault(Fault::CallStackUnderflow))?,
+        Instr::Syscall { call } => {
             let r0 = Reg::R0.index();
             regs[r0] = src.syscall(instr_index, call, regs[r0])?;
         }
-        Decoded::Halt => return Ok(Stepped::Halted),
+        Instr::Halt => return Ok(Stepped::Halted),
     }
     snap.pc = next;
     Ok(Stepped::Next)

@@ -50,6 +50,6 @@ pub use builder::ProgramBuilder;
 pub use exec::{AccessKind, MemAccessEvent, NativeOutcome, Observer, StepInfo};
 pub use isa::{Instr, Reg};
 pub use machine::{Fault, Machine, ThreadStatus};
-pub use predecode::{Decoded, DecodedProgram};
+pub use predecode::DecodedProgram;
 pub use program::{Program, ThreadSpec};
 pub use scheduler::{run, run_native, run_reference, RunConfig, SchedulePolicy};

@@ -242,16 +242,16 @@ impl Machine {
     /// entry points, globals initialized, and thread-start sequencers
     /// assigned in thread-id order.
     ///
-    /// The program is predecoded as part of construction; when several
-    /// machines (or pipeline stages) execute the same program, build one
-    /// [`DecodedProgram`] and share it via [`Machine::with_decoded`].
+    /// The program's [`DecodedProgram`] is built as part of construction;
+    /// when several machines (or pipeline stages) execute the same program,
+    /// build one and share it via [`Machine::with_decoded`].
     #[must_use]
     pub fn new(program: Arc<Program>) -> Self {
         Machine::with_decoded(Arc::new(DecodedProgram::new(program)))
     }
 
-    /// Creates a machine over an already predecoded program, sharing the
-    /// decode work across machines.
+    /// Creates a machine over an already built [`DecodedProgram`], sharing
+    /// it across machines.
     #[must_use]
     pub fn with_decoded(decoded: Arc<DecodedProgram>) -> Self {
         let program = decoded.program();
@@ -279,7 +279,7 @@ impl Machine {
         self.decoded.program()
     }
 
-    /// The predecoded form of the program.
+    /// The program with its sequencer-point flags.
     #[must_use]
     pub fn decoded(&self) -> &Arc<DecodedProgram> {
         &self.decoded
@@ -316,8 +316,7 @@ impl Machine {
     }
 
     /// What one step of thread `tid` works on, borrowed apart: the
-    /// predecoded program, the thread's snapshot, memory and the output
-    /// stream.
+    /// program, the thread's snapshot, memory and the output stream.
     pub(crate) fn step_parts(
         &mut self,
         tid: usize,

@@ -164,7 +164,29 @@ impl PagedWords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::HEAP_BASE;
     use crate::rng::SplitMix64;
+
+    #[test]
+    fn unwritten_addresses_read_zero() {
+        let words = PagedWords::new();
+        for addr in [0, 1, 63, 64, HEAP_BASE, SPARSE_ADDR_LIMIT, u64::MAX] {
+            assert_eq!(words.get(addr), 0, "addr {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn neighbors_in_a_page_stay_independent() {
+        let mut words = PagedWords::new();
+        words.set(64, 1);
+        words.set(65, 2);
+        words.set(127, 3);
+        assert_eq!(words.get(64), 1);
+        assert_eq!(words.get(65), 2);
+        assert_eq!(words.get(127), 3);
+        assert_eq!(words.get(66), 0);
+        assert_eq!(words.get(128), 0, "next page untouched");
+    }
 
     #[test]
     fn store_matches_hashmap_model() {

@@ -1,154 +1,27 @@
-//! Predecoded programs: a one-time pass from [`Program`] to a flat,
-//! cache-friendly instruction stream for the hot interpreter loops.
+//! The program as the hot interpreter loops read it: the [`Program`] plus
+//! its sequencer-point flags.
 //!
 //! Every stage of the replay-analysis pipeline — native execution,
-//! recording, replay, and dual-order classification — bottoms out in the
-//! same fetch/dispatch loop. [`DecodedProgram`] runs that loop over a dense
-//! `Vec<Decoded>` instead of the builder-facing [`Instr`] enum:
-//!
-//! * operand fields are pre-split into raw register indices (`u8`) and
-//!   immediates, so dispatch reads exactly the bytes it needs — a
-//!   [`Decoded`] is 16 bytes, versus 40 for [`Instr`];
-//! * jump/branch/call targets are pre-resolved to `u32` instruction
-//!   indices (they are absolute in `Instr` already; predecoding narrows
-//!   and revalidates them);
-//! * per-pc properties the loops test on every step — is this a memory
-//!   operation, a sequencer point, an atomic — are precomputed into a
-//!   parallel flags array, replacing a 16-way `match` with one byte load.
+//! recording, replay, and dual-order classification — bottoms out in
+//! [`crate::exec::step`], which dispatches over the program's own [`Instr`]
+//! stream. An `Instr` is already compact (16 bytes: registers are `u8`
+//! indices, jump/branch/call targets absolute instruction indices; the
+//! `instr_is_compact` test pins it), so a second copy of the instruction
+//! set would buy nothing. The one per-pc property the loops test on every
+//! step is whether the instruction logs a sequencer (paper §3.2), and
+//! [`DecodedProgram`] precomputes it into a parallel array, replacing a
+//! `match` with one byte load.
 //!
 //! A `DecodedProgram` is built once per program and shared behind an [`Arc`]
 //! by the interpreter, the scheduler, the recorder, the replayer, and the
-//! classification virtual processor. Decoding is semantically lossless:
-//! [`DecodedProgram::instr`] still exposes the original [`Instr`], and the
-//! `decoded_roundtrips` test pins `Decoded` ↔ `Instr` equivalence.
+//! classification virtual processor.
 
 use std::sync::Arc;
 
-use crate::isa::{BinOp, Cond, Instr, Reg, RmwOp, SysCall};
+use crate::isa::Instr;
 use crate::program::Program;
 
-/// Per-pc property bits, precomputed at decode time.
-mod flag {
-    /// The instruction reads or writes data memory.
-    pub const MEMORY: u8 = 1 << 0;
-    /// The instruction logs an iDNA sequencer (sync instruction or syscall).
-    pub const SEQUENCER: u8 = 1 << 1;
-    /// The instruction is a lock-prefixed atomic (RMW or CAS).
-    pub const ATOMIC: u8 = 1 << 2;
-}
-
-/// One predecoded instruction: [`Instr`] with operand fields pre-split into
-/// raw register indices and targets narrowed to `u32`.
-///
-/// Register fields hold indices `0..NUM_REGS` (guaranteed by construction
-/// from a valid [`Instr`]); targets are in-range instruction indices or the
-/// one-past-the-end pc, exactly as the source program had them.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Decoded {
-    MovImm { dst: u8, imm: u64 },
-    Mov { dst: u8, src: u8 },
-    Bin { op: BinOp, dst: u8, lhs: u8, rhs: u8 },
-    BinImm { op: BinOp, dst: u8, lhs: u8, imm: u64 },
-    Load { dst: u8, base: u8, offset: i64 },
-    Store { src: u8, base: u8, offset: i64 },
-    AtomicRmw { op: RmwOp, dst: u8, base: u8, offset: i64, src: u8 },
-    AtomicCas { dst: u8, base: u8, offset: i64, expected: u8, new: u8 },
-    Fence,
-    Jump { target: u32 },
-    Branch { cond: Cond, lhs: u8, rhs: u8, target: u32 },
-    Call { target: u32 },
-    Ret,
-    Syscall { call: SysCall },
-    Halt,
-}
-
-impl Decoded {
-    fn from_instr(instr: &Instr) -> Decoded {
-        let r = |reg: Reg| reg.index() as u8;
-        match *instr {
-            Instr::MovImm { dst, imm } => Decoded::MovImm { dst: r(dst), imm },
-            Instr::Mov { dst, src } => Decoded::Mov { dst: r(dst), src: r(src) },
-            Instr::Bin { op, dst, lhs, rhs } => {
-                Decoded::Bin { op, dst: r(dst), lhs: r(lhs), rhs: r(rhs) }
-            }
-            Instr::BinImm { op, dst, lhs, imm } => {
-                Decoded::BinImm { op, dst: r(dst), lhs: r(lhs), imm }
-            }
-            Instr::Load { dst, base, offset } => {
-                Decoded::Load { dst: r(dst), base: r(base), offset }
-            }
-            Instr::Store { src, base, offset } => {
-                Decoded::Store { src: r(src), base: r(base), offset }
-            }
-            Instr::AtomicRmw { op, dst, base, offset, src } => {
-                Decoded::AtomicRmw { op, dst: r(dst), base: r(base), offset, src: r(src) }
-            }
-            Instr::AtomicCas { dst, base, offset, expected, new } => Decoded::AtomicCas {
-                dst: r(dst),
-                base: r(base),
-                offset,
-                expected: r(expected),
-                new: r(new),
-            },
-            Instr::Fence => Decoded::Fence,
-            Instr::Jump { target } => Decoded::Jump { target: narrow(target) },
-            Instr::Branch { cond, lhs, rhs, target } => {
-                Decoded::Branch { cond, lhs: r(lhs), rhs: r(rhs), target: narrow(target) }
-            }
-            Instr::Call { target } => Decoded::Call { target: narrow(target) },
-            Instr::Ret => Decoded::Ret,
-            Instr::Syscall { call } => Decoded::Syscall { call },
-            Instr::Halt => Decoded::Halt,
-        }
-    }
-
-    /// Reconstructs the source [`Instr`] (used by the round-trip test).
-    #[must_use]
-    pub fn to_instr(self) -> Instr {
-        let r = |i: u8| Reg::new(i);
-        match self {
-            Decoded::MovImm { dst, imm } => Instr::MovImm { dst: r(dst), imm },
-            Decoded::Mov { dst, src } => Instr::Mov { dst: r(dst), src: r(src) },
-            Decoded::Bin { op, dst, lhs, rhs } => {
-                Instr::Bin { op, dst: r(dst), lhs: r(lhs), rhs: r(rhs) }
-            }
-            Decoded::BinImm { op, dst, lhs, imm } => {
-                Instr::BinImm { op, dst: r(dst), lhs: r(lhs), imm }
-            }
-            Decoded::Load { dst, base, offset } => {
-                Instr::Load { dst: r(dst), base: r(base), offset }
-            }
-            Decoded::Store { src, base, offset } => {
-                Instr::Store { src: r(src), base: r(base), offset }
-            }
-            Decoded::AtomicRmw { op, dst, base, offset, src } => {
-                Instr::AtomicRmw { op, dst: r(dst), base: r(base), offset, src: r(src) }
-            }
-            Decoded::AtomicCas { dst, base, offset, expected, new } => Instr::AtomicCas {
-                dst: r(dst),
-                base: r(base),
-                offset,
-                expected: r(expected),
-                new: r(new),
-            },
-            Decoded::Fence => Instr::Fence,
-            Decoded::Jump { target } => Instr::Jump { target: target as usize },
-            Decoded::Branch { cond, lhs, rhs, target } => {
-                Instr::Branch { cond, lhs: r(lhs), rhs: r(rhs), target: target as usize }
-            }
-            Decoded::Call { target } => Instr::Call { target: target as usize },
-            Decoded::Ret => Instr::Ret,
-            Decoded::Syscall { call } => Instr::Syscall { call },
-            Decoded::Halt => Instr::Halt,
-        }
-    }
-}
-
-fn narrow(target: usize) -> u32 {
-    u32::try_from(target).expect("program text exceeds u32 instruction indices")
-}
-
-/// A program predecoded for dense dispatch; see the module docs.
+/// A program with its sequencer-point flags; see the module docs.
 ///
 /// # Examples
 ///
@@ -168,33 +41,15 @@ fn narrow(target: usize) -> u32 {
 #[derive(Debug)]
 pub struct DecodedProgram {
     program: Arc<Program>,
-    ops: Vec<Decoded>,
-    flags: Vec<u8>,
+    sequencer: Vec<bool>,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program` in one pass.
+    /// Computes `program`'s sequencer-point flags in one pass.
     #[must_use]
     pub fn new(program: Arc<Program>) -> Self {
-        let ops: Vec<Decoded> = program.instrs().iter().map(Decoded::from_instr).collect();
-        let flags = program
-            .instrs()
-            .iter()
-            .map(|i| {
-                let mut f = 0u8;
-                if i.touches_memory() {
-                    f |= flag::MEMORY;
-                }
-                if i.is_sequencer_point() {
-                    f |= flag::SEQUENCER;
-                }
-                if matches!(i, Instr::AtomicRmw { .. } | Instr::AtomicCas { .. }) {
-                    f |= flag::ATOMIC;
-                }
-                f
-            })
-            .collect();
-        DecodedProgram { program, ops, flags }
+        let sequencer = program.instrs().iter().map(Instr::is_sequencer_point).collect();
+        DecodedProgram { program, sequencer }
     }
 
     /// The source program.
@@ -203,20 +58,7 @@ impl DecodedProgram {
         &self.program
     }
 
-    /// The predecoded instruction at `pc`, or `None` past the end.
-    #[inline]
-    #[must_use]
-    pub fn op(&self, pc: usize) -> Option<&Decoded> {
-        self.ops.get(pc)
-    }
-
-    /// All predecoded instructions.
-    #[must_use]
-    pub fn ops(&self) -> &[Decoded] {
-        &self.ops
-    }
-
-    /// The source instruction at `pc`, or `None` past the end.
+    /// The instruction at `pc`, or `None` past the end.
     #[inline]
     #[must_use]
     pub fn instr(&self, pc: usize) -> Option<&Instr> {
@@ -226,13 +68,13 @@ impl DecodedProgram {
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.sequencer.len()
     }
 
     /// Whether the program has no instructions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.sequencer.is_empty()
     }
 
     /// Whether the instruction at `pc` logs a sequencer. Out-of-range pcs
@@ -240,21 +82,7 @@ impl DecodedProgram {
     #[inline]
     #[must_use]
     pub fn is_sequencer_point(&self, pc: usize) -> bool {
-        self.flags.get(pc).is_some_and(|&f| f & flag::SEQUENCER != 0)
-    }
-
-    /// Whether the instruction at `pc` reads or writes data memory.
-    #[inline]
-    #[must_use]
-    pub fn touches_memory(&self, pc: usize) -> bool {
-        self.flags.get(pc).is_some_and(|&f| f & flag::MEMORY != 0)
-    }
-
-    /// Whether the instruction at `pc` is a lock-prefixed atomic.
-    #[inline]
-    #[must_use]
-    pub fn is_atomic(&self, pc: usize) -> bool {
-        self.flags.get(pc).is_some_and(|&f| f & flag::ATOMIC != 0)
+        self.sequencer.get(pc).copied().unwrap_or(false)
     }
 }
 
@@ -262,7 +90,7 @@ impl DecodedProgram {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::isa::NUM_REGS;
+    use crate::isa::{BinOp, Cond, Reg, RmwOp, SysCall};
 
     /// A program exercising every instruction variant.
     fn kitchen_sink() -> Arc<Program> {
@@ -294,10 +122,8 @@ mod tests {
         let decoded = DecodedProgram::new(program.clone());
         assert_eq!(decoded.len(), program.len());
         for (pc, instr) in program.instrs().iter().enumerate() {
-            assert_eq!(decoded.op(pc).unwrap().to_instr(), *instr, "pc {pc}");
-            assert_eq!(decoded.instr(pc), Some(instr));
+            assert_eq!(decoded.instr(pc), Some(instr), "pc {pc}");
         }
-        assert!(decoded.op(program.len()).is_none());
         assert!(decoded.instr(program.len()).is_none());
     }
 
@@ -307,36 +133,14 @@ mod tests {
         let decoded = DecodedProgram::new(program.clone());
         for (pc, instr) in program.instrs().iter().enumerate() {
             assert_eq!(decoded.is_sequencer_point(pc), instr.is_sequencer_point(), "pc {pc}");
-            assert_eq!(decoded.touches_memory(pc), instr.touches_memory(), "pc {pc}");
-            assert_eq!(
-                decoded.is_atomic(pc),
-                matches!(instr, Instr::AtomicRmw { .. } | Instr::AtomicCas { .. }),
-                "pc {pc}"
-            );
         }
-        // Out of range: everything false.
-        assert!(!decoded.is_sequencer_point(program.len()));
-        assert!(!decoded.touches_memory(program.len()));
-        assert!(!decoded.is_atomic(program.len()));
+        assert!(!decoded.is_sequencer_point(program.len()), "out of range");
     }
 
+    /// `step` dispatches over `Instr` directly; that is only as cheap as a
+    /// dedicated dispatch record while an `Instr` stays this small.
     #[test]
-    fn register_indices_stay_in_range() {
-        let program = kitchen_sink();
-        let decoded = DecodedProgram::new(program);
-        for op in decoded.ops() {
-            // to_instr re-validates every register index via Reg::new.
-            let _ = op.to_instr();
-        }
-        assert!(NUM_REGS <= u8::MAX as usize);
-    }
-
-    #[test]
-    fn decoded_is_compact() {
-        assert!(
-            std::mem::size_of::<Decoded>() <= 24,
-            "Decoded grew past 24 bytes: {}",
-            std::mem::size_of::<Decoded>()
-        );
+    fn instr_is_compact() {
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
     }
 }

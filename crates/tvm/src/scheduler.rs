@@ -151,7 +151,7 @@ pub fn run(machine: &mut Machine, config: &RunConfig, observer: &mut dyn Observe
 }
 
 /// [`run`], but stepping through the retained seed interpreter
-/// ([`Machine::step_into_reference`]) instead of the predecoded fast path.
+/// ([`Machine::step_into_reference`]) instead of the one instruction body.
 ///
 /// Exists for differential testing: the `predecode_equiv` suite pins the
 /// two paths step-for-step identical.

@@ -1,13 +1,14 @@
-//! Corpus-wide predecode equivalence: the decoded-dispatch interpreter
-//! ([`tvm::scheduler::run`], driving [`tvm::machine::Machine::step_into`]
-//! over the flat [`tvm::predecode::DecodedProgram`] stream) must produce a
-//! step-for-step identical [`StepInfo`] stream to the seed interpreter
-//! ([`tvm::scheduler::run_reference`], decoding [`tvm::isa::Instr`] on every
-//! step) — on every corpus pattern, under more than one schedule.
+//! Corpus-wide interpreter equivalence: the one instruction body
+//! ([`tvm::scheduler::run`], driving [`tvm::machine::Machine::step_into`],
+//! which runs [`tvm::exec::step`] over the program's [`tvm::isa::Instr`]
+//! stream) must produce a step-for-step identical [`StepInfo`] stream to
+//! the seed interpreter ([`tvm::scheduler::run_reference`], a second body
+//! over `Instr` written against the machine directly) — on every corpus
+//! pattern, under more than one schedule.
 //!
-//! This is the widest pin on the predecode layer: any divergence in operand
-//! splitting, branch-target resolution, sequencer-point flagging, fault
-//! ordering, or scheduler interaction shows up as the first differing step.
+//! This is the widest pin on `step`: any divergence in operand use,
+//! branch-target handling, sequencer-point flagging, fault ordering, or
+//! scheduler interaction shows up as the first differing step.
 //!
 //! The corpus raises no fault, so small fixtures cover what it does not:
 //! every [`Fault`] kind, every system call, and compare-and-swap success and
