@@ -42,8 +42,8 @@ pub mod order;
 pub mod report;
 
 pub use analysis::{
-    analyze, analyze_without_order, Access, Analysis, AnalysisStats, CandidateSet, Demotion,
-    LockReport, PruneReason, RaceWarning, ThreadSummary, WarningSide,
+    analyze, analyze_without_order, Access, Analysis, AnalysisStats, AnalysisWork, CandidateSet,
+    Demotion, LockReport, PruneReason, RaceWarning, ThreadSummary, WarningSide,
 };
 pub use cfg::Cfg;
 pub use domain::{AbsLoc, AbsVal};

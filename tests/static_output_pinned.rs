@@ -9,12 +9,17 @@
 //! here. A deliberate change to the analysis re-pins the table from the
 //! failure message.
 //!
+//! The same test pins the analysis's work counters (`Analysis::work`)
+//! summed over the 20 executions: a change that claims to make the
+//! analysis cheaper without changing what it proves must leave them equal.
+//!
 //! The digest is FNV-1a-64, written out below rather than taken from
 //! `std::hash::DefaultHasher`, whose algorithm may change between Rust
 //! releases.
 
 use std::collections::BTreeSet;
 
+use racecheck::AnalysisWork;
 use tvm::program::Program;
 use workloads::corpus::{corpus_executions, corpus_program};
 
@@ -43,6 +48,16 @@ const PINNED: &[(&str, [u64; 3])] = &[
     ("full_corpus", [0x55c7f5aed5a693e2, 0x2e08f9b6bf9241ce, 0x7bd32d19261d45be]),
 ];
 
+/// `Analysis::work` of `racecheck::analyze`, summed over the 20 corpus
+/// executions (the full corpus program not included).
+const PINNED_WORK: AnalysisWork = AnalysisWork {
+    thread_runs: 2_544,
+    fixpoint_visits: 19_917,
+    joins: 4_485,
+    widenings: 25,
+    access_pairs: 225_936,
+};
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -52,14 +67,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn digests(program: &Program) -> [u64; 3] {
+/// The program's three digests, and the work `analyze` did on it.
+fn digests(program: &Program) -> ([u64; 3], AnalysisWork) {
     let analysis = racecheck::analyze(program);
     let without_order = racecheck::analyze_without_order(program);
-    [
+    let digests = [
         fnv1a64(racecheck::render_json(&analysis).to_string_pretty().as_bytes()),
         fnv1a64(racecheck::render_text(&analysis).as_bytes()),
         fnv1a64(racecheck::render_json(&without_order).to_string_pretty().as_bytes()),
-    ]
+    ];
+    (digests, analysis.work)
 }
 
 #[test]
@@ -73,11 +90,16 @@ fn fnv1a64_matches_the_reference_vectors() {
 fn analyzer_output_on_the_corpus_is_pinned() {
     let executions = corpus_executions();
     let full: BTreeSet<&str> = executions.iter().flat_map(|e| e.enabled.iter().copied()).collect();
+    let mut work = AnalysisWork::default();
     let mut got: Vec<(&str, [u64; 3])> = executions
         .iter()
-        .map(|e| (e.name, digests(&corpus_program(&e.enabled.iter().copied().collect()))))
+        .map(|e| {
+            let (digests, w) = digests(&corpus_program(&e.enabled.iter().copied().collect()));
+            work += w;
+            (e.name, digests)
+        })
         .collect();
-    got.push(("full_corpus", digests(&corpus_program(&full))));
+    got.push(("full_corpus", digests(&corpus_program(&full)).0));
 
     let table: String = got
         .iter()
@@ -86,4 +108,5 @@ fn analyzer_output_on_the_corpus_is_pinned() {
         })
         .collect();
     assert!(got == PINNED, "analyzer output changed; the digests now read:\n{table}");
+    assert_eq!(work, PINNED_WORK, "the analysis's work on the corpus changed");
 }
