@@ -36,7 +36,7 @@
 //!   guaranteed to produce identical live-outs, i.e. No-State-Change.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use tvm::isa::{BinOp, Instr, Reg, SysCall};
 use tvm::program::Program;
@@ -120,29 +120,36 @@ fn bit(r: Reg) -> u16 {
 
 /// Computes pair impact verdicts over the per-thread CFGs. Read-taint walks
 /// are memoized per `(thread, pc)`, so the cross-product loop pays the walk
-/// once per racy load, not once per pair.
+/// once per racy load, not once per pair. Both per-thread tables are
+/// indexed by the pc's CFG slot ([`Cfg::slot`]).
 pub(crate) struct ImpactAnalyzer<'a> {
     program: &'a Program,
     cfgs: &'a [Cfg],
-    /// Region-block id per reachable pc, per thread, partitioned the first
-    /// time a pair in that thread asks for it. A block is the set of pcs
-    /// connected without crossing a sequencer point — a static
-    /// over-approximation of any dynamic replay region through those pcs.
-    /// Sequencer pcs are singleton blocks (they bound regions and form
-    /// single-instruction regions of their own).
-    blocks: Vec<OnceCell<BTreeMap<usize, usize>>>,
-    memo: BTreeMap<(usize, usize), ImpactVerdict>,
+    /// Region-block id per slot, per thread, partitioned the first time a
+    /// pair in that thread asks for it. A block is the set of pcs connected
+    /// without crossing a sequencer point — a static over-approximation of
+    /// any dynamic replay region through those pcs. Sequencer pcs are
+    /// singleton blocks (they bound regions and form single-instruction
+    /// regions of their own).
+    blocks: Vec<OnceCell<Vec<usize>>>,
+    /// Read-taint verdict per slot, per thread; a thread's table is
+    /// allocated when its first read is asked about.
+    memo: Vec<Vec<Option<ImpactVerdict>>>,
 }
 
 impl<'a> ImpactAnalyzer<'a> {
     pub(crate) fn new(program: &'a Program, cfgs: &'a [Cfg]) -> Self {
         let blocks = cfgs.iter().map(|_| OnceCell::new()).collect();
-        ImpactAnalyzer { program, cfgs, blocks, memo: BTreeMap::new() }
+        let memo = cfgs.iter().map(|_| Vec::new()).collect();
+        ImpactAnalyzer { program, cfgs, blocks, memo }
     }
 
-    /// The thread's region blocks, partitioned on first use.
-    fn blocks(&self, thread: usize) -> &BTreeMap<usize, usize> {
-        self.blocks[thread].get_or_init(|| region_blocks(self.program, &self.cfgs[thread]))
+    /// The region block of `pc` in `thread`, partitioning the thread on
+    /// first use; `None` for a pc the thread cannot reach.
+    fn block(&self, thread: usize, pc: usize) -> Option<usize> {
+        let cfg = &self.cfgs[thread];
+        let blocks = self.blocks[thread].get_or_init(|| region_blocks(self.program, cfg));
+        cfg.slot(pc).map(|slot| blocks[slot])
     }
 
     /// The impact verdict for one cross-thread access pair: fold the taint
@@ -157,15 +164,16 @@ impl<'a> ImpactAnalyzer<'a> {
         accesses_a: &[Access],
         accesses_b: &[Access],
     ) -> ImpactVerdict {
-        let (blocks_a, blocks_b) = (self.blocks(thread_a), self.blocks(thread_b));
-        let (Some(&block_a), Some(&block_b)) = (blocks_a.get(&a.pc), blocks_b.get(&b.pc)) else {
+        let (Some(block_a), Some(block_b)) =
+            (self.block(thread_a, a.pc), self.block(thread_b, b.pc))
+        else {
             // An access at an unpartitioned pc should not happen; widen.
             return ImpactVerdict::sink(Reach::Possible, vec![a.pc]);
         };
         let in_a: Vec<&Access> =
-            accesses_a.iter().filter(|x| blocks_a.get(&x.pc) == Some(&block_a)).collect();
+            accesses_a.iter().filter(|x| self.block(thread_a, x.pc) == Some(block_a)).collect();
         let in_b: Vec<&Access> =
-            accesses_b.iter().filter(|y| blocks_b.get(&y.pc) == Some(&block_b)).collect();
+            accesses_b.iter().filter(|y| self.block(thread_b, y.pc) == Some(block_b)).collect();
         let mut verdict = ImpactVerdict::UNREACHABLE;
         for x in &in_a {
             for y in &in_b {
@@ -200,11 +208,17 @@ impl<'a> ImpactAnalyzer<'a> {
             // region: observable at the boundary immediately.
             return ImpactVerdict::sink(Reach::Possible, vec![access.pc]);
         }
-        if let Some(v) = self.memo.get(&(thread, access.pc)) {
+        let cfg = &self.cfgs[thread];
+        let slot = cfg.slot(access.pc).expect("an access sits at a reachable pc");
+        let memo = &mut self.memo[thread];
+        if memo.is_empty() {
+            memo.resize(cfg.reachable.len(), None);
+        }
+        if let Some(v) = &memo[slot] {
             return v.clone();
         }
         let v = self.taint_walk(thread, access.pc);
-        self.memo.insert((thread, access.pc), v.clone());
+        self.memo[thread][slot] = Some(v.clone());
         v
     }
 
@@ -216,25 +230,29 @@ impl<'a> ImpactAnalyzer<'a> {
         let Some(&Instr::Load { dst, .. }) = self.program.instr(seed_pc) else {
             return ImpactVerdict::sink(Reach::Possible, vec![seed_pc]);
         };
-        let mut masks: BTreeMap<usize, u16> = BTreeMap::new();
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
+        let slot = |pc: usize| cfg.slot(pc).expect("a successor of a reachable pc is reachable");
+        // Per slot: the taint mask reaching the pc, and the pc it was first
+        // reached from (`NO_PARENT` until then). The queue holds slots.
+        const NO_PARENT: usize = usize::MAX;
+        let mut masks: Vec<u16> = vec![0; cfg.reachable.len()];
+        let mut parent: Vec<usize> = vec![NO_PARENT; cfg.reachable.len()];
         let mut queue: VecDeque<usize> = VecDeque::new();
-        let seed_succs = cfg.successors(self.program, seed_pc);
-        if seed_succs.is_empty() {
+        for s in cfg.successors(self.program, seed_pc) {
+            let s = slot(s);
+            masks[s] = bit(dst);
+            parent[s] = seed_pc;
+            queue.push_back(s);
+        }
+        if queue.is_empty() {
             // The load is the last instruction: its value is live at thread
             // termination, where register live-outs are compared.
             return ImpactVerdict::sink(Reach::Possible, vec![seed_pc]);
         }
-        for s in seed_succs {
-            masks.insert(s, bit(dst));
-            parent.insert(s, seed_pc);
-            queue.push_back(s);
-        }
-        let chain = |parent: &BTreeMap<usize, usize>, sink: usize| {
+        let chain = |parent: &[usize], sink: usize| {
             let mut chain = vec![sink];
             let mut cur = sink;
             while cur != seed_pc {
-                cur = parent[&cur];
+                cur = parent[slot(cur)];
                 chain.push(cur);
             }
             chain.reverse();
@@ -246,8 +264,9 @@ impl<'a> ImpactAnalyzer<'a> {
         let soften = |widened: &mut Option<usize>, pc: usize| {
             widened.get_or_insert(pc);
         };
-        while let Some(pc) = queue.pop_front() {
-            let m = masks[&pc];
+        while let Some(at) = queue.pop_front() {
+            let pc = cfg.reachable[at];
+            let m = masks[at];
             let tainted = |r: Reg| m & bit(r) != 0;
             let out = match self.program.instr(pc) {
                 None => {
@@ -354,19 +373,21 @@ impl<'a> ImpactAnalyzer<'a> {
             if out == 0 {
                 continue;
             }
-            let succs = cfg.successors(self.program, pc);
-            if succs.is_empty() {
-                // Fell off the program with taint alive.
-                soften(&mut widened, pc);
-                continue;
-            }
-            for s in succs {
-                let entry = masks.entry(s).or_insert(0);
-                if *entry | out != *entry {
-                    *entry |= out;
-                    parent.entry(s).or_insert(pc);
+            let mut fell_off = true;
+            for s in cfg.successors(self.program, pc) {
+                fell_off = false;
+                let s = slot(s);
+                if masks[s] | out != masks[s] {
+                    masks[s] |= out;
+                    if parent[s] == NO_PARENT {
+                        parent[s] = pc;
+                    }
                     queue.push_back(s);
                 }
+            }
+            if fell_off {
+                // Fell off the program with taint alive.
+                soften(&mut widened, pc);
             }
         }
         match widened {
@@ -402,10 +423,10 @@ fn plain_store_const(a: &Access) -> Option<u64> {
 
 /// Partitions a thread's reachable pcs into region blocks: connected
 /// components of the CFG with sequencer points removed (each sequencer pc
-/// is its own singleton block).
-fn region_blocks(program: &Program, cfg: &Cfg) -> BTreeMap<usize, usize> {
-    let pcs: Vec<usize> = cfg.reachable.iter().copied().collect();
-    let index: BTreeMap<usize, usize> = pcs.iter().enumerate().map(|(i, &pc)| (pc, i)).collect();
+/// is its own singleton block). Returns each slot's block id, the pc of
+/// the block's root.
+fn region_blocks(program: &Program, cfg: &Cfg) -> Vec<usize> {
+    let pcs = &cfg.reachable;
     let mut uf: Vec<usize> = (0..pcs.len()).collect();
     fn find(uf: &mut [usize], mut i: usize) -> usize {
         while uf[i] != i {
@@ -414,7 +435,7 @@ fn region_blocks(program: &Program, cfg: &Cfg) -> BTreeMap<usize, usize> {
         }
         i
     }
-    for &pc in &pcs {
+    for (a, &pc) in pcs.iter().enumerate() {
         if is_sequencer(program, pc) {
             continue;
         }
@@ -422,16 +443,13 @@ fn region_blocks(program: &Program, cfg: &Cfg) -> BTreeMap<usize, usize> {
             if is_sequencer(program, s) {
                 continue;
             }
-            if let (Some(&a), Some(&b)) = (index.get(&pc), index.get(&s)) {
+            if let Some(b) = cfg.slot(s) {
                 let (ra, rb) = (find(&mut uf, a), find(&mut uf, b));
                 uf[ra] = rb;
             }
         }
     }
-    pcs.iter()
-        .map(|&pc| (pc, find(&mut uf, index[&pc])))
-        .map(|(pc, root)| (pc, pcs[root]))
-        .collect()
+    (0..pcs.len()).map(|i| pcs[find(&mut uf, i)]).collect()
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tvm::isa::{Cond, Instr, Reg, RmwOp};
 use tvm::program::Program;
 
-use crate::absint::ThreadFlow;
+use crate::absint::{Reached, ThreadFlow};
 use crate::analysis::{Demotion, ThreadSummary};
 use crate::cfg::{is_sequencer, Cfg};
 
@@ -188,7 +188,7 @@ pub fn analyze_order(
     let mut exit_on_zero: BTreeMap<u64, usize> = BTreeMap::new();
 
     for (ti, flow) in flows.iter().enumerate() {
-        for (&pc, state) in &flow.states {
+        for &Reached { pc, ref state, .. } in flow.iter() {
             if let Some(addr) = release_shape(program, pc, state) {
                 releases.entry(addr).or_default().push(ReleaseSite { pc, thread: ti });
             }
@@ -380,7 +380,7 @@ fn acquire_shape(
     for _ in 0..SPIN_SCAN_BOUND {
         match program.instr(at) {
             Some(&Instr::Branch { cond: cond @ (Cond::Eq | Cond::Ne), lhs, rhs, target }) => {
-                let Some(bstate) = flow.states.get(&at) else { return AcquireShape::None };
+                let Some(bstate) = flow.state(at) else { return AcquireShape::None };
                 let zero = |r: Reg| bstate.reg(r).as_const() == Some(0);
                 let tests_dst = (lhs == dst && zero(rhs)) || (rhs == dst && zero(lhs));
                 if !tests_dst {
@@ -442,14 +442,14 @@ fn instr_dst(i: &Instr) -> Option<Reg> {
 /// Release-site validation: must execute at most once (not on a CFG
 /// cycle) and be reachable by exactly one thread.
 fn validate_release(program: &Program, cfgs: &[Cfg], r: &ReleaseSite) -> Option<Demotion> {
-    let owners = cfgs.iter().filter(|cfg| cfg.reachable.contains(&r.pc)).count();
+    let owners = cfgs.iter().filter(|cfg| cfg.contains(r.pc)).count();
     if owners != 1 {
         return Some(Demotion::RepeatableRelease { pc: r.pc });
     }
     let cfg = &cfgs[r.thread];
     // On a cycle iff the release is reachable from its own successors.
     let mut seen = BTreeSet::new();
-    let mut work = cfg.successors(program, r.pc);
+    let mut work: Vec<usize> = cfg.successors(program, r.pc).collect();
     while let Some(pc) = work.pop() {
         if pc == r.pc {
             return Some(Demotion::RepeatableRelease { pc: r.pc });
@@ -477,8 +477,8 @@ fn pre_region(program: &Program, cfg: &Cfg, release: usize) -> BTreeSet<usize> {
             let good = if is_sequencer(program, pc) {
                 pc == release
             } else {
-                let succs = cfg.successors(program, pc);
-                !succs.is_empty() && succs.iter().all(|s| ok.contains(s))
+                let mut succs = cfg.successors(program, pc).peekable();
+                succs.peek().is_some() && succs.all(|s| ok.contains(&s))
             };
             if good {
                 ok.insert(pc);
@@ -525,7 +525,7 @@ fn post_region(
 /// Whether every path from the thread entry to `target` passes through
 /// `dom` (checked by deleting `dom` and testing reachability).
 fn dominates(program: &Program, cfg: &Cfg, dom: usize, target: usize) -> bool {
-    if dom == target || !cfg.reachable.contains(&target) {
+    if dom == target || !cfg.contains(target) {
         return false;
     }
     let mut seen = BTreeSet::new();
@@ -546,7 +546,7 @@ fn dominates(program: &Program, cfg: &Cfg, dom: usize, target: usize) -> bool {
 /// sequencer pcs that can be the last one executed before it.
 fn segment_thread(program: &Program, cfg: &Cfg) -> Segmentation {
     let mut seg = Segmentation::default();
-    if !cfg.reachable.contains(&cfg.entry) {
+    if !cfg.contains(cfg.entry) {
         return seg;
     }
     for &pc in &cfg.reachable {
