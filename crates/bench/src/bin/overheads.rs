@@ -5,9 +5,13 @@
 //! `tvm::exec::step`, unobserved) over the reference interpreter (a second
 //! body over `Instr` that reports every step as a `StepInfo`).
 //!
-//! Both interpreter baselines are timed over at least
-//! [`BASELINE_BUDGET`] of back-to-back runs and reported as the median
-//! with p10 and p90; the phase overheads divide by the native median.
+//! Every timing is sampled over at least [`BASELINE_BUDGET`] of
+//! back-to-back runs, and at least [`BASELINE_MIN_RUNS`] of them, and
+//! reported as the median with p10, p90 and the run count: the two
+//! interpreter baselines, the pipeline phases, the browser batching
+//! ablation, the warm service submit, and one `racecheck::analyze` sweep
+//! over the 20 corpus executions (with its exact work counters). The phase
+//! overheads divide by the native median.
 //!
 //! Paper numbers: record ≈6×, replay ≈10×, happens-before analysis ≈45×,
 //! classification ≈280×.
@@ -18,8 +22,9 @@
 //!
 //! Always writes `BENCH_OVERHEADS.json` (machine-readable results; see the
 //! README "Performance" section) into the current directory unless `-o`
-//! says otherwise. `--smoke` shrinks the workload and repetition count so
-//! CI can exercise the binary and validate the JSON in seconds.
+//! says otherwise. `--smoke` shrinks the browser workload so CI can
+//! exercise the binary and validate the JSON in seconds; the corpus is
+//! full-size either way, so the static-analysis work counters are exact.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use bench::{row, PAPER_OVERHEADS};
 use minijson::Json;
+use racecheck::AnalysisWork;
 use replay_race::classify::{
     classify_races_with, predictions_by_id, BatchMode, ClassifierConfig, TrustStatic,
 };
@@ -38,16 +44,21 @@ use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::eval::{run_corpus_with, run_corpus_with_predictions};
 
-/// Least wall-clock time each interpreter baseline is sampled over.
+/// Least wall-clock time each timing is sampled over.
 const BASELINE_BUDGET: Duration = Duration::from_millis(100);
-/// Least number of runs in a baseline sample, so that its p10 and p90 each
-/// have at least ten runs beyond them.
+/// Least number of runs in a sample, so that its p10 and p90 each have at
+/// least ten runs beyond them.
 const BASELINE_MIN_RUNS: usize = 100;
 
-/// Wall-clock times of back-to-back runs of one baseline, sorted.
+/// Wall-clock times of back-to-back runs of one operation, sorted.
 struct Samples(Vec<Duration>);
 
 impl Samples {
+    fn new(mut runs: Vec<Duration>) -> Self {
+        runs.sort_unstable();
+        Samples(runs)
+    }
+
     /// Runs `f` back to back until [`BASELINE_BUDGET`] has passed and at
     /// least [`BASELINE_MIN_RUNS`] runs were timed.
     fn take(mut f: impl FnMut()) -> Self {
@@ -60,8 +71,7 @@ impl Samples {
             total += elapsed;
             runs.push(elapsed);
         }
-        runs.sort_unstable();
-        Samples(runs)
+        Samples::new(runs)
     }
 
     /// The `q` quantile (nearest rank), `0.0..=1.0`.
@@ -78,6 +88,54 @@ impl Samples {
     fn median(&self) -> Duration {
         self.quantile(0.5)
     }
+
+    /// `median [p10, p90; runs]` in milliseconds, for the text report.
+    fn describe(&self) -> String {
+        format!(
+            "{:.2} ms [p10 {:.2}, p90 {:.2}; {} runs]",
+            ms(self.median()),
+            ms(self.quantile(0.1)),
+            ms(self.quantile(0.9)),
+            self.0.len()
+        )
+    }
+
+    /// The JSON fields `{key}_ms` (the median), `{key}_p10_ms`,
+    /// `{key}_p90_ms` and `{key}_runs`.
+    fn fields(&self, key: &str) -> Vec<(String, Json)> {
+        vec![
+            (format!("{key}_ms"), Json::from(ms(self.median()))),
+            (format!("{key}_p10_ms"), Json::from(ms(self.quantile(0.1)))),
+            (format!("{key}_p90_ms"), Json::from(ms(self.quantile(0.9)))),
+            (format!("{key}_runs"), Json::from(self.0.len())),
+        ]
+    }
+
+    /// The JSON fields `{key}` (the median over `per`), `{key}_p10`,
+    /// `{key}_p90` and `{key}_runs`: the sample as multiples of `per`.
+    fn ratio_fields(&self, key: &str, per: Duration) -> Vec<(String, Json)> {
+        let ratio = |d: Duration| d.as_secs_f64() / per.as_secs_f64().max(1e-12);
+        vec![
+            (key.to_string(), Json::from(ratio(self.median()))),
+            (format!("{key}_p10"), Json::from(ratio(self.quantile(0.1)))),
+            (format!("{key}_p90"), Json::from(ratio(self.quantile(0.9)))),
+            (format!("{key}_runs"), Json::from(self.0.len())),
+        ]
+    }
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// A JSON object of `parts`, in order.
+fn object(parts: Vec<Vec<(String, Json)>>) -> Json {
+    Json::Obj(parts.concat())
+}
+
+/// `(key, value)` pairs for [`object`].
+fn pairs(pairs: Vec<(&str, Json)>) -> Vec<(String, Json)> {
+    pairs.into_iter().map(|(key, value)| (key.to_string(), value)).collect()
 }
 
 fn main() {
@@ -95,7 +153,6 @@ fn main() {
     } else {
         BrowserConfig::paper_scale()
     };
-    let reps = if smoke { 2 } else { 5 };
     eprintln!(
         "browser workload: {} threads, {} jobs{} ...",
         cfg.threads(),
@@ -105,14 +162,27 @@ fn main() {
     let program = browser_program(&cfg);
     let run = RunConfig::chunked(7, 1, 8).with_max_steps(50_000_000);
 
-    // The phase timings come from the last of several pipeline runs, so
-    // they are warm; native execution is sampled on its own below.
+    // Each phase is sampled over back-to-back pipeline runs; native
+    // execution is sampled on its own below. The last run's result feeds
+    // the ablations.
     let pipeline = PipelineConfig { measure_native: false, ..PipelineConfig::new(run) };
     let mut result: Option<PipelineResult> = None;
-    for _ in 0..reps {
-        result = Some(run_pipeline(&program, &pipeline).expect("pipeline"));
-    }
-    let mut result = result.expect("at least one rep");
+    let mut phase_runs: [Vec<Duration>; 4] = Default::default();
+    Samples::take(|| {
+        let r = run_pipeline(&program, &pipeline).expect("pipeline");
+        let t = &r.timings;
+        for (runs, phase) in phase_runs.iter_mut().zip([t.record, t.replay, t.detect, t.classify]) {
+            runs.push(phase);
+        }
+        result = Some(r);
+    });
+    let mut result = result.expect("at least one run");
+    let phases = phase_runs.map(Samples::new);
+    let [record, replay, detect, classify] = &phases;
+    result.timings.record = record.median();
+    result.timings.replay = replay.median();
+    result.timings.detect = detect.median();
+    result.timings.classify = classify.median();
 
     // The native baseline is the denominator of every overhead ratio, and
     // one interpreter run of the browser takes about a millisecond, so a
@@ -162,11 +232,20 @@ fn main() {
         speedup,
     );
     println!();
-    println!("phase overheads vs native:");
+    println!("phase overheads vs native (median [p10, p90] of the phase over the native median):");
     let measured =
         [t.overhead(t.record), t.overhead(t.replay), t.overhead(t.detect), t.overhead(t.classify)];
-    for ((label, paper), m) in PAPER_OVERHEADS.iter().zip(measured) {
-        row(label, format!("~{paper}x"), format!("{m:.1}x"));
+    for (((label, paper), m), phase) in PAPER_OVERHEADS.iter().zip(measured).zip(&phases) {
+        row(
+            label,
+            format!("~{paper}x"),
+            format!(
+                "{m:.1}x [{:.1}x, {:.1}x; {} runs]",
+                t.overhead(phase.quantile(0.1)),
+                t.overhead(phase.quantile(0.9)),
+                phase.0.len()
+            ),
+        );
     }
     println!();
     // The paper's transferable claim is about the *analysis* costs: the
@@ -195,6 +274,8 @@ fn main() {
     let baseline_time = start.elapsed();
     let executions = corpus_executions();
     let full: BTreeSet<&str> = executions.iter().flat_map(|e| e.enabled.iter().copied()).collect();
+    let exec_programs: Vec<_> =
+        executions.iter().map(|e| corpus_program(&e.enabled.iter().copied().collect())).collect();
     let corpus_analysis = racecheck::analyze(&corpus_program(&full));
     let predictions = Arc::new(predictions_by_id(&corpus_analysis));
     let run_tier = |trust: TrustStatic| {
@@ -245,11 +326,11 @@ fn main() {
     let mut corpus_pairs = (0usize, 0usize);
     let mut corpus_monitored = (0usize, 0usize);
     let mut corpus_valid_handoffs = 0usize;
-    for exec in &executions {
-        let enabled: BTreeSet<&str> = exec.enabled.iter().copied().collect();
-        let exec_program = corpus_program(&enabled);
-        let with = racecheck::analyze(&exec_program);
-        let without = racecheck::analyze_without_order(&exec_program);
+    let mut corpus_work = AnalysisWork::default();
+    for exec_program in &exec_programs {
+        let with = racecheck::analyze(exec_program);
+        let without = racecheck::analyze_without_order(exec_program);
+        corpus_work += with.work;
         corpus_pairs.0 += with.stats.candidate_pairs;
         corpus_pairs.1 += without.stats.candidate_pairs;
         corpus_monitored.0 += with.stats.monitored_pcs;
@@ -270,6 +351,27 @@ fn main() {
         corpus_valid_handoffs,
     );
 
+    // Static-analysis stage: one `analyze` sweep over the 20 corpus
+    // executions, the static half of `races --trust-static` on each, with
+    // the work it does.
+    eprintln!("static analysis sweep over the corpus executions ...");
+    let sweep = Samples::take(|| {
+        for exec_program in &exec_programs {
+            std::hint::black_box(racecheck::analyze(exec_program));
+        }
+    });
+    println!(
+        "static analysis: corpus sweep {} ({} executions); work: {} thread runs, \
+         {} fixpoint visits, {} joins, {} widenings, {} access pairs",
+        sweep.describe(),
+        exec_programs.len(),
+        corpus_work.thread_runs,
+        corpus_work.fixpoint_visits,
+        corpus_work.joins,
+        corpus_work.widenings,
+        corpus_work.access_pairs,
+    );
+
     // D12 companion: shared-prefix batched replay vs the unbatched engine.
     // Classify wall-clock on the browser trace, full-region replay
     // executions across the corpus, and a result-equality check (batching
@@ -277,15 +379,12 @@ fn main() {
     eprintln!("classify batching ablation (shared vs off) ...");
     let classify_time = |batching: BatchMode| {
         let config = ClassifierConfig { batching, ..ClassifierConfig::default() };
-        let mut best = Duration::MAX;
         let mut classification = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let c = classify_races_with(&result.trace, &result.detected, &config, None);
-            best = best.min(start.elapsed());
-            classification = Some(c);
-        }
-        (best, classification.expect("at least one rep"))
+        let time = Samples::take(|| {
+            classification =
+                Some(classify_races_with(&result.trace, &result.detected, &config, None));
+        });
+        (time, classification.expect("at least one run"))
     };
     let (browser_off_time, browser_off) = classify_time(BatchMode::Off);
     let (browser_shared_time, browser_shared) = classify_time(BatchMode::Shared);
@@ -316,10 +415,10 @@ fn main() {
     };
     let shared_stats = corpus_shared.merged.batch_stats;
     println!(
-        "batching: browser classify {:?} -> {:?}; corpus region executions {} -> {} \
+        "batching: browser classify {} -> {}; corpus region executions {} -> {} \
          ({:.0}% fewer; {} batches, {} forks, {} prefix instrs saved); results identical: {}",
-        browser_off_time,
-        browser_shared_time,
+        browser_off_time.describe(),
+        browser_shared_time.describe(),
         executions_off,
         executions_shared,
         execution_reduction * 100.0,
@@ -367,13 +466,8 @@ fn main() {
     serviced::client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread").expect("clean drain");
     let (addr, handle) = boot();
-    let mut warm_time = Duration::MAX;
     let mut warm = cold.clone();
-    for _ in 0..reps {
-        let (t, response) = submit(&addr);
-        warm_time = warm_time.min(t);
-        warm = response;
-    }
+    let warm_time = Samples::take(|| warm = submit(&addr).1);
     let svc_stats = serviced::client::stats(&addr).expect("stats");
     serviced::client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread").expect("clean drain");
@@ -391,142 +485,175 @@ fn main() {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     println!(
-        "service: cold submit {:?} -> warm {:?}; warm vproc replays {}, \
+        "service: cold submit {:?} -> warm {}; warm vproc replays {}, \
          last submit hit {} record(s) ({} record hits in all); reports identical to one-shot: {}",
         cold_time,
-        warm_time,
+        warm_time.describe(),
         warm_replays,
         warm_store_hits,
         warm_persisted_hits,
         service_reports_identical,
     );
 
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let doc = Json::obj(vec![
-        ("workload", Json::str("browser")),
-        ("smoke", Json::from(smoke)),
-        ("threads", Json::from(cfg.threads())),
-        ("instructions", Json::from(result.instructions)),
-        (
-            "native",
-            Json::obj(vec![
-                ("reference_ms", Json::from(ms(reference.median()))),
-                ("reference_p10_ms", Json::from(ms(reference.quantile(0.1)))),
-                ("reference_p90_ms", Json::from(ms(reference.quantile(0.9)))),
-                ("reference_samples", Json::from(reference.0.len())),
-                ("reference_minstr_per_s", Json::from(minstr(reference.median()))),
-                ("decoded_ms", Json::from(ms(t.native))),
-                ("decoded_p10_ms", Json::from(ms(native.quantile(0.1)))),
-                ("decoded_p90_ms", Json::from(ms(native.quantile(0.9)))),
-                ("decoded_samples", Json::from(native.0.len())),
-                ("decoded_minstr_per_s", Json::from(minstr(t.native))),
-                ("speedup", Json::from(speedup)),
-            ]),
-        ),
-        (
-            "overheads_vs_native",
-            Json::obj(vec![
-                ("record", Json::from(measured[0])),
-                ("replay", Json::from(measured[1])),
-                ("detect", Json::from(measured[2])),
-                ("classify", Json::from(measured[3])),
-            ]),
-        ),
-        ("classify_ms", Json::from(ms(t.classify))),
-        (
-            "trust_static",
-            Json::obj(vec![
-                ("corpus_replays_off", Json::from(baseline.merged.vproc_replays)),
-                ("corpus_replays_skip_benign", Json::from(trusted.merged.vproc_replays)),
-                (
-                    "replays_saved",
-                    Json::from(
-                        baseline.merged.vproc_replays.saturating_sub(trusted.merged.vproc_replays),
+    let overheads = ["record", "replay", "detect", "classify"]
+        .iter()
+        .zip(&phases)
+        .map(|(key, phase)| phase.ratio_fields(key, t.native))
+        .collect();
+    let doc = object(vec![
+        pairs(vec![
+            ("workload", Json::str("browser")),
+            ("smoke", Json::from(smoke)),
+            ("threads", Json::from(cfg.threads())),
+            ("instructions", Json::from(result.instructions)),
+            (
+                "native",
+                Json::obj(vec![
+                    ("reference_ms", Json::from(ms(reference.median()))),
+                    ("reference_p10_ms", Json::from(ms(reference.quantile(0.1)))),
+                    ("reference_p90_ms", Json::from(ms(reference.quantile(0.9)))),
+                    ("reference_samples", Json::from(reference.0.len())),
+                    ("reference_minstr_per_s", Json::from(minstr(reference.median()))),
+                    ("decoded_ms", Json::from(ms(t.native))),
+                    ("decoded_p10_ms", Json::from(ms(native.quantile(0.1)))),
+                    ("decoded_p90_ms", Json::from(ms(native.quantile(0.9)))),
+                    ("decoded_samples", Json::from(native.0.len())),
+                    ("decoded_minstr_per_s", Json::from(minstr(t.native))),
+                    ("speedup", Json::from(speedup)),
+                ]),
+            ),
+            ("overheads_vs_native", object(overheads)),
+        ]),
+        phases[3].fields("classify"),
+        pairs(vec![
+            (
+                "trust_static",
+                Json::obj(vec![
+                    ("corpus_replays_off", Json::from(baseline.merged.vproc_replays)),
+                    ("corpus_replays_skip_benign", Json::from(trusted.merged.vproc_replays)),
+                    (
+                        "replays_saved",
+                        Json::from(
+                            baseline
+                                .merged
+                                .vproc_replays
+                                .saturating_sub(trusted.merged.vproc_replays),
+                        ),
                     ),
-                ),
-                ("races_skipped", Json::from(trusted.merged.static_skipped_races)),
-                ("corpus_classify_off_ms", Json::from(ms(baseline_time))),
-                ("corpus_classify_skip_benign_ms", Json::from(ms(trusted_time))),
-            ]),
-        ),
-        (
-            "impact",
-            Json::obj(vec![
-                ("warnings_unreachable", Json::from(corpus_analysis.stats.impact_unreachable)),
-                ("warnings_possible", Json::from(corpus_analysis.stats.impact_possible)),
-                ("warnings_proven", Json::from(corpus_analysis.stats.impact_proven)),
-                ("corpus_replays_skip_unreachable", Json::from(unreachable.merged.vproc_replays)),
-                ("corpus_replays_combined", Json::from(combined.merged.vproc_replays)),
-                (
-                    "replays_saved_unreachable",
-                    Json::from(
-                        baseline
-                            .merged
-                            .vproc_replays
-                            .saturating_sub(unreachable.merged.vproc_replays),
+                    ("races_skipped", Json::from(trusted.merged.static_skipped_races)),
+                    ("corpus_classify_off_ms", Json::from(ms(baseline_time))),
+                    ("corpus_classify_skip_benign_ms", Json::from(ms(trusted_time))),
+                ]),
+            ),
+            (
+                "impact",
+                Json::obj(vec![
+                    ("warnings_unreachable", Json::from(corpus_analysis.stats.impact_unreachable)),
+                    ("warnings_possible", Json::from(corpus_analysis.stats.impact_possible)),
+                    ("warnings_proven", Json::from(corpus_analysis.stats.impact_proven)),
+                    (
+                        "corpus_replays_skip_unreachable",
+                        Json::from(unreachable.merged.vproc_replays),
                     ),
-                ),
-                (
-                    "replays_saved_combined",
-                    Json::from(
-                        baseline.merged.vproc_replays.saturating_sub(combined.merged.vproc_replays),
+                    ("corpus_replays_combined", Json::from(combined.merged.vproc_replays)),
+                    (
+                        "replays_saved_unreachable",
+                        Json::from(
+                            baseline
+                                .merged
+                                .vproc_replays
+                                .saturating_sub(unreachable.merged.vproc_replays),
+                        ),
                     ),
-                ),
-                ("races_skipped_unreachable", Json::from(unreachable.merged.static_skipped_races)),
-                ("races_skipped_combined", Json::from(combined.merged.static_skipped_races)),
-                ("verdict_flips", Json::from(verdict_flips)),
-            ]),
-        ),
-        (
-            "classify_batching",
-            Json::obj(vec![
-                ("browser_classify_off_ms", Json::from(ms(browser_off_time))),
-                ("browser_classify_shared_ms", Json::from(ms(browser_shared_time))),
-                (
-                    "browser_speedup",
-                    Json::from(
-                        browser_off_time.as_secs_f64()
-                            / browser_shared_time.as_secs_f64().max(1e-12),
+                    (
+                        "replays_saved_combined",
+                        Json::from(
+                            baseline
+                                .merged
+                                .vproc_replays
+                                .saturating_sub(combined.merged.vproc_replays),
+                        ),
                     ),
-                ),
-                ("corpus_classify_off_ms", Json::from(ms(corpus_off_time))),
-                ("corpus_classify_shared_ms", Json::from(ms(corpus_shared_time))),
-                ("corpus_region_executions_off", Json::from(executions_off)),
-                ("corpus_region_executions_shared", Json::from(executions_shared)),
-                ("corpus_execution_reduction", Json::from(execution_reduction)),
-                ("batches", Json::from(shared_stats.batches)),
-                ("forks", Json::from(shared_stats.forks)),
-                ("prefix_instrs_saved", Json::from(shared_stats.prefix_instrs_saved)),
-                ("live_in_index_hits", Json::from(shared_stats.live_in_index_hits)),
-                ("results_identical", Json::from(results_identical)),
-            ]),
-        ),
-        (
-            "static_order",
-            Json::obj(vec![
-                ("browser_pairs_no_order", Json::from(browser_without.stats.candidate_pairs)),
-                ("browser_pairs", Json::from(browser_with.stats.candidate_pairs)),
-                ("browser_monitored_no_order", Json::from(browser_without.stats.monitored_pcs)),
-                ("browser_monitored", Json::from(browser_with.stats.monitored_pcs)),
-                ("browser_order_edges", Json::from(browser_with.stats.order_edges)),
-                ("corpus_pairs_no_order", Json::from(corpus_pairs.1)),
-                ("corpus_pairs", Json::from(corpus_pairs.0)),
-                ("corpus_monitored_no_order", Json::from(corpus_monitored.1)),
-                ("corpus_monitored", Json::from(corpus_monitored.0)),
-                ("corpus_valid_handoffs", Json::from(corpus_valid_handoffs)),
-            ]),
-        ),
-        (
-            "service",
-            Json::obj(vec![
-                ("cold_submit_ms", Json::from(ms(cold_time))),
-                ("warm_submit_ms", Json::from(ms(warm_time))),
-                ("warm_vproc_replays", Json::from(warm_replays)),
-                ("warm_store_hits", Json::from(warm_store_hits)),
-                ("warm_persisted_hits", Json::from(warm_persisted_hits)),
-                ("reports_identical", Json::from(service_reports_identical)),
-            ]),
-        ),
+                    (
+                        "races_skipped_unreachable",
+                        Json::from(unreachable.merged.static_skipped_races),
+                    ),
+                    ("races_skipped_combined", Json::from(combined.merged.static_skipped_races)),
+                    ("verdict_flips", Json::from(verdict_flips)),
+                ]),
+            ),
+            (
+                "classify_batching",
+                object(vec![
+                    browser_off_time.fields("browser_classify_off"),
+                    browser_shared_time.fields("browser_classify_shared"),
+                    pairs(vec![
+                        (
+                            "browser_speedup",
+                            Json::from(
+                                browser_off_time.median().as_secs_f64()
+                                    / browser_shared_time.median().as_secs_f64().max(1e-12),
+                            ),
+                        ),
+                        ("corpus_classify_off_ms", Json::from(ms(corpus_off_time))),
+                        ("corpus_classify_shared_ms", Json::from(ms(corpus_shared_time))),
+                        ("corpus_region_executions_off", Json::from(executions_off)),
+                        ("corpus_region_executions_shared", Json::from(executions_shared)),
+                        ("corpus_execution_reduction", Json::from(execution_reduction)),
+                        ("batches", Json::from(shared_stats.batches)),
+                        ("forks", Json::from(shared_stats.forks)),
+                        ("prefix_instrs_saved", Json::from(shared_stats.prefix_instrs_saved)),
+                        ("live_in_index_hits", Json::from(shared_stats.live_in_index_hits)),
+                        ("results_identical", Json::from(results_identical)),
+                    ]),
+                ]),
+            ),
+            (
+                "static_order",
+                Json::obj(vec![
+                    ("browser_pairs_no_order", Json::from(browser_without.stats.candidate_pairs)),
+                    ("browser_pairs", Json::from(browser_with.stats.candidate_pairs)),
+                    ("browser_monitored_no_order", Json::from(browser_without.stats.monitored_pcs)),
+                    ("browser_monitored", Json::from(browser_with.stats.monitored_pcs)),
+                    ("browser_order_edges", Json::from(browser_with.stats.order_edges)),
+                    ("corpus_pairs_no_order", Json::from(corpus_pairs.1)),
+                    ("corpus_pairs", Json::from(corpus_pairs.0)),
+                    ("corpus_monitored_no_order", Json::from(corpus_monitored.1)),
+                    ("corpus_monitored", Json::from(corpus_monitored.0)),
+                    ("corpus_valid_handoffs", Json::from(corpus_valid_handoffs)),
+                ]),
+            ),
+            (
+                "service",
+                object(vec![
+                    pairs(vec![("cold_submit_ms", Json::from(ms(cold_time)))]),
+                    warm_time.fields("warm_submit"),
+                    pairs(vec![
+                        ("warm_vproc_replays", Json::from(warm_replays)),
+                        ("warm_store_hits", Json::from(warm_store_hits)),
+                        ("warm_persisted_hits", Json::from(warm_persisted_hits)),
+                        ("reports_identical", Json::from(service_reports_identical)),
+                    ]),
+                ]),
+            ),
+            (
+                "static_analysis",
+                object(vec![
+                    pairs(vec![("corpus_executions", Json::from(exec_programs.len()))]),
+                    sweep.fields("sweep"),
+                    pairs(vec![(
+                        "work",
+                        Json::obj(vec![
+                            ("thread_runs", Json::from(corpus_work.thread_runs)),
+                            ("fixpoint_visits", Json::from(corpus_work.fixpoint_visits)),
+                            ("joins", Json::from(corpus_work.joins)),
+                            ("widenings", Json::from(corpus_work.widenings)),
+                            ("access_pairs", Json::from(corpus_work.access_pairs)),
+                        ]),
+                    )]),
+                ]),
+            ),
+        ]),
     ]);
     let mut text = doc.to_string_pretty();
     text.push('\n');
