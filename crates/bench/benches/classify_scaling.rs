@@ -3,7 +3,7 @@
 //! every job count produces the same classification (the engine's
 //! determinism contract).
 
-use bench::timing::measure;
+use bench::timing::Samples;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
@@ -31,7 +31,7 @@ fn main() {
     };
 
     let baseline_result = classify(1);
-    let baseline = measure(2, 12, || classify(1));
+    let baseline = Samples::take(|| classify(1));
 
     let mut job_counts = vec![1usize, 2, 4];
     if !job_counts.contains(&available) {
@@ -39,11 +39,12 @@ fn main() {
     }
     for &jobs in &job_counts {
         let result = classify(jobs);
-        let m = measure(2, 12, || classify(jobs));
-        let speedup = baseline.seconds() / m.seconds();
+        let m = Samples::take(|| classify(jobs));
+        let speedup = baseline.median().as_secs_f64() / m.median().as_secs_f64();
         println!(
-            "classify/jobs={jobs:<2} median {:>10?}  speedup {speedup:>5.2}x  replays {:>6}",
-            m.median, result.vproc_replays,
+            "classify/jobs={jobs:<2} {}  speedup {speedup:>5.2}x  replays {:>6}",
+            m.describe(),
+            result.vproc_replays,
         );
         // Determinism contract: job count never changes the result.
         assert_eq!(

@@ -1,20 +1,16 @@
 //! Microbenchmarks of the log codec: binary encode/decode and LZSS
 //! compress/decompress throughput on a realistic browser log.
 
-use bench::timing::{measure, Measurement};
+use bench::timing::Samples;
 
 use idna_replay::codec::{compress, decode_log, decompress, encode_log};
 use idna_replay::recorder::record;
 use tvm::scheduler::RunConfig;
 use workloads::browser::{browser_program, BrowserConfig};
 
-fn report_bytes(name: &str, m: &Measurement, bytes: usize) {
-    #[allow(clippy::cast_precision_loss)]
-    let mib_per_sec = bytes as f64 / m.seconds() / (1024.0 * 1024.0);
-    println!(
-        "codec/{name:<32} median {:>12?}  (min {:?}, max {:?}, {} samples, {mib_per_sec:.1} MiB/s)",
-        m.median, m.min, m.max, m.samples
-    );
+fn report_bytes(name: &str, m: &Samples, bytes: usize) {
+    let mib_per_sec = m.per_second(bytes as u64) / (1024.0 * 1024.0);
+    println!("codec/{name:<10} {}  {mib_per_sec:.1} MiB/s", m.describe());
 }
 
 fn main() {
@@ -24,12 +20,12 @@ fn main() {
     let encoded = encode_log(&recording.log);
     let compressed = compress(&encoded);
 
-    let m = measure(3, 30, || encode_log(&recording.log));
+    let m = Samples::take(|| encode_log(&recording.log));
     report_bytes("encode", &m, encoded.len());
-    let m = measure(3, 30, || decode_log(&encoded).expect("decode"));
+    let m = Samples::take(|| decode_log(&encoded).expect("decode"));
     report_bytes("decode", &m, encoded.len());
-    let m = measure(3, 30, || compress(&encoded));
+    let m = Samples::take(|| compress(&encoded));
     report_bytes("compress", &m, encoded.len());
-    let m = measure(3, 30, || decompress(&compressed).expect("decompress"));
+    let m = Samples::take(|| decompress(&compressed).expect("decompress"));
     report_bytes("decompress", &m, encoded.len());
 }

@@ -2,7 +2,7 @@
 //! precisely): native execution, recording, replay, detection,
 //! classification.
 
-use bench::timing::{measure, report};
+use bench::timing::Samples;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
@@ -23,23 +23,24 @@ fn main() {
     let trace = replay(&program, &recording.log).expect("replay");
     let detected = detect_races(&trace, &DetectorConfig::default());
 
-    let m = measure(2, 20, || {
-        let mut machine = Machine::new(program.clone());
-        run(&mut machine, &schedule, &mut ())
-    });
-    report("pipeline", "native", &m, Some(instructions));
-
-    let m = measure(2, 20, || record(&program, &schedule));
-    report("pipeline", "record", &m, Some(instructions));
-
-    let m = measure(2, 20, || replay(&program, &recording.log).expect("replay"));
-    report("pipeline", "replay", &m, Some(instructions));
-
-    let m = measure(2, 20, || detect_races(&trace, &DetectorConfig::default()));
-    report("pipeline", "detect", &m, Some(instructions));
-
-    let m = measure(2, 20, || {
-        classify_races_with(&trace, &detected, &ClassifierConfig::default(), None)
-    });
-    report("pipeline", "classify", &m, Some(instructions));
+    let report = |name: &str, m: Samples| {
+        let rate = m.per_second(instructions) / 1e6;
+        println!("pipeline/{name:<10} {}  {rate:.1} Minstr/s", m.describe());
+    };
+    report(
+        "native",
+        Samples::take(|| {
+            let mut machine = Machine::new(program.clone());
+            run(&mut machine, &schedule, &mut ())
+        }),
+    );
+    report("record", Samples::take(|| record(&program, &schedule)));
+    report("replay", Samples::take(|| replay(&program, &recording.log).expect("replay")));
+    report("detect", Samples::take(|| detect_races(&trace, &DetectorConfig::default())));
+    report(
+        "classify",
+        Samples::take(|| {
+            classify_races_with(&trace, &detected, &ClassifierConfig::default(), None)
+        }),
+    );
 }

@@ -3,7 +3,7 @@
 //! both as two `run_pair` replays and as the `run_unit` call classification
 //! makes.
 
-use bench::timing::{measure, report};
+use bench::timing::Samples;
 
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
@@ -31,17 +31,15 @@ fn main() {
         .map(|i| (i.a, i.b))
         .collect();
 
-    let m = measure(20, 200, || vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB));
-    report("vproc", "single_order_replay", &m, None);
-    let m = measure(20, 200, || classify_instance(&vproc, &instance));
-    report("vproc", "classify_instance_both_orders", &m, None);
-    let m = measure(20, 200, || vproc.run_unit(&unit[..1], |_, _| false));
-    report("vproc", "run_unit_one_instance", &m, None);
-    let m = measure(20, 200, || vproc.run_unit(&unit, |_, _| false));
+    let report = |name: &str, m: Samples| println!("vproc/{name:<36} {}", m.describe());
     report(
-        "vproc",
+        "single_order_replay",
+        Samples::take(|| vproc.run_pair(&instance.a, &instance.b, PairOrder::AThenB)),
+    );
+    report("classify_instance_both_orders", Samples::take(|| classify_instance(&vproc, &instance)));
+    report("run_unit_one_instance", Samples::take(|| vproc.run_unit(&unit[..1], |_, _| false)));
+    report(
         &format!("run_unit_region_pair_{}_instances", unit.len()),
-        &m,
-        Some(unit.len() as u64),
+        Samples::take(|| vproc.run_unit(&unit, |_, _| false)),
     );
 }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use bench::timing::measure;
+use bench::timing::Samples;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use replay_race::detect::{detect_races, DetectorConfig};
@@ -23,7 +23,7 @@ fn main() {
     let program = browser_program(&cfg);
     let run = RunConfig::chunked(7, 1, 8).with_max_steps(50_000_000);
 
-    let analyze = measure(1, 5, || racecheck::analyze(&program));
+    let analyze = Samples::take(|| racecheck::analyze(&program));
     let analysis = racecheck::analyze(&program);
     let candidates = Arc::new(analysis.candidates);
 
@@ -41,8 +41,8 @@ fn main() {
     );
     assert_eq!(unfiltered.by_static, filtered.by_static);
 
-    let t_unfiltered = measure(1, 9, || detect_races(&trace, &unfiltered_cfg));
-    let t_filtered = measure(1, 9, || detect_races(&trace, &filtered_cfg));
+    let t_unfiltered = Samples::take(|| detect_races(&trace, &unfiltered_cfg));
+    let t_filtered = Samples::take(|| detect_races(&trace, &filtered_cfg));
 
     let s = &analysis.stats;
     println!(
@@ -53,7 +53,7 @@ fn main() {
         "candidate pairs: {} ({} unknown-address accesses kept conservatively)",
         s.candidate_pairs, s.unknown_accesses
     );
-    println!("analyze() median: {:?} (zero execution)", analyze.median);
+    println!("analyze(): {} (zero execution)", analyze.describe());
     println!();
     println!(
         "detected: {} unique races, {} instances (identical with and without the filter)",
@@ -67,9 +67,7 @@ fn main() {
         "monitored accesses: {} of {} indexed ({} skipped, -{access_cut:.1}%)",
         filtered.indexed_accesses, total, filtered.skipped_accesses
     );
-    let speedup = t_unfiltered.seconds() / t_filtered.seconds();
-    println!(
-        "detection time: {:?} unfiltered vs {:?} filtered ({speedup:.2}x)",
-        t_unfiltered.median, t_filtered.median
-    );
+    let speedup = t_unfiltered.median().as_secs_f64() / t_filtered.median().as_secs_f64();
+    println!("detection time, unfiltered: {}", t_unfiltered.describe());
+    println!("detection time, filtered:   {} ({speedup:.2}x)", t_filtered.describe());
 }

@@ -5,13 +5,13 @@
 //! `tvm::exec::step`, unobserved) over the reference interpreter (a second
 //! body over `Instr` that reports every step as a `StepInfo`).
 //!
-//! Every timing is sampled over at least [`BASELINE_BUDGET`] of
-//! back-to-back runs, and at least [`BASELINE_MIN_RUNS`] of them, and
-//! reported as the median with p10, p90 and the run count: the two
-//! interpreter baselines, the pipeline phases, the browser batching
-//! ablation, the warm service submit, and one `racecheck::analyze` sweep
-//! over the 20 corpus executions (with its exact work counters). The phase
-//! overheads divide by the native median.
+//! Every timing is sampled by [`bench::timing::Samples`] (at least 100 ms
+//! of back-to-back runs, and at least 100 of them) and reported as the
+//! median with p10, p90 and the run count: the two interpreter baselines,
+//! the pipeline phases, the browser batching ablation, the warm service
+//! submit, and one `racecheck::analyze` sweep over the 20 corpus
+//! executions (with its exact work counters). The phase overheads divide
+//! by the native median.
 //!
 //! Paper numbers: record ≈6×, replay ≈10×, happens-before analysis ≈45×,
 //! classification ≈280×.
@@ -30,6 +30,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::timing::{ms, Samples};
 use bench::{row, PAPER_OVERHEADS};
 use minijson::Json;
 use racecheck::AnalysisWork;
@@ -43,90 +44,6 @@ use tvm::scheduler::{run_native, run_reference, RunConfig};
 use workloads::browser::{browser_program, BrowserConfig};
 use workloads::corpus::{corpus_executions, corpus_program};
 use workloads::eval::{run_corpus_with, run_corpus_with_predictions};
-
-/// Least wall-clock time each timing is sampled over.
-const BASELINE_BUDGET: Duration = Duration::from_millis(100);
-/// Least number of runs in a sample, so that its p10 and p90 each have at
-/// least ten runs beyond them.
-const BASELINE_MIN_RUNS: usize = 100;
-
-/// Wall-clock times of back-to-back runs of one operation, sorted.
-struct Samples(Vec<Duration>);
-
-impl Samples {
-    fn new(mut runs: Vec<Duration>) -> Self {
-        runs.sort_unstable();
-        Samples(runs)
-    }
-
-    /// Runs `f` back to back until [`BASELINE_BUDGET`] has passed and at
-    /// least [`BASELINE_MIN_RUNS`] runs were timed.
-    fn take(mut f: impl FnMut()) -> Self {
-        let mut runs = Vec::new();
-        let mut total = Duration::ZERO;
-        while total < BASELINE_BUDGET || runs.len() < BASELINE_MIN_RUNS {
-            let start = Instant::now();
-            f();
-            let elapsed = start.elapsed();
-            total += elapsed;
-            runs.push(elapsed);
-        }
-        Samples::new(runs)
-    }
-
-    /// The `q` quantile (nearest rank), `0.0..=1.0`.
-    fn quantile(&self, q: f64) -> Duration {
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let rank = ((self.0.len() - 1) as f64 * q).round() as usize;
-        self.0[rank]
-    }
-
-    fn median(&self) -> Duration {
-        self.quantile(0.5)
-    }
-
-    /// `median [p10, p90; runs]` in milliseconds, for the text report.
-    fn describe(&self) -> String {
-        format!(
-            "{:.2} ms [p10 {:.2}, p90 {:.2}; {} runs]",
-            ms(self.median()),
-            ms(self.quantile(0.1)),
-            ms(self.quantile(0.9)),
-            self.0.len()
-        )
-    }
-
-    /// The JSON fields `{key}_ms` (the median), `{key}_p10_ms`,
-    /// `{key}_p90_ms` and `{key}_runs`.
-    fn fields(&self, key: &str) -> Vec<(String, Json)> {
-        vec![
-            (format!("{key}_ms"), Json::from(ms(self.median()))),
-            (format!("{key}_p10_ms"), Json::from(ms(self.quantile(0.1)))),
-            (format!("{key}_p90_ms"), Json::from(ms(self.quantile(0.9)))),
-            (format!("{key}_runs"), Json::from(self.0.len())),
-        ]
-    }
-
-    /// The JSON fields `{key}` (the median over `per`), `{key}_p10`,
-    /// `{key}_p90` and `{key}_runs`: the sample as multiples of `per`.
-    fn ratio_fields(&self, key: &str, per: Duration) -> Vec<(String, Json)> {
-        let ratio = |d: Duration| d.as_secs_f64() / per.as_secs_f64().max(1e-12);
-        vec![
-            (key.to_string(), Json::from(ratio(self.median()))),
-            (format!("{key}_p10"), Json::from(ratio(self.quantile(0.1)))),
-            (format!("{key}_p90"), Json::from(ratio(self.quantile(0.9)))),
-            (format!("{key}_runs"), Json::from(self.0.len())),
-        ]
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
 
 /// A JSON object of `parts`, in order.
 fn object(parts: Vec<Vec<(String, Json)>>) -> Json {
@@ -187,7 +104,7 @@ fn main() {
     // The native baseline is the denominator of every overhead ratio, and
     // one interpreter run of the browser takes about a millisecond, so a
     // few runs cannot resolve a change of a few percent: both baselines
-    // are sampled over at least `BASELINE_BUDGET`. The reference
+    // are sampled over at least `timing::BUDGET`. The reference
     // interpreter (a second body over `Instr` that reports every step as a
     // `StepInfo`) runs the same program and schedule through the
     // scheduler's one loop, so the ratio is the one body's win alone.
@@ -222,12 +139,12 @@ fn main() {
         t.native,
         native.quantile(0.1),
         native.quantile(0.9),
-        native.0.len(),
+        native.runs(),
         minstr(t.native),
         reference.median(),
         reference.quantile(0.1),
         reference.quantile(0.9),
-        reference.0.len(),
+        reference.runs(),
         minstr(reference.median()),
         speedup,
     );
@@ -243,7 +160,7 @@ fn main() {
                 "{m:.1}x [{:.1}x, {:.1}x; {} runs]",
                 t.overhead(phase.quantile(0.1)),
                 t.overhead(phase.quantile(0.9)),
-                phase.0.len()
+                phase.runs()
             ),
         );
     }
@@ -512,12 +429,12 @@ fn main() {
                     ("reference_ms", Json::from(ms(reference.median()))),
                     ("reference_p10_ms", Json::from(ms(reference.quantile(0.1)))),
                     ("reference_p90_ms", Json::from(ms(reference.quantile(0.9)))),
-                    ("reference_samples", Json::from(reference.0.len())),
+                    ("reference_samples", Json::from(reference.runs())),
                     ("reference_minstr_per_s", Json::from(minstr(reference.median()))),
                     ("decoded_ms", Json::from(ms(t.native))),
                     ("decoded_p10_ms", Json::from(ms(native.quantile(0.1)))),
                     ("decoded_p90_ms", Json::from(ms(native.quantile(0.9)))),
-                    ("decoded_samples", Json::from(native.0.len())),
+                    ("decoded_samples", Json::from(native.runs())),
                     ("decoded_minstr_per_s", Json::from(minstr(t.native))),
                     ("speedup", Json::from(speedup)),
                 ]),

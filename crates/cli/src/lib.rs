@@ -89,9 +89,7 @@ use std::time::{Duration, Instant};
 
 use minijson::Json;
 
-use idna_replay::codec::{
-    decode_log_mode, decompress, frame_spans, with_log_writer, DecodeMode, DecodeReport,
-};
+use idna_replay::codec::{decode_log_mode, frame_spans, with_log_writer, DecodeMode, DecodeReport};
 use idna_replay::event::ReplayLog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
@@ -103,15 +101,12 @@ use replay_race::detect::DetectorConfig;
 use replay_race::pipeline::{analyze_log, run_pipeline, PipelineConfig};
 use replay_race::report::Report;
 use replay_race::triage::{ManualVerdict, TriageDb};
+use serviced::container::{split_layers, LayerFault};
 use tvm::asm::{assemble, disassemble_annotated};
 use tvm::machine::Machine;
 use tvm::predecode::DecodedProgram;
 use tvm::program::Program;
 use tvm::scheduler::{run_native, RunConfig};
-
-/// Log-file magic (the container format lives in [`serviced::container`],
-/// shared with the classification service).
-use serviced::container::FILE_MAGIC;
 
 /// A CLI error: message plus the exit code to use.
 #[derive(Debug)]
@@ -544,39 +539,43 @@ pub fn cmd_doctor(log_path: &Path) -> Result<String, CliError> {
         out.push_str("verdict: container damaged before the frame layer; nothing salvageable\n");
         Ok(out)
     };
-    let Some(payload) = bytes.strip_prefix(&FILE_MAGIC[..]) else {
-        return fail(out, "container magic", "not a racerep log file".into());
+    let split = split_layers(&bytes);
+    if split.as_ref().err() != Some(&LayerFault::Magic) {
+        out.push_str("  container magic: ok\n");
+    }
+    let header_len = match &split {
+        Ok(layers) => Some(layers.header_len),
+        Err(LayerFault::Compression { header_len, .. }) => Some(*header_len),
+        Err(_) => None,
     };
-    out.push_str("  container magic: ok\n");
-    if payload.len() < 4 {
-        return fail(out, "schedule header", "truncated length field".into());
+    if let Some(hlen) = header_len {
+        out.push_str(&format!("  schedule header: ok ({hlen} bytes)\n"));
     }
-    let hlen = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    if payload.len() < 4 + hlen {
-        return fail(out, "schedule header", format!("{hlen} bytes declared, fewer present"));
-    }
-    let schedule_ok = std::str::from_utf8(&payload[4..4 + hlen])
-        .map_err(|e| e.to_string())
-        .and_then(|h| Json::parse(h).map_err(|e| e.to_string()))
-        .and_then(|doc| serviced::container::schedule_from_json(&doc));
-    match schedule_ok {
-        Ok(_) => out.push_str(&format!("  schedule header: ok ({hlen} bytes)\n")),
-        Err(e) => return fail(out, "schedule header", e),
-    }
-    let raw = match decompress(&payload[4 + hlen..]) {
-        Ok(raw) => raw,
-        Err(e) => return fail(out, "compression", e.to_string()),
+    let layers = match split {
+        Ok(layers) => layers,
+        Err(fault) => {
+            let (what, detail) = match fault {
+                LayerFault::Magic => ("container magic", "not a racerep log file".into()),
+                LayerFault::LengthField => ("schedule header", "truncated length field".into()),
+                LayerFault::ShortHeader { declared } => {
+                    ("schedule header", format!("{declared} bytes declared, fewer present"))
+                }
+                LayerFault::Schedule(e) => ("schedule header", e),
+                LayerFault::Compression { error, .. } => ("compression", error),
+            };
+            return fail(out, what, detail);
+        }
     };
     out.push_str(&format!(
         "  compression: ok ({} bytes compressed, {} bytes raw)\n",
-        payload.len() - 4 - hlen,
-        raw.len(),
+        layers.compressed_len,
+        layers.raw.len(),
     ));
-    let (log, report) = match decode_log_mode(&raw, DecodeMode::Tolerant) {
+    let (log, report) = match decode_log_mode(&layers.raw, DecodeMode::Tolerant) {
         Ok(decoded) => decoded,
         Err(e) => return fail(out, "log header", e.to_string()),
     };
-    let spans = frame_spans(&raw);
+    let spans = frame_spans(&layers.raw);
     out.push_str(&format!(
         "  log format: v{}, {} frame(s) spanning {} byte(s)\n",
         report.format_version,
@@ -983,6 +982,7 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serviced::container::FILE_MAGIC;
     use std::path::PathBuf;
 
     fn temp_file(name: &str, contents: &str) -> PathBuf {

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tvm::isa::{BinOp, Cond, Instr, Reg, RmwOp, SysCall, NUM_REGS};
 use tvm::program::Program;
 
-use crate::cfg::Cfg;
+use crate::cfg::{def_of, Cfg};
 use crate::domain::{AbsLoc, AbsVal};
 
 /// Iterations of state change at one pc before interval widening kicks in.
@@ -191,13 +191,17 @@ pub struct Transfer {
 }
 
 /// Abstractly executes the instruction at `pc` on `state`, with no
-/// stable-global knowledge (see [`transfer_with`]).
+/// stable-global knowledge.
 #[must_use]
 pub fn transfer(program: &Program, cfg: &Cfg, pc: usize, state: &State) -> Transfer {
-    transfer_with(program, cfg, pc, state, &BTreeMap::new())
+    let mut out = Transfer::default();
+    transfer_into(program, cfg, pc, state, &BTreeMap::new(), &mut out);
+    out
 }
 
-/// Abstractly executes the instruction at `pc` on `state`.
+/// Abstractly executes the instruction at `pc` on `state` into `out`, which
+/// it clears first, so a fixpoint reuses one successor vector for every
+/// visit.
 ///
 /// `consts` maps *stable globals* — words provably written by no reachable
 /// instruction of any thread — to their initial values; loads from them
@@ -208,21 +212,6 @@ pub fn transfer(program: &Program, cfg: &Cfg, pc: usize, state: &State) -> Trans
 ///
 /// Successors one past the end of the program (thread termination) are
 /// dropped, matching [`Cfg::successors`].
-#[must_use]
-pub fn transfer_with(
-    program: &Program,
-    cfg: &Cfg,
-    pc: usize,
-    state: &State,
-    consts: &BTreeMap<u64, u64>,
-) -> Transfer {
-    let mut out = Transfer::default();
-    transfer_into(program, cfg, pc, state, consts, &mut out);
-    out
-}
-
-/// [`transfer_with`] into a caller's buffer, which it clears first, so a
-/// fixpoint reuses one successor vector for every visit.
 fn transfer_into(
     program: &Program,
     cfg: &Cfg,
@@ -329,18 +318,7 @@ fn transfer_into(
     // and any def constraining `dst`; a fresh `sub`/`div`-by-immediate
     // records one (unless it overwrites its own operand, which the zero-test
     // would then no longer constrain).
-    let written = match *instr {
-        Instr::MovImm { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::BinImm { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::AtomicRmw { dst, .. }
-        | Instr::AtomicCas { dst, .. } => Some(dst),
-        Instr::Syscall { .. } => Some(Reg::R0),
-        _ => None,
-    };
-    if let Some(dst) = written {
+    if let Some(dst) = def_of(instr) {
         for def in &mut next.defs {
             if def.is_some_and(|d| d.src == dst) {
                 *def = None;
@@ -549,9 +527,10 @@ pub fn fixpoint(program: &Program, cfg: &Cfg, args: &[u64]) -> ThreadFlow {
     fixpoint_with(program, cfg, args, &BTreeMap::new())
 }
 
-/// [`fixpoint`] with a stable-global constant map (see [`transfer_with`]).
-/// pcs only reachable through contradictory branch edges receive no state —
-/// they are semantically dead for this program's initial globals. The flow
+/// [`fixpoint`] with a stable-global constant map: loads of a global in
+/// `consts` produce its value, which can prove branch edges dead. pcs only
+/// reachable through contradictory branch edges receive no state — they
+/// are semantically dead for this program's initial globals. The flow
 /// records which globals the run looked up in `consts`
 /// (`ThreadFlow::lookups`).
 ///

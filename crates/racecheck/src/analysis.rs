@@ -189,10 +189,11 @@ impl LockReport {
 pub struct WarningSide {
     /// The access pc.
     pub pc: usize,
-    /// Names of the threads that can execute this access.
-    pub threads: BTreeSet<String>,
-    /// Rendered abstract locations seen at this pc.
-    pub locs: BTreeSet<String>,
+    /// The threads (indices into [`Analysis::threads`]) that can execute
+    /// this access.
+    pub threads: BTreeSet<usize>,
+    /// The abstract locations seen at this pc.
+    pub locs: BTreeSet<AbsLoc>,
     /// Whether any contributing access writes.
     pub writes: bool,
     /// Whether any contributing access is a sequencer point.
@@ -417,6 +418,22 @@ fn run_thread(
     ThreadRun { flow, summary, events }
 }
 
+/// The first write, in thread order, that may touch the global word at
+/// `addr` from a pc `allowed` does not accept: it breaks the word's
+/// invariant, whether the word is a lock or a handoff flag.
+pub(crate) fn rogue_write(
+    threads: &[ThreadSummary],
+    addr: u64,
+    allowed: impl Fn(usize) -> bool,
+) -> Option<Demotion> {
+    let word = AbsLoc::Global { lo: addr, hi: addr };
+    let a = threads
+        .iter()
+        .flat_map(|t| &t.accesses)
+        .find(|a| a.writes && !allowed(a.pc) && a.loc.may_alias(word))?;
+    Some(Demotion::RogueWrite { pc: a.pc })
+}
+
 /// The globals no reachable access of any thread may write: their initial
 /// image value is the value every load observes.
 fn stable_globals(program: &Program, runs: &[ThreadRun]) -> BTreeMap<u64, u64> {
@@ -555,6 +572,8 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
             }
         }
     }
+    let (mut threads, flows): (Vec<ThreadSummary>, Vec<ThreadFlow>) =
+        runs.into_iter().map(|r| (r.summary, r.flow)).unzip();
 
     // Validate lock candidates: a lock is trustworthy only if its word is
     // written exclusively by recognized acquire/release sites and every
@@ -562,22 +581,10 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     let mut locks: Vec<LockReport> = Vec::new();
     for (&addr, acq) in &acquires {
         let rel = releases.get(&addr).cloned().unwrap_or_default();
-        let mut demoted = unheld_releases.get(&addr).map(|&pc| Demotion::ReleaseWithoutHold { pc });
-        if demoted.is_none() {
-            let word = AbsLoc::Global { lo: addr, hi: addr };
-            'scan: for r in &runs {
-                for a in &r.summary.accesses {
-                    if a.writes
-                        && !acq.contains(&a.pc)
-                        && !rel.contains(&a.pc)
-                        && a.loc.may_alias(word)
-                    {
-                        demoted = Some(Demotion::RogueWrite { pc: a.pc });
-                        break 'scan;
-                    }
-                }
-            }
-        }
+        let demoted = unheld_releases
+            .get(&addr)
+            .map(|&pc| Demotion::ReleaseWithoutHold { pc })
+            .or_else(|| rogue_write(&threads, addr, |pc| acq.contains(&pc) || rel.contains(&pc)));
         locks.push(LockReport { addr, acquire_sites: acq.clone(), release_sites: rel, demoted });
     }
     let valid: BTreeSet<u64> = locks.iter().filter(|l| l.valid()).map(|l| l.addr).collect();
@@ -585,15 +592,11 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
     // Mask every access's lockset down to the valid locks. The accesses
     // were harvested in the flow's pc order, one per reached pc that has
     // one.
-    let mut threads: Vec<ThreadSummary> = Vec::with_capacity(runs.len());
-    let mut flows: Vec<ThreadFlow> = Vec::with_capacity(runs.len());
-    for mut r in runs {
-        let held = r.flow.iter().filter(|reached| reached.access.is_some());
-        for (a, reached) in r.summary.accesses.iter_mut().zip(held) {
+    for (t, flow) in threads.iter_mut().zip(&flows) {
+        let held = flow.iter().filter(|reached| reached.access.is_some());
+        for (a, reached) in t.accesses.iter_mut().zip(held) {
             a.locks = reached.state.locks.intersection(&valid).copied().collect();
         }
-        threads.push(r.summary);
-        flows.push(r.flow);
     }
 
     // Validate flag handoffs before the cross-product so the
@@ -624,11 +627,11 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
         ..AnalysisStats::default()
     };
     let mut warnings: BTreeMap<(usize, usize), RaceWarning> = BTreeMap::new();
-    let mut impact = ImpactAnalyzer::new(program, &cfgs);
+    let impact = ImpactAnalyzer::new(program, &cfgs, &threads);
     for (i, ta) in threads.iter().enumerate() {
         for (j, tb) in threads.iter().enumerate().skip(i + 1) {
-            for a in &ta.accesses {
-                for b in &tb.accesses {
+            for (ia, a) in ta.accesses.iter().enumerate() {
+                for (ib, b) in tb.accesses.iter().enumerate() {
                     work.access_pairs += 1;
                     if let Some(reason) = prune_reason(&order, i, a, j, b) {
                         let counter = match reason {
@@ -643,8 +646,8 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
                     }
                     candidates.insert(a.pc, b.pc);
                     let predicted = idioms::classify_pair(a, b, &single_valued);
-                    let reach = impact.pair_impact(i, a, j, b, &ta.accesses, &tb.accesses);
-                    record_warning(&mut warnings, ta, a, tb, b, predicted, reach);
+                    let reach = impact.pair_impact(i, ia, j, ib);
+                    record_warning(&mut warnings, (i, a), (j, b), predicted, reach);
                 }
             }
         }
@@ -672,7 +675,7 @@ fn analyze_with(program: &Program, use_order: bool) -> Analysis {
 fn addr_class(w: &RaceWarning) -> u8 {
     if w.unresolved {
         2
-    } else if w.lo.locs.iter().chain(&w.hi.locs).any(|l| l.starts_with("heap")) {
+    } else if w.lo.locs.iter().chain(&w.hi.locs).any(|l| matches!(l, AbsLoc::Heap { .. })) {
         1
     } else {
         0
@@ -708,12 +711,12 @@ impl Analysis {
     }
 }
 
+/// Folds one candidate access pair, each access with its thread's index,
+/// into the warning for its `(pc_lo, pc_hi)` id.
 fn record_warning(
     warnings: &mut BTreeMap<(usize, usize), RaceWarning>,
-    ta: &ThreadSummary,
-    a: &Access,
-    tb: &ThreadSummary,
-    b: &Access,
+    (ta, a): (usize, &Access),
+    (tb, b): (usize, &Access),
     predicted: PredictedVerdict,
     impact: ImpactVerdict,
 ) {
@@ -726,14 +729,14 @@ fn record_warning(
         impact: ImpactVerdict::UNREACHABLE,
     });
     w.predicted = w.predicted.combine(predicted);
-    w.impact = w.impact.clone().combine(impact);
+    w.impact = std::mem::take(&mut w.impact).combine(impact);
     w.unresolved |= a.loc == AbsLoc::Unknown || b.loc == AbsLoc::Unknown;
     // Tie-break equal pcs by putting `a` on the low side so both sides of a
     // same-pc pair (one function run by two threads) are populated.
     let (lo, hi) = if a.pc <= b.pc { ((ta, a), (tb, b)) } else { ((tb, b), (ta, a)) };
     for ((thread, acc), s) in [(lo, &mut w.lo), (hi, &mut w.hi)] {
-        s.threads.insert(thread.name.clone());
-        s.locs.insert(acc.loc.to_string());
+        s.threads.insert(thread);
+        s.locs.insert(acc.loc);
         s.writes |= acc.writes;
         s.atomic |= acc.atomic;
     }

@@ -8,7 +8,7 @@
 //! stack always returns to one of those sites) and keeps the graph finite
 //! without function-boundary information, which the ISA does not have.
 
-use tvm::isa::Instr;
+use tvm::isa::{Instr, Reg};
 use tvm::program::Program;
 
 /// Whether the instruction at `pc` logs a sequencer (paper §3.2); pcs past
@@ -17,8 +17,23 @@ pub(crate) fn is_sequencer(program: &Program, pc: usize) -> bool {
     program.instr(pc).is_some_and(Instr::is_sequencer_point)
 }
 
+/// The register an instruction writes, if any (`sys.*` clobbers `r0`).
+pub(crate) fn def_of(instr: &Instr) -> Option<Reg> {
+    match *instr {
+        Instr::MovImm { dst, .. }
+        | Instr::Mov { dst, .. }
+        | Instr::Bin { dst, .. }
+        | Instr::BinImm { dst, .. }
+        | Instr::Load { dst, .. }
+        | Instr::AtomicRmw { dst, .. }
+        | Instr::AtomicCas { dst, .. } => Some(dst),
+        Instr::Syscall { .. } => Some(Reg::R0),
+        _ => None,
+    }
+}
+
 /// A set of pcs as a bitmap, one bit per pc.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct PcSet {
     words: Vec<u64>,
 }
@@ -53,6 +68,10 @@ impl PcSet {
     /// The number of pcs in the set.
     pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&word| word == 0)
     }
 
     /// The pcs in the set, ascending.
@@ -131,6 +150,25 @@ impl Cfg {
     #[must_use]
     pub fn contains(&self, pc: usize) -> bool {
         self.slot(pc).is_some()
+    }
+
+    /// Every pc reached from `seeds` along the CFG's edges. A seed is reached
+    /// whatever `leave` says; a reached pc's successors are followed only
+    /// when `leave` accepts it, so a rejected pc is reached but not left.
+    pub(crate) fn reach(
+        &self,
+        program: &Program,
+        seeds: impl IntoIterator<Item = usize>,
+        leave: impl Fn(usize) -> bool,
+    ) -> PcSet {
+        let mut seen = PcSet::new(self.len);
+        let mut work: Vec<usize> = seeds.into_iter().filter(|&pc| seen.insert(pc)).collect();
+        while let Some(pc) = work.pop() {
+            if leave(pc) {
+                work.extend(self.successors(program, pc).filter(|&succ| seen.insert(succ)));
+            }
+        }
+        seen
     }
 
     /// Successor pcs of `pc` (already filtered to in-range targets; a pc one
@@ -299,6 +337,27 @@ mod tests {
         assert!(!set.contains(64) && !set.contains(1000));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 200]);
         assert_eq!(set.len(), 2);
+        assert!(!set.is_empty());
+        set.remove(3);
+        set.remove(200);
+        assert!(set.is_empty(), "a set grown past its range and emptied again is empty");
+    }
+
+    #[test]
+    fn reach_leaves_only_accepted_pcs_and_stops_at_cycles_and_halts() {
+        // A loop (pcs 0-1), a halt, and a pc past the halt.
+        let mut b = ProgramBuilder::new();
+        b.thread("t");
+        let top = b.fresh_label("top");
+        b.label(top).movi(Reg::R1, 1).branch(Cond::Eq, Reg::R1, Reg::R15, top);
+        b.halt().movi(Reg::R2, 2);
+        let p = b.build();
+        let cfg = Cfg::build(&p, 0);
+        let pcs = |set: PcSet| set.iter().collect::<Vec<_>>();
+        assert_eq!(pcs(cfg.reach(&p, [0], |_| true)), vec![0, 1, 2], "pc 3 is past the halt");
+        assert_eq!(pcs(cfg.reach(&p, [0], |pc| pc != 0)), vec![0], "a rejected seed is not left");
+        assert_eq!(pcs(cfg.reach(&p, [0], |pc| pc != 1)), vec![0, 1], "nor is a rejected pc");
+        assert_eq!(pcs(cfg.reach(&p, [1], |_| true)), vec![0, 1, 2], "the loop reaches pc 2");
     }
 
     #[test]

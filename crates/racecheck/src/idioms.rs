@@ -44,7 +44,7 @@ use tvm::program::Program;
 
 use crate::absint::{AccessFact, ThreadFlow};
 use crate::analysis::{Access, ThreadSummary};
-use crate::cfg::PcSet;
+use crate::cfg::{def_of, PcSet};
 use crate::domain::{AbsLoc, AbsVal};
 
 /// Instructions examined by the short forward/backward scans.
@@ -195,21 +195,6 @@ impl Default for AccessIdiom {
     }
 }
 
-/// The register an instruction writes, if any (`sys.*` clobbers `r0`).
-fn def_of(instr: &Instr) -> Option<Reg> {
-    match *instr {
-        Instr::MovImm { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::BinImm { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::AtomicRmw { dst, .. }
-        | Instr::AtomicCas { dst, .. } => Some(dst),
-        Instr::Syscall { .. } => Some(Reg::R0),
-        _ => None,
-    }
-}
-
 fn is_control(instr: &Instr) -> bool {
     matches!(
         instr,
@@ -240,15 +225,18 @@ pub(crate) fn control_barriers(program: &Program) -> PcSet {
     barriers
 }
 
-/// Finds the `eq`/`ne` zero-test on `reg` within the next few straight-line
-/// instructions: returns the branch pc and its condition. Bails on any
-/// control transfer or redefinition of `reg` first.
-fn find_zero_test(
-    program: &Program,
-    flow: &ThreadFlow,
+/// The `eq`/`ne` branch that tests a loaded register against zero.
+#[derive(Copy, Clone)]
+struct ZeroTest {
     pc: usize,
-    reg: Reg,
-) -> Option<(usize, Cond, usize)> {
+    cond: Cond,
+    target: usize,
+}
+
+/// Finds the `eq`/`ne` zero-test on `reg` within the next few straight-line
+/// instructions. Bails on any control transfer or redefinition of `reg`
+/// first.
+fn find_zero_test(program: &Program, flow: &ThreadFlow, pc: usize, reg: Reg) -> Option<ZeroTest> {
     for p in pc + 1..(pc + 1 + SCAN_BOUND).min(program.len()) {
         let instr = program.instr(p)?;
         if let Instr::Branch { cond, lhs, rhs, target } = *instr {
@@ -264,7 +252,7 @@ fn find_zero_test(
             if state.reg(other).as_const() != Some(0) {
                 return None;
             }
-            return Some((p, cond, target));
+            return Some(ZeroTest { pc: p, cond, target });
         }
         if is_control(instr) || def_of(instr) == Some(reg) {
             return None;
@@ -273,32 +261,30 @@ fn find_zero_test(
     None
 }
 
-/// Recognizes the spin-wait shape for the load at `pc` into `dst`: the
-/// first branch after the load zero-tests the loaded value and its taken
-/// edge retreats to (or before) the load itself.
-fn spin_guard(program: &Program, flow: &ThreadFlow, pc: usize, dst: Reg) -> Option<SpinPolarity> {
-    let (_, cond, target) = find_zero_test(program, flow, pc, dst)?;
-    if target > pc {
-        return None;
-    }
-    Some(if cond == Cond::Eq { SpinPolarity::WaitNonzero } else { SpinPolarity::WaitZero })
+/// Recognizes the spin-wait shape for the load at `pc`, whose value `test`
+/// zero-tests: the test's taken edge retreats to (or before) the load
+/// itself.
+fn spin_guard(test: ZeroTest, pc: usize) -> Option<SpinPolarity> {
+    (test.target <= pc).then_some(if test.cond == Cond::Eq {
+        SpinPolarity::WaitNonzero
+    } else {
+        SpinPolarity::WaitZero
+    })
 }
 
-/// Recognizes the double-check shape for the load at `pc` into `dst` from
-/// `[base + offset]`: the loaded value is zero-tested, and the zero edge
-/// re-stores a provable constant to the same `[base + offset]` operand
-/// before any further control transfer. Returns that constant.
+/// Recognizes the double-check shape for a load from `[base + offset]`
+/// whose value `test` zero-tests: the zero edge re-stores a provable
+/// constant to the same `[base + offset]` operand before any further
+/// control transfer. Returns that constant.
 fn check_store(
     program: &Program,
     flow: &ThreadFlow,
-    pc: usize,
-    dst: Reg,
+    test: ZeroTest,
     base: Reg,
     offset: i64,
 ) -> Option<u64> {
-    let (branch_pc, cond, target) = find_zero_test(program, flow, pc, dst)?;
     // `beq v, 0, t` goes to `t` when the value was zero; `bne` falls through.
-    let start = if cond == Cond::Eq { target } else { branch_pc + 1 };
+    let start = if test.cond == Cond::Eq { test.target } else { test.pc + 1 };
     for p in start..start + LONG_SCAN_BOUND {
         let instr = program.instr(p)?;
         match *instr {
@@ -434,8 +420,10 @@ pub(crate) fn access_facts(
     };
     match program.instr(pc) {
         Some(&Instr::Load { dst, base, offset }) => {
-            out.spin_guard = spin_guard(program, flow, pc, dst);
-            out.check_store = check_store(program, flow, pc, dst, base, offset);
+            if let Some(test) = find_zero_test(program, flow, pc, dst) {
+                out.spin_guard = spin_guard(test, pc);
+                out.check_store = check_store(program, flow, test, base, offset);
+            }
             out.read_mask = load_read_mask(program, pc, dst);
         }
         Some(&Instr::Store { src, base, offset }) => {

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use tvm::isa::{BinOp, Instr, Reg, SysCall};
 use tvm::program::Program;
 
-use crate::analysis::Access;
+use crate::analysis::{Access, ThreadSummary};
 use crate::cfg::{is_sequencer, Cfg};
 
 /// How far a racy value can provably travel toward observable state.
@@ -106,6 +106,14 @@ impl ImpactVerdict {
             self
         }
     }
+
+    /// [`ImpactVerdict::combine`] with a borrowed verdict, cloned only when
+    /// it wins.
+    fn fold(&mut self, other: &ImpactVerdict) {
+        if other.reach > self.reach {
+            self.clone_from(other);
+        }
+    }
 }
 
 impl Default for ImpactVerdict {
@@ -119,64 +127,58 @@ fn bit(r: Reg) -> u16 {
 }
 
 /// Computes pair impact verdicts over the per-thread CFGs. Read-taint walks
-/// are memoized per `(thread, pc)`, so the cross-product loop pays the walk
-/// once per racy load, not once per pair. Both per-thread tables are
-/// indexed by the pc's CFG slot ([`Cfg::slot`]).
+/// are memoized per access, so the cross-product loop pays the walk once
+/// per racy load, not once per pair.
 pub(crate) struct ImpactAnalyzer<'a> {
     program: &'a Program,
     cfgs: &'a [Cfg],
-    /// Region-block id per slot, per thread, partitioned the first time a
-    /// pair in that thread asks for it. A block is the set of pcs connected
+    threads: &'a [ThreadSummary],
+    /// Per thread, what pairs ask about its accesses, filled the first time
+    /// a pair in that thread asks.
+    accesses: Vec<OnceCell<AccessImpact>>,
+}
+
+/// What the impact pass knows about one thread's accesses, indexed like
+/// [`ThreadSummary::accesses`].
+struct AccessImpact {
+    /// Each access's region block. A block is the set of pcs connected
     /// without crossing a sequencer point — a static over-approximation of
     /// any dynamic replay region through those pcs. Sequencer pcs are
     /// singleton blocks (they bound regions and form single-instruction
     /// regions of their own).
-    blocks: Vec<OnceCell<Vec<usize>>>,
-    /// Read-taint verdict per slot, per thread; a thread's table is
-    /// allocated when its first read is asked about.
-    memo: Vec<Vec<Option<ImpactVerdict>>>,
+    blocks: Vec<usize>,
+    /// Each read's taint verdict, once a pair asks for it.
+    reads: Vec<OnceCell<ImpactVerdict>>,
 }
 
 impl<'a> ImpactAnalyzer<'a> {
-    pub(crate) fn new(program: &'a Program, cfgs: &'a [Cfg]) -> Self {
-        let blocks = cfgs.iter().map(|_| OnceCell::new()).collect();
-        let memo = cfgs.iter().map(|_| Vec::new()).collect();
-        ImpactAnalyzer { program, cfgs, blocks, memo }
+    pub(crate) fn new(program: &'a Program, cfgs: &'a [Cfg], threads: &'a [ThreadSummary]) -> Self {
+        let accesses = threads.iter().map(|_| OnceCell::new()).collect();
+        ImpactAnalyzer { program, cfgs, threads, accesses }
     }
 
-    /// The region block of `pc` in `thread`, partitioning the thread on
-    /// first use; `None` for a pc the thread cannot reach.
-    fn block(&self, thread: usize, pc: usize) -> Option<usize> {
-        let cfg = &self.cfgs[thread];
-        let blocks = self.blocks[thread].get_or_init(|| region_blocks(self.program, cfg));
-        cfg.slot(pc).map(|slot| blocks[slot])
+    /// The thread's access table, partitioning the thread into region
+    /// blocks on first use.
+    fn thread(&self, thread: usize) -> &AccessImpact {
+        self.accesses[thread].get_or_init(|| {
+            let cfg = &self.cfgs[thread];
+            let slots = region_blocks(self.program, cfg);
+            let accesses = &self.threads[thread].accesses;
+            let slot = |a: &Access| cfg.slot(a.pc).expect("an access sits at a reachable pc");
+            AccessImpact {
+                blocks: accesses.iter().map(|a| slots[slot(a)]).collect(),
+                reads: accesses.iter().map(|_| OnceCell::new()).collect(),
+            }
+        })
     }
 
-    /// The impact verdict for one cross-thread access pair: fold the taint
-    /// components of every cross-region conflict between the two region
-    /// blocks.
-    pub(crate) fn pair_impact(
-        &mut self,
-        thread_a: usize,
-        a: &Access,
-        thread_b: usize,
-        b: &Access,
-        accesses_a: &[Access],
-        accesses_b: &[Access],
-    ) -> ImpactVerdict {
-        let (Some(block_a), Some(block_b)) =
-            (self.block(thread_a, a.pc), self.block(thread_b, b.pc))
-        else {
-            // An access at an unpartitioned pc should not happen; widen.
-            return ImpactVerdict::sink(Reach::Possible, vec![a.pc]);
-        };
-        let in_a: Vec<&Access> =
-            accesses_a.iter().filter(|x| self.block(thread_a, x.pc) == Some(block_a)).collect();
-        let in_b: Vec<&Access> =
-            accesses_b.iter().filter(|y| self.block(thread_b, y.pc) == Some(block_b)).collect();
+    /// The impact verdict for the access pair `(ia, ib)`, each an index into
+    /// its thread's accesses: fold the taint components of every
+    /// cross-region conflict between the two region blocks.
+    pub(crate) fn pair_impact(&self, ta: usize, ia: usize, tb: usize, ib: usize) -> ImpactVerdict {
         let mut verdict = ImpactVerdict::UNREACHABLE;
-        for x in &in_a {
-            for y in &in_b {
+        for (kx, x) in self.block_mates(ta, ia) {
+            for (ky, y) in self.block_mates(tb, ib) {
                 if !x.loc.may_alias(y.loc) || (!x.writes && !y.writes) {
                     continue;
                 }
@@ -186,10 +188,10 @@ impl<'a> ImpactAnalyzer<'a> {
                     }
                 }
                 if x.reads && y.writes {
-                    verdict = verdict.combine(self.read_component(thread_a, x));
+                    verdict.fold(self.read_component(ta, kx));
                 }
                 if y.reads && x.writes {
-                    verdict = verdict.combine(self.read_component(thread_b, y));
+                    verdict.fold(self.read_component(tb, ky));
                 }
                 if verdict.reach == Reach::Proven {
                     return verdict;
@@ -199,27 +201,29 @@ impl<'a> ImpactAnalyzer<'a> {
         verdict
     }
 
-    /// The taint component of one order-dependent *read*: where can the
-    /// captured value still be observed?
-    fn read_component(&mut self, thread: usize, access: &Access) -> ImpactVerdict {
-        if access.atomic {
-            // An atomic's captured value (`lock.*` old word, `cas` success
-            // flag) is a register live-out of its own single-instruction
-            // region: observable at the boundary immediately.
-            return ImpactVerdict::sink(Reach::Possible, vec![access.pc]);
-        }
-        let cfg = &self.cfgs[thread];
-        let slot = cfg.slot(access.pc).expect("an access sits at a reachable pc");
-        let memo = &mut self.memo[thread];
-        if memo.is_empty() {
-            memo.resize(cfg.reachable.len(), None);
-        }
-        if let Some(v) = &memo[slot] {
-            return v.clone();
-        }
-        let v = self.taint_walk(thread, access.pc);
-        self.memo[thread][slot] = Some(v.clone());
-        v
+    /// The accesses of `thread` in the region block of its `k`th access,
+    /// each with its index.
+    fn block_mates(&self, thread: usize, k: usize) -> impl Iterator<Item = (usize, &Access)> {
+        let blocks = &self.thread(thread).blocks;
+        let accesses = self.threads[thread].accesses.iter().enumerate();
+        accesses.filter(move |&(i, _)| blocks[i] == blocks[k])
+    }
+
+    /// The taint component of one order-dependent *read*, the `k`th access
+    /// of `thread`: where can the captured value still be observed?
+    fn read_component(&self, thread: usize, k: usize) -> &ImpactVerdict {
+        self.thread(thread).reads[k].get_or_init(|| {
+            let access = &self.threads[thread].accesses[k];
+            if access.atomic {
+                // An atomic's captured value (`lock.*` old word, `cas`
+                // success flag) is a register live-out of its own
+                // single-instruction region: observable at the boundary
+                // immediately.
+                ImpactVerdict::sink(Reach::Possible, vec![access.pc])
+            } else {
+                self.taint_walk(thread, access.pc)
+            }
+        })
     }
 
     /// Forward taint walk from a racy plain load: seed the destination

@@ -224,6 +224,31 @@ spin{n}:\n\
     }
 
     #[test]
+    fn a_side_run_by_two_threads_renders_names_and_locations_sorted_as_text() {
+        // `zeta` and `alpha` run one load with different base args, and the
+        // writer's unresolved store pairs with both: the load side's names
+        // and locations sort as text, not by thread index or location.
+        let a = crate::analyze(&prog(
+            ".thread writer\n  ld r2, [r15+8]\n  st [r2+0], r1\n  halt\n\
+             .thread zeta 256\n.thread alpha 64\n  ld r3, [r0+0]\n  halt\n",
+        ));
+        assert_eq!(a.warnings.len(), 1);
+        let text = crate::render_text(&a);
+        assert!(
+            text.contains("pc 3 (read) at global 0x100 | global 0x40 by alpha, zeta"),
+            "{text}"
+        );
+        let json = minijson::Json::parse(&crate::render_json(&a).to_string_pretty()).unwrap();
+        let hi = json.field("warnings").unwrap().as_arr().unwrap()[0].field("hi").unwrap();
+        let strs = |key: &str| -> Vec<String> {
+            let arr = hi.field(key).unwrap().as_arr().unwrap();
+            arr.iter().map(|j| j.as_str().unwrap().to_string()).collect()
+        };
+        assert_eq!(strs("threads"), ["alpha", "zeta"]);
+        assert_eq!(strs("locations"), ["global 0x100", "global 0x40"]);
+    }
+
+    #[test]
     fn report_renders_text_and_json() {
         let a = crate::analyze(&prog(
             ".thread a\n  movi r1, 1\n  st [r15+32], r1\n  halt\n\

@@ -1,5 +1,5 @@
 //! Static may-happen-in-parallel (MHP) analysis over sequencer-point
-//! segments and validated flag handoffs (`DESIGN.md` §D11).
+//! regions and validated flag handoffs (`DESIGN.md` §D11).
 //!
 //! The dynamic detector orders *regions*: the stretches of a thread's
 //! execution between consecutive sequencer points (atomics, fences,
@@ -7,11 +7,12 @@
 //! begins in the recorded sequencer total order. This pass reconstructs
 //! that graph statically:
 //!
-//! 1. **Segmentation** — a thread's CFG is cut at sequencer points. Every
-//!    reachable pc gets a *region-start signature* (the set of sequencer
-//!    pcs that can be the last one executed before it). Only the acquire
-//!    thread of a closed order edge is segmented, when its post-region is
-//!    first needed; the release side's pre-region is its own fixpoint.
+//! 1. **Reachability sweeps** — the acquire side's post-region, every
+//!    dominance query and the release-cycle check are sweeps of one
+//!    helper, `Cfg::reach`, in which a pc the sweep may not leave cuts the
+//!    paths through it. Sequencer points that may not be left bound
+//!    regions; an acquire that may not be left shows what it dominates.
+//!    The release side's pre-region is its own fixpoint.
 //! 2. **Handoff recognition** — a *release site* is an atomic that
 //!    provably stores a non-zero constant to one exact global flag word
 //!    (`xchg`/`lock.or` of a non-zero constant, or a `cas 0 -> nonzero`).
@@ -53,8 +54,8 @@ use tvm::isa::{Cond, Instr, Reg, RmwOp};
 use tvm::program::Program;
 
 use crate::absint::{Reached, ThreadFlow};
-use crate::analysis::{Demotion, ThreadSummary};
-use crate::cfg::{is_sequencer, Cfg};
+use crate::analysis::{rogue_write, Demotion, ThreadSummary};
+use crate::cfg::{def_of, is_sequencer, Cfg, PcSet};
 
 /// Instructions scanned past the acquire atomic for its zero-test branch,
 /// and followed along the spin back-edge.
@@ -97,18 +98,6 @@ pub struct OrderEdge {
     pub acquire_thread: usize,
 }
 
-/// Per-thread segment structure: the sequencer points cutting the CFG and
-/// each pc's region signatures.
-#[derive(Clone, Debug, Default)]
-struct Segmentation {
-    /// Reachable sequencer-point pcs.
-    sequencers: BTreeSet<usize>,
-    /// Region-start signature: the set of sequencer pcs that can be the
-    /// last one executed before this pc, plus whether an entirely
-    /// sequencer-free path from the entry reaches it.
-    start: BTreeMap<usize, (BTreeSet<usize>, bool)>,
-}
-
 /// The full order analysis: validated handoffs, closed edges, and the
 /// pre/post regions backing the [`OrderAnalysis::statically_ordered`]
 /// query.
@@ -129,9 +118,9 @@ pub struct OrderAnalysis {
 #[derive(Clone, Debug)]
 struct OrderSpan {
     release_thread: usize,
-    pre: BTreeSet<usize>,
+    pre: PcSet,
     acquire_thread: usize,
-    post: BTreeSet<usize>,
+    post: PcSet,
 }
 
 impl OrderAnalysis {
@@ -145,8 +134,8 @@ impl OrderAnalysis {
         self.spans.iter().any(|s| {
             s.release_thread == ta
                 && s.acquire_thread == tb
-                && s.pre.contains(&pc_a)
-                && s.post.contains(&pc_b)
+                && s.pre.contains(pc_a)
+                && s.post.contains(pc_b)
         })
     }
 
@@ -237,17 +226,9 @@ pub fn analyze_order(
             // Any other may-write to the flag word breaks the "only the
             // release makes it non-zero" invariant. The spin atomics are
             // identity writes and the release is the sanctioned one.
-            let allowed: BTreeSet<usize> =
-                acq.iter().map(|a| a.pc).chain(rel.first().map(|r| r.pc)).collect();
-            let word = crate::domain::AbsLoc::Global { lo: addr, hi: addr };
-            'scan: for thread in threads {
-                for a in &thread.accesses {
-                    if a.writes && !allowed.contains(&a.pc) && a.loc.may_alias(word) {
-                        demoted = Some(Demotion::RogueWrite { pc: a.pc });
-                        break 'scan;
-                    }
-                }
-            }
+            demoted = rogue_write(threads, addr, |pc| {
+                acq.iter().any(|a| a.pc == pc) || rel.first().is_some_and(|r| r.pc == pc)
+            });
         }
 
         let release = rel.first().cloned();
@@ -304,15 +285,12 @@ pub fn analyze_order(
         }
     }
 
-    // Segment a thread only when a span first needs its post-region.
-    let mut segs: BTreeMap<usize, Segmentation> = BTreeMap::new();
     for &(rt, rp, at, ap) in &closed {
         let pre = pre_region(program, &cfgs[rt], rp);
         if pre.is_empty() {
             continue;
         }
-        let seg = segs.entry(at).or_insert_with(|| segment_thread(program, &cfgs[at]));
-        let post = post_region(program, &cfgs[at], seg, ap);
+        let post = post_region(program, &cfgs[at], ap);
         if !post.is_empty() {
             spans.push(OrderSpan { release_thread: rt, pre, acquire_thread: at, post });
         }
@@ -400,7 +378,7 @@ fn acquire_shape(
                 }
                 return AcquireShape::Spin(addr);
             }
-            Some(i) if register_only(i) && instr_dst(i) != Some(dst) => at += 1,
+            Some(i) if register_only(i) && def_of(i) != Some(dst) => at += 1,
             _ => return AcquireShape::None,
         }
     }
@@ -429,16 +407,6 @@ fn register_only(i: &Instr) -> bool {
     matches!(i, Instr::MovImm { .. } | Instr::Mov { .. } | Instr::Bin { .. } | Instr::BinImm { .. })
 }
 
-fn instr_dst(i: &Instr) -> Option<Reg> {
-    match *i {
-        Instr::MovImm { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::BinImm { dst, .. } => Some(dst),
-        _ => None,
-    }
-}
-
 /// Release-site validation: must execute at most once (not on a CFG
 /// cycle) and be reachable by exactly one thread.
 fn validate_release(program: &Program, cfgs: &[Cfg], r: &ReleaseSite) -> Option<Demotion> {
@@ -448,37 +416,28 @@ fn validate_release(program: &Program, cfgs: &[Cfg], r: &ReleaseSite) -> Option<
     }
     let cfg = &cfgs[r.thread];
     // On a cycle iff the release is reachable from its own successors.
-    let mut seen = BTreeSet::new();
-    let mut work: Vec<usize> = cfg.successors(program, r.pc).collect();
-    while let Some(pc) = work.pop() {
-        if pc == r.pc {
-            return Some(Demotion::RepeatableRelease { pc: r.pc });
-        }
-        if seen.insert(pc) {
-            work.extend(cfg.successors(program, pc));
-        }
-    }
-    None
+    let cycle = cfg.reach(program, cfg.successors(program, r.pc), |_| true).contains(r.pc);
+    cycle.then_some(Demotion::RepeatableRelease { pc: r.pc })
 }
 
 /// The release's pre-region: pcs from which **every** maximal path reaches
 /// a sequencer point, and the first one reached is always the release.
 /// Computed as a least fixpoint, so sequencer-free cycles (which could
 /// postpone the region's end forever) conservatively stay out.
-fn pre_region(program: &Program, cfg: &Cfg, release: usize) -> BTreeSet<usize> {
-    let mut ok: BTreeSet<usize> = BTreeSet::new();
+fn pre_region(program: &Program, cfg: &Cfg, release: usize) -> PcSet {
+    let mut ok = PcSet::new(program.len());
     let mut changed = true;
     while changed {
         changed = false;
         for &pc in &cfg.reachable {
-            if ok.contains(&pc) {
+            if ok.contains(pc) {
                 continue;
             }
             let good = if is_sequencer(program, pc) {
                 pc == release
             } else {
                 let mut succs = cfg.successors(program, pc).peekable();
-                succs.peek().is_some() && succs.all(|s| ok.contains(&s))
+                succs.peek().is_some() && succs.all(|s| ok.contains(s))
             };
             if good {
                 ok.insert(pc);
@@ -490,90 +449,37 @@ fn pre_region(program: &Program, cfg: &Cfg, release: usize) -> BTreeSet<usize> {
 }
 
 /// The acquire's post-region: pcs whose region provably starts at or after
-/// the spin's *successful* exit. A pc qualifies when no sequencer-free path
-/// from the entry reaches it and every sequencer in its region-start
-/// signature is the acquire itself or is *dominated by* the acquire — a
-/// dominated sequencer's nearest preceding acquire occurrence is always the
+/// the spin's *successful* exit. A pc qualifies when neither the entry nor
+/// a sequencer the acquire does not dominate reaches it along a
+/// sequencer-free path — so the last sequencer before it is always the
+/// acquire itself or a sequencer the acquire *dominates*. A dominated
+/// sequencer's nearest preceding acquire occurrence is always the
 /// successful one (the spin's only non-revisiting exit is the non-zero
 /// edge), so by induction its own region start also follows the release.
 /// The acquire pc itself is excluded — its failed iterations are points
 /// that may precede the release.
-fn post_region(
-    program: &Program,
-    cfg: &Cfg,
-    seg: &Segmentation,
-    acquire: usize,
-) -> BTreeSet<usize> {
-    let after_acquire: BTreeSet<usize> = seg
-        .sequencers
-        .iter()
-        .copied()
-        .filter(|&s| s == acquire || dominates(program, cfg, acquire, s))
-        .collect();
-    seg.start
-        .iter()
-        .filter(|&(&pc, (starts, unsequenced))| {
-            pc != acquire
-                && !unsequenced
-                && !starts.is_empty()
-                && starts.iter().all(|s| after_acquire.contains(s))
-        })
-        .map(|(&pc, _)| pc)
-        .collect()
+fn post_region(program: &Program, cfg: &Cfg, acquire: usize) -> PcSet {
+    // The pcs reachable without passing the acquire: every sequencer among
+    // them other than the acquire is one it does not dominate.
+    let around = cfg.reach(program, [cfg.entry], |pc| pc != acquire);
+    let undominated = around.iter().filter(|&s| s != acquire && is_sequencer(program, s));
+    let seeds = undominated.flat_map(|s| cfg.successors(program, s)).chain([cfg.entry]);
+    let early = cfg.reach(program, seeds, |pc| !is_sequencer(program, pc));
+    let mut post = PcSet::new(program.len());
+    for &pc in &cfg.reachable {
+        if pc != acquire && !early.contains(pc) {
+            post.insert(pc);
+        }
+    }
+    post
 }
 
 /// Whether every path from the thread entry to `target` passes through
-/// `dom` (checked by deleting `dom` and testing reachability).
+/// `dom`: a sweep from the entry that may not leave `dom` misses `target`.
 fn dominates(program: &Program, cfg: &Cfg, dom: usize, target: usize) -> bool {
-    if dom == target || !cfg.contains(target) {
-        return false;
-    }
-    let mut seen = BTreeSet::new();
-    let mut work = vec![cfg.entry];
-    while let Some(pc) = work.pop() {
-        if pc == dom || !seen.insert(pc) {
-            continue;
-        }
-        if pc == target {
-            return false;
-        }
-        work.extend(cfg.successors(program, pc));
-    }
-    true
-}
-
-/// Forward region-start dataflow: for each reachable pc, the set of
-/// sequencer pcs that can be the last one executed before it.
-fn segment_thread(program: &Program, cfg: &Cfg) -> Segmentation {
-    let mut seg = Segmentation::default();
-    if !cfg.contains(cfg.entry) {
-        return seg;
-    }
-    for &pc in &cfg.reachable {
-        if is_sequencer(program, pc) {
-            seg.sequencers.insert(pc);
-        }
-    }
-    seg.start.insert(cfg.entry, (BTreeSet::new(), true));
-    let mut work = vec![cfg.entry];
-    while let Some(pc) = work.pop() {
-        let (starts, unsequenced) = seg.start.get(&pc).expect("queued pc has state").clone();
-        let out: (BTreeSet<usize>, bool) = if is_sequencer(program, pc) {
-            ([pc].into_iter().collect(), false)
-        } else {
-            (starts, unsequenced)
-        };
-        for succ in cfg.successors(program, pc) {
-            let entry = seg.start.entry(succ).or_default();
-            let before = entry.clone();
-            entry.0.extend(out.0.iter().copied());
-            entry.1 |= out.1;
-            if *entry != before {
-                work.push(succ);
-            }
-        }
-    }
-    seg
+    dom != target
+        && cfg.contains(target)
+        && !cfg.reach(program, [cfg.entry], |pc| pc != dom).contains(target)
 }
 
 #[cfg(test)]
@@ -753,6 +659,89 @@ spin:
         assert!(a.order.handoffs[0].valid());
         assert!(a.candidates.contains(1, 5), "pre-spin read must stay");
         assert!(!a.candidates.contains(1, 9), "post-spin read is ordered");
+    }
+
+    #[test]
+    fn a_spin_at_the_thread_entry_dominates_every_later_sequencer() {
+        // The consumer's first instruction is the spin's atomic (registers
+        // start at zero), so every path to the fence passes the acquire:
+        // both loads, before and after the fence, are ordered.
+        let src = "\
+.thread producer
+  movi r1, 42
+  st [r15+8], r1
+  movi r2, 1
+  xchg r3, [r15+16], r2
+  halt
+.thread consumer
+spin:
+  lock.or r1, [r15+16], r2
+  beq r1, r15, spin
+  ld r4, [r15+8]
+  fence
+  ld r5, [r15+8]
+  halt
+";
+        let a = crate::analyze(&prog(src));
+        assert!(a.order.handoffs[0].valid());
+        for load in [7, 9] {
+            assert!(a.order.statically_ordered(0, 1, 1, load), "load at pc {load}");
+            assert!(!a.candidates.contains(1, load), "load at pc {load}");
+        }
+    }
+
+    #[test]
+    fn a_fence_on_a_path_around_the_spin_keeps_the_load_after_it() {
+        // An unknown flag can skip the spin and reach the fence, so the
+        // fence may be the last sequencer before the load with no
+        // successful acquire behind it.
+        let src = "\
+.thread producer
+  movi r1, 42
+  st [r15+8], r1
+  movi r2, 1
+  xchg r3, [r15+16], r2
+  halt
+.thread consumer
+  ld r6, [r15+24]
+  bne r6, r15, skip
+spin:
+  movi r2, 0
+  lock.or r1, [r15+16], r2
+  beq r1, r15, spin
+skip:
+  fence
+  ld r4, [r15+8]
+  halt
+";
+        let a = crate::analyze(&prog(src));
+        assert!(a.order.handoffs[0].valid());
+        assert!(!a.order.statically_ordered(0, 1, 1, 11));
+        assert!(a.candidates.contains(1, 11), "the load after the bypassed fence must stay");
+    }
+
+    #[test]
+    fn a_fence_the_spin_dominates_keeps_the_pcs_after_it_in_the_post_region() {
+        let src = "\
+.thread producer
+  movi r1, 42
+  st [r15+8], r1
+  movi r2, 1
+  xchg r3, [r15+16], r2
+  halt
+.thread consumer
+spin:
+  movi r2, 0
+  lock.or r1, [r15+16], r2
+  beq r1, r15, spin
+  fence
+  ld r4, [r15+8]
+  halt
+";
+        let a = crate::analyze(&prog(src));
+        assert!(a.order.handoffs[0].valid());
+        assert!(a.order.statically_ordered(0, 1, 1, 9));
+        assert!(!a.candidates.contains(1, 9), "the load after the dominated fence is ordered");
     }
 
     #[test]

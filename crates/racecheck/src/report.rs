@@ -3,7 +3,7 @@
 
 use minijson::Json;
 
-use crate::analysis::{Analysis, Demotion, RaceWarning, WarningSide};
+use crate::analysis::{Analysis, Demotion, RaceWarning, ThreadSummary, WarningSide};
 use crate::idioms::PredictedVerdict;
 
 fn predicted_kind(p: PredictedVerdict) -> &'static str {
@@ -39,10 +39,23 @@ fn side_kind(s: &WarningSide) -> &'static str {
     }
 }
 
-fn fmt_side(s: &WarningSide) -> String {
-    let threads: Vec<&str> = s.threads.iter().map(String::as_str).collect();
-    let locs: Vec<&str> = s.locs.iter().map(String::as_str).collect();
-    format!("pc {} ({}) at {} by {}", s.pc, side_kind(s), locs.join(" | "), threads.join(", "))
+/// A side's thread names and rendered locations, each sorted and deduped
+/// as text.
+fn side_text(s: &WarningSide, threads: &[ThreadSummary]) -> (Vec<String>, Vec<String>) {
+    let sorted = |mut text: Vec<String>| {
+        text.sort_unstable();
+        text.dedup();
+        text
+    };
+    (
+        sorted(s.threads.iter().map(|&t| threads[t].name.clone()).collect()),
+        sorted(s.locs.iter().map(ToString::to_string).collect()),
+    )
+}
+
+fn fmt_side(s: &WarningSide, threads: &[ThreadSummary]) -> String {
+    let (names, locs) = side_text(s, threads);
+    format!("pc {} ({}) at {} by {}", s.pc, side_kind(s), locs.join(" | "), names.join(", "))
 }
 
 /// Renders the lint report as human-readable text.
@@ -126,8 +139,8 @@ pub fn render_text(analysis: &Analysis) -> String {
         for w in &analysis.warnings {
             let tag = if w.unresolved { " [unresolved address]" } else { "" };
             let _ = writeln!(out, "  W {}..{}{}", w.lo.pc, w.hi.pc, tag);
-            let _ = writeln!(out, "    {}", fmt_side(&w.lo));
-            let _ = writeln!(out, "    {}", fmt_side(&w.hi));
+            let _ = writeln!(out, "    {}", fmt_side(&w.lo, &analysis.threads));
+            let _ = writeln!(out, "    {}", fmt_side(&w.hi, &analysis.threads));
             let _ = writeln!(
                 out,
                 "    predicted {} (idiom {}, {} confidence)",
@@ -163,16 +176,17 @@ fn demotion_json(d: Option<Demotion>) -> (&'static str, Json) {
     }
 }
 
-fn side_json(s: &WarningSide) -> Json {
+fn side_json(s: &WarningSide, threads: &[ThreadSummary]) -> Json {
+    let (names, locs) = side_text(s, threads);
     Json::obj(vec![
         ("pc", Json::from(s.pc)),
         ("kind", Json::str(side_kind(s))),
-        ("threads", Json::Arr(s.threads.iter().map(Json::str).collect())),
-        ("locations", Json::Arr(s.locs.iter().map(Json::str).collect())),
+        ("threads", Json::Arr(names.into_iter().map(Json::Str).collect())),
+        ("locations", Json::Arr(locs.into_iter().map(Json::Str).collect())),
     ])
 }
 
-fn warning_json(w: &RaceWarning) -> Json {
+fn warning_json(w: &RaceWarning, threads: &[ThreadSummary]) -> Json {
     Json::obj(vec![
         ("pc_lo", Json::from(w.lo.pc)),
         ("pc_hi", Json::from(w.hi.pc)),
@@ -182,8 +196,8 @@ fn warning_json(w: &RaceWarning) -> Json {
         ("confidence", Json::str(w.predicted.confidence.label())),
         ("impact", Json::str(w.impact.reach.tag())),
         ("sink_chain", Json::Arr(w.impact.sink_chain.iter().map(|&p| Json::from(p)).collect())),
-        ("lo", side_json(&w.lo)),
-        ("hi", side_json(&w.hi)),
+        ("lo", side_json(&w.lo, threads)),
+        ("hi", side_json(&w.hi, threads)),
     ])
 }
 
@@ -298,6 +312,11 @@ pub fn render_json(analysis: &Analysis) -> Json {
         ("handoffs", Json::Arr(handoffs)),
         ("order_edges", Json::Arr(order_edges)),
         ("pruned_pairs", Json::Arr(pruned_pairs)),
-        ("warnings", Json::Arr(analysis.warnings.iter().map(warning_json).collect())),
+        (
+            "warnings",
+            Json::Arr(
+                analysis.warnings.iter().map(|w| warning_json(w, &analysis.threads)).collect(),
+            ),
+        ),
     ])
 }

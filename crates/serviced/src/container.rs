@@ -6,6 +6,10 @@
 //! the recorded schedule) and the LZSS-compressed encoded log. This module
 //! used to live in the CLI crate; it moved here so the service can decode
 //! submitted logs without depending on the command-line front end.
+//! [`split_layers`] is the one parser of that layout: the loaders and
+//! `racerep doctor` both call it.
+
+use std::fmt;
 
 use idna_replay::codec::{decode_log_mode, decompress, DecodeMode, DecodeReport, LogWriter};
 use idna_replay::event::ReplayLog;
@@ -70,6 +74,80 @@ pub fn schedule_from_json(doc: &Json) -> Result<RunConfig, String> {
     Ok(RunConfig { policy, max_steps: u64_field(doc, "max_steps")? })
 }
 
+/// A log container split into its layers.
+#[derive(Debug)]
+pub struct Layers {
+    /// The schedule the log was recorded under.
+    pub schedule: RunConfig,
+    /// The schedule header's length in bytes.
+    pub header_len: usize,
+    /// The compressed payload's length in bytes.
+    pub compressed_len: usize,
+    /// The payload, decompressed: the encoded log.
+    pub raw: Vec<u8>,
+}
+
+/// The first layer of a log container that failed to parse, outermost
+/// first.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LayerFault {
+    /// The file does not start with [`FILE_MAGIC`].
+    Magic,
+    /// Fewer than four bytes follow the magic, so the schedule header has
+    /// no length field.
+    LengthField,
+    /// The file ends inside the schedule header.
+    ShortHeader {
+        /// The header length the length field declares.
+        declared: usize,
+    },
+    /// The schedule header is not a schedule.
+    Schedule(String),
+    /// The payload does not decompress; every layer outside it parsed.
+    Compression {
+        /// The schedule header's length in bytes.
+        header_len: usize,
+        /// The decompressor's error.
+        error: String,
+    },
+}
+
+impl fmt::Display for LayerFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LayerFault::Magic => f.write_str("not a racerep log file (bad magic)"),
+            LayerFault::LengthField => f.write_str("truncated log file header"),
+            LayerFault::ShortHeader { .. } => f.write_str("truncated schedule header"),
+            LayerFault::Schedule(e) => write!(f, "bad schedule header: {e}"),
+            LayerFault::Compression { error, .. } => f.write_str(error),
+        }
+    }
+}
+
+/// Splits a log container into its layers: the magic, the length-prefixed
+/// schedule header and the compressed payload.
+///
+/// # Errors
+///
+/// Names the first layer that fails to parse.
+pub fn split_layers(bytes: &[u8]) -> Result<Layers, LayerFault> {
+    let payload = bytes.strip_prefix(&FILE_MAGIC[..]).ok_or(LayerFault::Magic)?;
+    let (len, rest) = payload.split_first_chunk::<4>().ok_or(LayerFault::LengthField)?;
+    let header_len = u32::from_le_bytes(*len) as usize;
+    if rest.len() < header_len {
+        return Err(LayerFault::ShortHeader { declared: header_len });
+    }
+    let (header, compressed) = rest.split_at(header_len);
+    let schedule = std::str::from_utf8(header)
+        .map_err(|e| e.to_string())
+        .and_then(|h| Json::parse(h).map_err(|e| e.to_string()))
+        .and_then(|doc| schedule_from_json(&doc))
+        .map_err(LayerFault::Schedule)?;
+    let raw = decompress(compressed)
+        .map_err(|e| LayerFault::Compression { header_len, error: e.to_string() })?;
+    Ok(Layers { schedule, header_len, compressed_len: compressed.len(), raw })
+}
+
 /// Parses the container format with an explicit [`DecodeMode`], returning
 /// the decoder's [`DecodeReport`] alongside the log. The container framing
 /// (magic, schedule header, compression) must be intact even in tolerant
@@ -84,23 +162,7 @@ pub fn log_from_bytes_mode(
     bytes: &[u8],
     mode: DecodeMode,
 ) -> Result<(ReplayLog, RunConfig, DecodeReport), String> {
-    let payload = bytes
-        .strip_prefix(&FILE_MAGIC[..])
-        .ok_or_else(|| String::from("not a racerep log file (bad magic)"))?;
-    if payload.len() < 4 {
-        return Err("truncated log file header".into());
-    }
-    let hlen = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    if payload.len() < 4 + hlen {
-        return Err("truncated schedule header".into());
-    }
-    let header = std::str::from_utf8(&payload[4..4 + hlen])
-        .map_err(|e| format!("bad schedule header: {e}"))?;
-    let schedule = Json::parse(header)
-        .map_err(|e| e.to_string())
-        .and_then(|doc| schedule_from_json(&doc))
-        .map_err(|e| format!("bad schedule header: {e}"))?;
-    let raw = decompress(&payload[4 + hlen..]).map_err(|e| e.to_string())?;
-    let (log, report) = decode_log_mode(&raw, mode).map_err(|e| e.to_string())?;
-    Ok((log, schedule, report))
+    let layers = split_layers(bytes).map_err(|fault| fault.to_string())?;
+    let (log, report) = decode_log_mode(&layers.raw, mode).map_err(|e| e.to_string())?;
+    Ok((log, layers.schedule, report))
 }
