@@ -8,10 +8,10 @@
 //! racerep record    prog.tasm -o run.idna [--schedule S]
 //! racerep replay    prog.tasm run.idna
 //! racerep races     prog.tasm run.idna [--format text|json] [--permissive]
-//!                   [--triage-db db.json] [--jobs N] [--batch off|shared]
-//!                   [--replay-stats] [--trust-static MODE] [--tolerant]
+//!                   [--triage-db db.json] [--jobs N] [--replay-stats]
+//!                   [--trust-static MODE] [--tolerant]
 //! racerep classify  prog.tasm [--schedule S] [--format text|json] [--jobs N]
-//!                   [--batch off|shared] [--trust-static MODE]
+//!                   [--trust-static MODE]
 //! racerep lint      prog.tasm [--format text|json] [--fail-on none|harmful|warnings]
 //! racerep triage    db.json <benign|harmful> <pc_lo> <pc_hi> [note...]
 //! racerep loginfo   run.idna
@@ -30,8 +30,7 @@
 //! `lint` runs the `racecheck` static analyzer — CFG construction, abstract
 //! interpretation, lockset recognition, order analysis — and prints the
 //! statically-may-race warnings without executing the program at all.
-//! `--format json` (or the legacy `--json` alias, accepted everywhere
-//! `--format` is) emits the machine-readable report documented in the
+//! `--format json` emits the machine-readable report documented in the
 //! README. `--fail-on` makes lint usable as a CI gate: exit 1 when any
 //! warning (`warnings`) or any warning not predicted benign (`harmful`)
 //! survives the analysis; the default (`none`) always exits 0. The
@@ -40,12 +39,12 @@
 //! `unreachable`) — a race with no witness cannot corrupt anything.
 //!
 //! `--jobs N` sets the classifier's worker-thread count (0 or omitted =
-//! available parallelism, 1 = single-threaded); `--batch` toggles
-//! shared-prefix replay (`shared`, the default, executes each racing
-//! region pair's common oracle prefix once for every pair and both orders
-//! and forks per pair and order; `off` replays each order of each pair
-//! from scratch).
-//! Neither changes the classification, only its cost. `--replay-stats` on
+//! available parallelism, 1 = single-threaded); it changes the cost of
+//! the classification, never the classification. The CLI replays with
+//! the shared-prefix engine; the paper-literal reference engine
+//! ([`BatchMode::Off`](replay_race::classify::BatchMode::Off)) gives
+//! byte-identical reports and is reached through
+//! [`ClassifierConfig::batching`]. `--replay-stats` on
 //! `races` appends the replay-engine counters — vproc replays and the
 //! batch/fork/prefix figures — to the text report, or as a `replay_stats`
 //! object in `--format json`.
@@ -94,9 +93,7 @@ use idna_replay::event::ReplayLog;
 use idna_replay::recorder::record;
 use idna_replay::replayer::replay;
 use idna_replay::vproc::VprocConfig;
-use replay_race::classify::{
-    BatchMode, ClassificationResult, ClassifierConfig, TrustStatic, Verdict,
-};
+use replay_race::classify::{ClassificationResult, ClassifierConfig, TrustStatic, Verdict};
 use replay_race::detect::DetectorConfig;
 use replay_race::pipeline::{analyze_log, run_pipeline, PipelineConfig};
 use replay_race::report::Report;
@@ -847,7 +844,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
     let mut triage_db: Option<String> = None;
     let mut max_steps: Option<u64> = None;
     let mut jobs: usize = 0;
-    let mut batching = BatchMode::default();
     let mut replay_stats = false;
     let mut trust_static = TrustStatic::default();
     let mut fail_on = FailOn::default();
@@ -868,7 +864,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
                 max_steps = Some(parse_number("--max-steps", value("--max-steps needs a value")?)?);
             }
             "-o" | "--output" => out_path = Some(value("-o needs a path")?.clone()),
-            "--json" => json = true,
             "--format" => {
                 json = match value("--format needs text or json")?.as_str() {
                     "json" => true,
@@ -880,10 +875,6 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
             "--stats" => stats = true,
             "--tolerant" => tolerant = true,
             "--jobs" | "-j" => jobs = parse_number("--jobs", value("--jobs needs a count")?)?,
-            "--batch" => {
-                batching = BatchMode::parse(value("--batch needs a mode")?)
-                    .map_err(|message| CliError { message })?;
-            }
             "--replay-stats" => replay_stats = true,
             "--trust-static" => {
                 trust_static = TrustStatic::parse(value("--trust-static needs a mode")?)
@@ -908,7 +899,7 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
         schedule = schedule.with_max_steps(ms);
     }
     let vproc = if permissive { VprocConfig::permissive() } else { VprocConfig::default() };
-    let classifier = ClassifierConfig { vproc, jobs, batching, trust_static };
+    let classifier = ClassifierConfig { vproc, jobs, trust_static, ..ClassifierConfig::default() };
 
     let usage = "usage: racerep <run|record|replay|races|classify|lint|triage|loginfo|doctor|disasm|serve|submit|svc-stats|svc-shutdown> ...";
     let Some((&cmd, rest)) = positional.split_first() else {
@@ -982,6 +973,7 @@ pub fn dispatch_with_status(args: &[String]) -> Result<(String, i32), CliError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replay_race::classify::BatchMode;
     use serviced::container::FILE_MAGIC;
     use std::path::PathBuf;
 
@@ -1125,28 +1117,19 @@ mod tests {
         let json =
             cmd_races(&prog, &log, true, &ClassifierConfig::default(), None, false, false).unwrap();
         assert!(Json::parse(&json).unwrap().field("replay_stats").is_err());
-        // Dispatch understands both knobs; --batch rejects bad modes.
-        let args: Vec<String> = vec![
-            "races".into(),
-            prog.display().to_string(),
-            log.display().to_string(),
-            "--replay-stats".into(),
-            "--batch".into(),
-            "off".into(),
-        ];
-        let out = dispatch(&args).unwrap();
         // Unbatched, each order replays its own prefixes.
+        let off = ClassifierConfig { batching: BatchMode::Off, ..ClassifierConfig::default() };
+        let out = cmd_races(&prog, &log, false, &off, None, false, true).unwrap();
         let unbatched = "batching: 0 batch(es), 0 forked resume(s), 4 prefix execution(s), ";
         assert!(out.contains(unbatched), "{out}");
-        let args: Vec<String> = vec![
-            "races".into(),
-            prog.display().to_string(),
-            log.display().to_string(),
-            "--batch".into(),
-            "sometimes".into(),
-        ];
-        let e = dispatch(&args).unwrap_err();
-        assert!(e.message.contains("batch mode"), "{}", e.message);
+        // The engine is a library setting, and `--format json` is the one
+        // spelling of JSON: dispatch knows neither `--batch` nor `--json`.
+        for flag in ["--batch", "--json"] {
+            let args = ["races", &prog.display().to_string(), &log.display().to_string(), flag];
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let e = dispatch(&args).unwrap_err();
+            assert!(e.message.contains(&format!("unknown flag {flag:?}")), "{}", e.message);
+        }
         let _ = fs::remove_file(prog);
         let _ = fs::remove_file(log);
     }

@@ -7,7 +7,8 @@
 //! It also pins each program's race report (`racerep classify --schedule
 //! rr:2 --format json`): verdicts, replay-failure kinds, the difference
 //! between the two orders, the original order, and the register context
-//! that time travel recovers.
+//! that time travel recovers. Each report is checked under the default
+//! engine and under the paper-literal reference engine on one worker.
 //!
 //! To refresh after an intentional schema or analysis change:
 //!
@@ -23,7 +24,7 @@
 use std::path::PathBuf;
 
 use racerep::{cmd_classify, cmd_lint, parse_schedule, FailOn};
-use replay_race::ClassifierConfig;
+use replay_race::{BatchMode, ClassifierConfig};
 
 const EXEMPLARS: [(&str, &str, &str); 4] = [
     ("idiom_spin_wait", "spin-wait", "high"),
@@ -69,18 +70,26 @@ fn lint_json_matches_committed_goldens() {
 #[test]
 fn races_json_matches_committed_goldens() {
     let schedule = || parse_schedule("rr:2").expect("rr:2 parses");
+    // The default engine, and the paper-literal reference engine on one
+    // worker: the report depends on neither.
+    let reference =
+        ClassifierConfig { jobs: 1, batching: BatchMode::Off, ..ClassifierConfig::default() };
     for name in &sample_programs() {
         let asm = repo_path(&format!("examples/asm/{name}.tasm"));
         let golden = repo_path(&format!("examples/asm/golden/{name}.races.json"));
-        let out = cmd_classify(&asm, schedule(), true, &ClassifierConfig::default(), false)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let expected = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{name}: golden file unreadable: {e}"));
-        assert_eq!(
-            out, expected,
-            "{name}: race report drifted from examples/asm/golden/{name}.races.json — \
-             if intentional, regenerate the goldens (see this file's header)"
-        );
+        for config in [ClassifierConfig::default(), reference] {
+            let out = cmd_classify(&asm, schedule(), true, &config, false)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                out, expected,
+                "{name} ({:?} engine, jobs {}): race report drifted from \
+                 examples/asm/golden/{name}.races.json — if intentional, regenerate the \
+                 goldens (see this file's header)",
+                config.batching, config.jobs
+            );
+        }
     }
 }
 

@@ -194,21 +194,6 @@ pub enum BatchMode {
     Shared,
 }
 
-impl BatchMode {
-    /// Parses a CLI-style mode name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unrecognized input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(BatchMode::Off),
-            "shared" => Ok(BatchMode::Shared),
-            other => Err(format!("batch mode must be off or shared, got {other:?}")),
-        }
-    }
-}
-
 /// How much the classifier trusts the static passes' predictions
 /// ([`racecheck::idioms`] and [`racecheck::impact`]). **Ablation-only
 /// knob**: the default runs every replay; the skip tiers trade replays for
@@ -340,11 +325,11 @@ pub struct ClassificationResult {
     /// Replay-engine counters, summed over every worker's [`Vproc`]:
     /// multi-pair units (at most one per unit), order replays forked from
     /// checkpoints, prefix executions (two per unit, or two per
-    /// [`Vproc::run_pair`]), oracle instructions saved, live-in index hits
-    /// (see [`BatchStats`]). All zero under [`BatchMode::Off`] except the
-    /// prefix-execution and index-hit counters, which `run_pair` also
-    /// feeds. The CLI's stats block, `--replay-stats` and the benches all
-    /// read the counters here.
+    /// [`Vproc::run_pair`]), oracle instructions saved, and live-in
+    /// fetches answered from the versioned history (see [`BatchStats`]).
+    /// All zero under [`BatchMode::Off`] except the prefix-execution and
+    /// live-in counters, which `run_pair` also feeds. The CLI's stats
+    /// block, `--replay-stats` and the benches all read the counters here.
     pub batch_stats: BatchStats,
     /// Races recorded benign on static authority alone (zero replays),
     /// under the [`TrustStatic`] skip tiers (`skip-benign` idiom
@@ -1053,13 +1038,6 @@ mod tests {
             TrustStatic::SkipBoth
         );
         assert!(TrustStatic::parse("always").is_err());
-    }
-
-    #[test]
-    fn parse_batch_mode_names() {
-        assert_eq!(BatchMode::parse("off").unwrap(), BatchMode::Off);
-        assert_eq!(BatchMode::parse("shared").unwrap(), BatchMode::Shared);
-        assert!(BatchMode::parse("on").is_err());
     }
 
     #[test]

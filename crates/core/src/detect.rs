@@ -63,10 +63,11 @@ impl RaceInstance {
     }
 }
 
-/// Bound on instances collected per (static race, region pair); loops can
-/// otherwise produce quadratic blowup. The bound is per static race so that
-/// a high-frequency race (e.g. a spin loop) cannot starve detection of other
-/// races on the same address.
+/// Bound on instances collected per (static race, region pair, address); a
+/// loop racing a loop on one word can otherwise produce quadratic blowup.
+/// The bound is per static race so that a high-frequency race (e.g. a spin
+/// loop) cannot starve detection of other races on the same address, and
+/// per address so that a race over many words keeps instances on each.
 pub const MAX_INSTANCES_PER_REGION_PAIR: usize = 64;
 
 /// Detector options.
@@ -250,8 +251,9 @@ fn collect_pair(
     };
     for (addr, (s_reads, s_writes)) in &small.by_addr {
         let Some((l_reads, l_writes)) = large.by_addr.get(addr) else { continue };
-        // Budget applies per static race, so one hot pc pair cannot starve
-        // detection of other pc pairs on the same address.
+        // The budget is per (static race, address) within this region
+        // pair, so one hot pc pair cannot starve detection of other pc
+        // pairs on the same address.
         let mut budgets: HashMap<StaticRaceId, usize> = HashMap::new();
         let mut emit = |i_small: usize, i_large: usize, out: &mut DetectedRaces| {
             let id = StaticRaceId::new(
@@ -452,6 +454,31 @@ mod tests {
         // One overlapping region pair: its 200 × 200 conflicts fill the cap.
         assert_eq!(capped.overlapping_region_pairs, 1);
         assert_eq!(capped.instance_count(), MAX_INSTANCES_PER_REGION_PAIR);
+    }
+
+    #[test]
+    fn instance_cap_applies_per_address() {
+        // A writer loop and a reader loop over 100 distinct words, in one
+        // overlapping region pair: each word is one instance of the same
+        // race, and the cap bounds each word, not the region pair.
+        const WORDS: u64 = 100;
+        let mut b = ProgramBuilder::new();
+        for (name, load) in [("w", false), ("r", true)] {
+            b.thread(name);
+            let top = b.fresh_label(&format!("{name}_top"));
+            b.movi(Reg::R2, 0x100).movi(Reg::R3, 0x100 + 8 * WORDS).label(top);
+            if load {
+                b.load(Reg::R1, Reg::R2, 0);
+            } else {
+                b.store(Reg::R2, Reg::R2, 0);
+            }
+            b.addi(Reg::R2, Reg::R2, 8).branch(tvm::isa::Cond::Ne, Reg::R2, Reg::R3, top).halt();
+        }
+        let races = run(b, RunConfig::round_robin(7));
+        assert_eq!(races.overlapping_region_pairs, 1);
+        assert_eq!(races.unique_races(), 1);
+        assert_eq!(races.instance_count(), WORDS as usize);
+        assert!(races.instance_count() > MAX_INSTANCES_PER_REGION_PAIR);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! result is a self-consistent shorter recording the replayer accepts
 //! unchanged), and substitutes empty placeholder threads for frames
 //! that are lost entirely. The accompanying [`DecodeReport`] records
-//! which frames survived; [`DecodeReport::trace_damage`] converts it to
-//! the conservative damage horizon the virtual processor uses to map
-//! races touching lost state to replay failures. Version-1 logs (no
-//! framing) still decode.
+//! which frames survived; `replay_race::pipeline::analyze_log` turns it
+//! into the damage horizon the virtual processor uses to map races
+//! touching lost state to replay failures. Version-1 logs (no framing)
+//! still decode.
 //!
 //! [`FastHasher`]: tvm::fasthash::FastHasher
 
@@ -38,7 +38,6 @@ use tvm::fasthash::FastHasher;
 use tvm::isa::NUM_REGS;
 use tvm::machine::Fault;
 
-use crate::damage::{ThreadDamage, TraceDamage};
 use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
 
 const MAGIC: &[u8; 4] = b"IDNL";
@@ -431,26 +430,6 @@ impl DecodeReport {
     pub fn damaged_frames(&self) -> usize {
         self.frames.iter().filter(|f| !f.status.is_intact()).count()
     }
-
-    /// The fully conservative damage horizon implied by this report:
-    /// every damaged thread may have written any address from its trusted
-    /// timestamp on. `replay_race::pipeline::analyze_log` narrows this
-    /// with the static analyzer's may-write sets, given the program.
-    #[must_use]
-    pub fn trace_damage(&self) -> TraceDamage {
-        TraceDamage::new(
-            self.frames
-                .iter()
-                .filter(|f| !f.status.is_intact())
-                .map(|f| ThreadDamage {
-                    tid: f.tid,
-                    trusted_ts: f.trusted_ts,
-                    may_write: None,
-                    may_heap: true,
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Decodes a log previously produced by [`encode_log`].
@@ -460,17 +439,6 @@ impl DecodeReport {
 /// Returns a [`CodecError`] on truncated or corrupted input.
 pub fn decode_log(bytes: &[u8]) -> Result<ReplayLog, CodecError> {
     Ok(decode_log_mode(bytes, DecodeMode::Strict)?.0)
-}
-
-/// [`decode_log`] in [`DecodeMode::Tolerant`]: salvages what it can and
-/// reports the rest.
-///
-/// # Errors
-///
-/// Even tolerant decoding needs a readable container header (magic,
-/// version, thread count); corruption there is unrecoverable.
-pub fn decode_log_tolerant(bytes: &[u8]) -> Result<(ReplayLog, DecodeReport), CodecError> {
-    decode_log_mode(bytes, DecodeMode::Tolerant)
 }
 
 /// Decodes a log in the given [`DecodeMode`]; understands the current
@@ -1366,7 +1334,7 @@ mod tests {
         let mid = spans[0].start + FRAME_HEADER + spans[0].len() / 2;
         corrupt[mid] ^= 0x40;
         assert!(decode_log(&corrupt).unwrap_err().message.contains("checksum"));
-        let (decoded, report) = decode_log_tolerant(&corrupt).unwrap();
+        let (decoded, report) = decode_log_mode(&corrupt, DecodeMode::Tolerant).unwrap();
         assert_eq!(report.damaged_frames(), 1);
         assert!(matches!(report.frames[0].status, FrameStatus::ChecksumMismatch { .. }));
         assert!(report.frames[1].status.is_intact());
@@ -1378,11 +1346,6 @@ mod tests {
         let t0 = &decoded.threads[0];
         assert!(t0.end_instr <= log.threads[0].end_instr);
         assert_eq!(t0.end_status, EndStatus::Truncated);
-        // Conservative damage: the damaged thread taints everything.
-        let damage = report.trace_damage();
-        assert_eq!(damage.threads().len(), 1);
-        assert_eq!(damage.threads()[0].tid, 0);
-        assert!(damage.taints_global(0x1234, 0));
     }
 
     #[test]
@@ -1392,12 +1355,12 @@ mod tests {
         let spans = frame_spans(&bytes);
         // Cut inside the second frame's payload.
         let cut = spans[1].start + FRAME_HEADER + 3;
-        let (decoded, report) = decode_log_tolerant(&bytes[..cut]).unwrap();
+        let (decoded, report) = decode_log_mode(&bytes[..cut], DecodeMode::Tolerant).unwrap();
         assert!(report.frames[0].status.is_intact());
         assert_eq!(report.frames[1].status, FrameStatus::Truncated);
         assert_eq!(decoded.threads[0], log.threads[0]);
         // Cut at the frame boundary: the whole second frame is gone.
-        let (_, report) = decode_log_tolerant(&bytes[..spans[1].start]).unwrap();
+        let (_, report) = decode_log_mode(&bytes[..spans[1].start], DecodeMode::Tolerant).unwrap();
         assert_eq!(report.frames[1].status, FrameStatus::Truncated);
         // Strict mode rejects both.
         assert!(decode_log(&bytes[..cut]).is_err());
@@ -1411,7 +1374,7 @@ mod tests {
         let spans = frame_spans(&bytes);
         let mut corrupt = bytes.clone();
         corrupt[spans[0].start + FRAME_HEADER + 8] ^= 0x01;
-        let (decoded, report) = decode_log_tolerant(&corrupt).unwrap();
+        let (decoded, report) = decode_log_mode(&corrupt, DecodeMode::Tolerant).unwrap();
         let stripped = strip_damaged(&decoded, &report);
         assert_eq!(stripped.threads[0].end_instr, 0);
         assert!(stripped.threads[0].events.is_empty());
@@ -1452,7 +1415,10 @@ mod tests {
         put_varint(&mut bytes, 0);
         put_varint(&mut bytes, 1 << 19); // plausible cap, implausible for 0 payload bytes
         assert!(decode_log(&bytes).unwrap_err().message.contains("implausible"));
-        assert!(decode_log_tolerant(&bytes).is_err(), "header damage is unrecoverable");
+        assert!(
+            decode_log_mode(&bytes, DecodeMode::Tolerant).is_err(),
+            "header damage is unrecoverable"
+        );
     }
 
     #[test]

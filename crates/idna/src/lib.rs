@@ -27,8 +27,7 @@
 //!   the paper's bits-per-instruction study (§5.1).
 //! * [`damage`] — damage horizons: what a tolerantly decoded log no longer
 //!   knows, consulted by the virtual processor's live-in fetches.
-//! * [`verify`] — fidelity and determinism checkers for the record/replay
-//!   pair itself.
+//! * [`verify`] — the fidelity checker for the record/replay pair itself.
 //!
 //! # Record, replay, and compare both orders
 //!
@@ -55,7 +54,6 @@
 pub mod codec;
 pub mod damage;
 pub mod event;
-pub mod image;
 pub mod recorder;
 pub mod region;
 pub mod replayer;
@@ -65,7 +63,6 @@ pub mod vproc;
 pub use codec::{DecodeMode, DecodeReport, FrameInfo, FrameStatus, LogWriter};
 pub use damage::{ThreadDamage, TraceDamage};
 pub use event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
-pub use image::LiveInIndex;
 pub use recorder::{record, record_with, Recorder, Recording};
 pub use region::{Region, RegionId};
 pub use replayer::{replay, replay_with, ReplayError, ReplayTrace, ReplayedRegion, ThreadSnapshot};

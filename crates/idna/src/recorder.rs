@@ -208,8 +208,12 @@ pub fn record_with(decoded: &Arc<DecodedProgram>, config: &RunConfig) -> Recordi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvm::isa::{Cond, Reg, RmwOp, SysCall};
+    use std::collections::HashMap;
+    use tvm::isa::{BinOp, Cond, Reg, RmwOp, SysCall};
+    use tvm::pagestore::PAGE_WORDS;
     use tvm::ProgramBuilder;
+
+    use crate::replayer::replay;
 
     #[test]
     fn single_thread_log_shape() {
@@ -305,5 +309,133 @@ mod tests {
         b.movi(Reg::R1, 1).bini(tvm::isa::BinOp::Div, Reg::R0, Reg::R1, 0).halt();
         let rec = record(&b.build().into(), &RunConfig::round_robin(100));
         assert!(matches!(rec.log.threads[0].end_status, EndStatus::Faulted(_)));
+    }
+
+    /// The recorder's rule run over a `HashMap` image: per thread, the
+    /// `(load_index, value)` of every load that differs from the image.
+    #[derive(Default)]
+    struct HashMapImages {
+        images: Vec<HashMap<u64, u64>>,
+        loads: Vec<u64>,
+        logged: Vec<Vec<(u64, u64)>>,
+    }
+
+    impl Observer for HashMapImages {
+        fn on_start(&mut self, machine: &Machine) {
+            let n = machine.threads().len();
+            self.images = vec![HashMap::new(); n];
+            self.loads = vec![0; n];
+            self.logged = vec![Vec::new(); n];
+        }
+
+        fn on_step(&mut self, _machine: &Machine, info: &StepInfo) {
+            let image = &mut self.images[info.tid];
+            for acc in &info.accesses {
+                if acc.kind == AccessKind::Read {
+                    let load_index = self.loads[info.tid];
+                    self.loads[info.tid] += 1;
+                    if image.get(&acc.addr).copied().unwrap_or(0) != acc.value {
+                        self.logged[info.tid].push((load_index, acc.value));
+                    }
+                }
+                image.insert(acc.addr, acc.value);
+            }
+        }
+    }
+
+    fn logged_loads(log: &ReplayLog) -> Vec<Vec<(u64, u64)>> {
+        log.threads
+            .iter()
+            .map(|t| {
+                t.events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        ThreadEvent::Load { load_index, value } => Some((load_index, value)),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn image_matches_hashmap_model() {
+        // Two threads race on shared globals and each overwrites its own
+        // heap block: the paged images must log exactly the loads a
+        // `HashMap` image would, under every schedule.
+        let mut b = ProgramBuilder::new();
+        for name in ["a", "b"] {
+            b.thread(name);
+            let top = b.fresh_label(&format!("{name}_top"));
+            b.movi(Reg::R0, PAGE_WORDS as u64)
+                .syscall(SysCall::Alloc)
+                .movi(Reg::R1, 0)
+                .movi(Reg::R3, 300)
+                .label(top)
+                .bini(BinOp::Mul, Reg::R2, Reg::R1, 37)
+                .andi(Reg::R2, Reg::R2, 0xff)
+                .load(Reg::R4, Reg::R2, 0)
+                .add(Reg::R4, Reg::R4, Reg::R1)
+                .store(Reg::R4, Reg::R2, 0)
+                .andi(Reg::R5, Reg::R1, PAGE_WORDS as u64 - 1)
+                .add(Reg::R5, Reg::R5, Reg::R0)
+                .load(Reg::R6, Reg::R5, 0)
+                .store(Reg::R4, Reg::R5, 0)
+                .addi(Reg::R1, Reg::R1, 1)
+                .branch(Cond::Ne, Reg::R1, Reg::R3, top)
+                .halt();
+        }
+        let program = Arc::new(b.build());
+        let (mut logged, mut loads) = (0, 0);
+        for seed in 0..10 {
+            let config = RunConfig::random(seed).with_max_steps(100_000);
+            let mut model = HashMapImages::default();
+            tvm::run(&mut Machine::new(program.clone()), &config, &mut model);
+            let rec = record(&program, &config);
+            assert_eq!(logged_loads(&rec.log), model.logged, "seed {seed}");
+            logged += model.logged.iter().map(Vec::len).sum::<usize>();
+            loads += model.loads.iter().sum::<u64>();
+        }
+        assert!(logged > 0 && (logged as u64) < loads, "{logged} of {loads} loads logged");
+    }
+
+    #[test]
+    fn many_pages_survive_table_growth() {
+        // One thread writes 1000 distinct pages, forcing several grow()
+        // cycles, then reads each back: the recorder's image must know
+        // every value (nothing logged) and the replayer's must return it.
+        const PAGES: u64 = 1000;
+        let stride = PAGE_WORDS as u64;
+        let mut b = ProgramBuilder::new();
+        b.thread("pages");
+        let fill = b.fresh_label("fill");
+        let check = b.fresh_label("check");
+        b.movi(Reg::R1, 0)
+            .movi(Reg::R2, 1)
+            .movi(Reg::R3, PAGES * stride)
+            .label(fill)
+            .store(Reg::R2, Reg::R1, 0)
+            .addi(Reg::R1, Reg::R1, stride)
+            .addi(Reg::R2, Reg::R2, 1)
+            .branch(Cond::Ne, Reg::R1, Reg::R3, fill)
+            .movi(Reg::R1, 0)
+            .label(check)
+            .load(Reg::R4, Reg::R1, 0)
+            .addi(Reg::R1, Reg::R1, stride)
+            .branch(Cond::Ne, Reg::R1, Reg::R3, check)
+            .halt();
+        let program = Arc::new(b.build());
+        let rec = record(&program, &RunConfig::round_robin(1).with_max_steps(100_000));
+        assert_eq!(logged_loads(&rec.log), vec![Vec::new()], "the image lost a page");
+        let trace = replay(&program, &rec.log).expect("replay");
+        let reads: Vec<(u64, u64)> = trace
+            .regions()
+            .iter()
+            .flat_map(|r| &r.accesses)
+            .filter(|a| a.kind == AccessKind::Read)
+            .map(|a| (a.addr, a.value))
+            .collect();
+        let want: Vec<(u64, u64)> = (0..PAGES).map(|i| (i * stride, i + 1)).collect();
+        assert_eq!(reads, want);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tvm::exec::{step, AccessKind, Source, Stepped, Trap, Trapped};
 use tvm::fasthash::FastHashMap;
@@ -24,7 +24,6 @@ use tvm::program::Program;
 
 use crate::damage::TraceDamage;
 use crate::event::{EndStatus, ReplayLog, ThreadEvent, ThreadLog};
-use crate::image::LiveInIndex;
 use crate::region::{regions_of, Region, RegionId};
 
 /// One replayed dynamic memory access.
@@ -73,7 +72,7 @@ pub struct ReplayedRegion {
 /// image of any region (paper §4.2: "the virtual processor is initialized
 /// with the live-in memory values").
 #[derive(Clone, Debug, Default)]
-pub struct VersionedMemory {
+pub(crate) struct VersionedMemory {
     writes: FastHashMap<u64, Vec<(u32, u64)>>,
 }
 
@@ -90,28 +89,11 @@ impl VersionedMemory {
         let idx = hist.partition_point(|&(v, _)| v <= version);
         (idx > 0).then(|| hist[idx - 1].1)
     }
-
-    /// Materializes the live-in image at `version` as a sorted
-    /// addr→value table: for every address with a write at or before
-    /// `version`, the same value [`Self::value_at`] would return.
-    #[must_use]
-    pub fn index_at(&self, version: u32) -> LiveInIndex {
-        let mut entries: Vec<(u64, u64)> = self
-            .writes
-            .iter()
-            .filter_map(|(&addr, hist)| {
-                let idx = hist.partition_point(|&(v, _)| v <= version);
-                (idx > 0).then(|| (addr, hist[idx - 1].1))
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(addr, _)| addr);
-        LiveInIndex::from_sorted(entries)
-    }
 }
 
 /// Heap liveness of one address at some replay version.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum HeapState {
+pub(crate) enum HeapState {
     /// Never covered by a recorded allocation: the replayer knows nothing
     /// about it (an *unknown address* in the paper's replay-failure sense).
     Unknown,
@@ -123,7 +105,7 @@ pub enum HeapState {
 
 /// History of heap allocations and frees observed during replay.
 #[derive(Clone, Debug, Default)]
-pub struct HeapHistory {
+pub(crate) struct HeapHistory {
     /// `(version, base, size)` for every `sys.alloc`.
     pub allocs: Vec<(u32, u64, u64)>,
     /// `(version, base)` for every `sys.free`.
@@ -178,19 +160,14 @@ pub struct ReplayTrace {
     /// Per-thread end statuses.
     statuses: Vec<EndStatus>,
     /// Versioned shared-memory history.
-    pub memory: VersionedMemory,
+    pub(crate) memory: VersionedMemory,
     /// Heap allocation history.
-    pub heap: HeapHistory,
+    pub(crate) heap: HeapHistory,
     /// Total instructions in the recorded run.
     pub total_instructions: u64,
     /// Damage horizon for logs decoded in tolerant mode; `None` for clean
     /// logs. The virtual processor's live-in fetches consult it.
     damage: Option<TraceDamage>,
-    /// Lazily materialized per-version live-in indexes (one slot per
-    /// region version). Built on first use and shared by every replay
-    /// with that base version — classification replays of the same
-    /// region pair stop re-scanning the versioned history.
-    live_in: Vec<OnceLock<LiveInIndex>>,
 }
 
 impl ReplayTrace {
@@ -292,21 +269,9 @@ impl ReplayTrace {
         self.damage.as_ref()
     }
 
-    /// The live-in index for `version`: the versioned memory's image at
-    /// that version as a sorted addr→value table, materialized once per
-    /// trace and shared by every virtual-processor replay based there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `version` is not a region version of this trace.
-    #[must_use]
-    pub fn live_in_index(&self, version: u32) -> &LiveInIndex {
-        self.live_in[version as usize].get_or_init(|| self.memory.index_at(version))
-    }
-
-    /// Attaches a damage horizon (from `DecodeReport::trace_damage` or
-    /// the pipeline's statically refined profile). An empty profile
-    /// clears it — clean logs carry no damage state at all.
+    /// Attaches a damage horizon (the pipeline's statically refined
+    /// profile of a tolerantly decoded log). An empty profile clears it —
+    /// clean logs carry no damage state at all.
     pub fn set_damage(&mut self, damage: TraceDamage) {
         self.damage = if damage.is_empty() { None } else { Some(damage) };
     }
@@ -465,7 +430,6 @@ pub fn replay_with(
         heap: HeapHistory::default(),
         total_instructions: log.total_instructions,
         damage: None,
-        live_in: Vec::new(),
     };
 
     // Paper §3.3: replay one sequencing region at a time, always the pending
@@ -484,7 +448,6 @@ pub fn replay_with(
         trace.region_pos[tid][region.id.index] = trace.regions.len();
         trace.regions.push(replayed);
     }
-    trace.live_in = (0..trace.regions.len()).map(|_| OnceLock::new()).collect();
 
     for (tid, t) in threads.iter().enumerate() {
         let v = &t.values;
@@ -656,6 +619,7 @@ impl Source for RegionValues<'_> {
 mod tests {
     use super::*;
     use crate::recorder::record;
+    use std::collections::{BTreeMap, BTreeSet};
     use tvm::isa::{Cond, Reg};
     use tvm::scheduler::RunConfig;
     use tvm::ProgramBuilder;
@@ -750,6 +714,60 @@ mod tests {
         assert_eq!(trace.memory.value_at(0x8, 0), None);
         assert_eq!(trace.memory.value_at(0x8, 1), Some(1));
         assert_eq!(trace.memory.value_at(0x8, 2), Some(2));
+    }
+
+    #[test]
+    fn value_at_matches_a_model_of_every_version() {
+        // Three threads over initialized globals, each writing overlapping
+        // words in three regions. The live-in image at version `v` is the
+        // globals plus the writes of every region below `v`, applied in
+        // version order.
+        let mut b = ProgramBuilder::new();
+        b.global(0x8, 100).global(0x10, 200).global(0x18, 300);
+        for (t, name, own) in [(0, "a", 0x20), (1, "b", 0x28), (2, "c", 0x30)] {
+            b.thread(name);
+            b.movi(Reg::R1, 10 + t)
+                .store(Reg::R1, Reg::R15, 0x8)
+                .store(Reg::R1, Reg::R15, own)
+                .fence()
+                .movi(Reg::R1, 20 + t)
+                .store(Reg::R1, Reg::R15, 0x10)
+                .store(Reg::R1, Reg::R15, 0x8)
+                .fence()
+                .movi(Reg::R1, 30 + t)
+                .store(Reg::R1, Reg::R15, 0x20)
+                .halt();
+        }
+        let program: Arc<Program> = Arc::new(b.build());
+        let never_written = 0x40;
+        for config in [RunConfig::round_robin(1), RunConfig::round_robin(4), RunConfig::random(3)] {
+            let rec = record(&program, &config);
+            let trace = replay(&program, &rec.log).expect("replay");
+            assert_eq!(trace.regions().len(), 9);
+            let mut image: BTreeMap<u64, u64> =
+                program.globals().iter().map(|(&addr, &value)| (addr, value)).collect();
+            let addrs: BTreeSet<u64> = image
+                .keys()
+                .copied()
+                .chain(trace.regions().iter().flat_map(|r| r.accesses.iter().map(|a| a.addr)))
+                .collect();
+            for version in 0..=trace.regions().len() as u32 {
+                for &addr in &addrs {
+                    assert_eq!(
+                        trace.memory.value_at(addr, version),
+                        image.get(&addr).copied(),
+                        "{config:?}: {addr:#x} at version {version}"
+                    );
+                }
+                assert_eq!(trace.memory.value_at(never_written, version), None);
+                if let Some(region) = trace.regions().get(version as usize) {
+                    assert_eq!(region.version, version);
+                    for acc in region.accesses.iter().filter(|a| a.kind.is_write()) {
+                        image.insert(acc.addr, acc.value);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

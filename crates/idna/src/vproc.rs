@@ -43,9 +43,8 @@
 //! phases wrote, merged by address. Memory is forked with an undo log — the
 //! virtual memory journals every touched word and rolls back between the
 //! orders and after each pair instead of deep-copying. A [`PairLiveOut`] is
-//! built only for a pair the caller keeps. Live-in fetches go through the
-//! trace's materialized [`LiveInIndex`] (one binary search) rather than a
-//! versioned-memory history scan.
+//! built only for a pair the caller keeps. A live-in fetch reads the
+//! trace's versioned memory history at the base version.
 //!
 //! [`Vproc::run_pair`] replays one order of one pair from scratch; it is the
 //! reference. `run_unit`'s outcomes equal [`PairOutcome::of`] two `run_pair`
@@ -65,7 +64,6 @@ use tvm::isa::{SysCall, NUM_REGS};
 use tvm::machine::{Fault, ThreadSnapshot};
 use tvm::memory::{GLOBAL_LIMIT, HEAP_BASE};
 
-use crate::image::LiveInIndex;
 use crate::region::RegionId;
 use crate::replayer::{HeapState, RegionValues, ReplayTrace, ReplayedRegion};
 
@@ -207,8 +205,7 @@ pub struct BatchStats {
     /// (what one `run_pair` per order and pair executes) minus the prefix it
     /// actually ran (each side to its last racing index, once).
     pub prefix_instrs_saved: u64,
-    /// Live-in fetches answered by the materialized per-region
-    /// [`LiveInIndex`].
+    /// Live-in fetches answered from the versioned history.
     pub live_in_index_hits: u64,
 }
 
@@ -350,16 +347,13 @@ struct VMem<'a> {
     /// Starting timestamp of the base region: live-in fetches are ordered
     /// relative to it, so it is what damage horizons are compared against.
     base_ts: u64,
-    /// Materialized live-in image at `base_version` (sorted table, one
-    /// binary search per fetch).
-    live_in: &'a LiveInIndex,
     writes: FastHashMap<u64, u64>,
     /// Allocations made during this replay: base -> size.
     vallocs: FastHashMap<u64, u64>,
     /// Bases freed during this replay.
     vfreed: BTreeSet<u64>,
     permissive: bool,
-    /// Fetches answered by `live_in`, drained into [`BatchStats`].
+    /// Live-in fetches, drained into [`BatchStats`].
     index_hits: u64,
     /// When set, mutations are journaled here so a batch fork can roll
     /// back to the shared prefix instead of rebuilding the maps.
@@ -373,7 +367,6 @@ impl<'a> VMem<'a> {
             trace,
             base_version,
             base_ts,
-            live_in: trace.live_in_index(base_version),
             writes: FastHashMap::default(),
             vallocs: FastHashMap::default(),
             vfreed: BTreeSet::new(),
@@ -383,11 +376,12 @@ impl<'a> VMem<'a> {
         }
     }
 
-    /// The live-in value at `addr` through the materialized index.
+    /// The live-in value at `addr`: the recorded history's value at the
+    /// base version, zero when the recording never wrote it.
     #[inline]
     fn live_in_value(&mut self, addr: u64) -> u64 {
         self.index_hits += 1;
-        self.live_in.get(addr).unwrap_or(0)
+        self.trace.memory.value_at(addr, self.base_version).unwrap_or(0)
     }
 
     /// Applies `writes[addr] = value`, journaling the displaced value.
@@ -509,16 +503,43 @@ impl<'a> VMem<'a> {
     }
 
     /// Whether `addr` lies inside a range freed during this replay.
-    fn in_vfreed(&self, addr: u64) -> Option<u64> {
+    fn in_vfreed(&self, addr: u64) -> bool {
         self.vfreed
             .iter()
-            .copied()
-            .find(|&base| base <= addr && self.size_of(base).is_some_and(|s| addr < base + s))
+            .any(|&base| base <= addr && self.size_of(base).is_some_and(|s| addr < base + s))
     }
 
     /// Whether `addr` lies inside a range allocated during this replay.
     fn in_valloc(&self, addr: u64) -> bool {
         self.vallocs.iter().any(|(&base, &size)| base <= addr && addr < base + size)
+    }
+
+    /// The heap-access rule for a word past the globals, shared by `load`
+    /// and `store`: whether the recorded history holds the word live at
+    /// the base version. A word allocated in this replay is pair-local,
+    /// and so is an unknown one when permissive; `unknown` is the failure
+    /// for an unknown word otherwise.
+    fn heap_live(&self, addr: u64, unknown: ReplayFailure) -> Trapped<bool, ReplayFailure> {
+        if addr < HEAP_BASE {
+            return Err(Trap::Fault(Fault::InvalidAccess { addr }));
+        }
+        if self.in_vfreed(addr) {
+            return Err(Trap::Fault(Fault::UseAfterFree { addr }));
+        }
+        if self.in_valloc(addr) {
+            return Ok(false);
+        }
+        // Past the pair-local allocations we depend on the recorded heap
+        // history, which lost heap traffic invalidates wholesale.
+        if self.damage_tainted(addr) {
+            return Err(Trap::Fail(ReplayFailure::LogDamage));
+        }
+        match self.trace.heap.state_at(addr, self.base_version) {
+            HeapState::Live { .. } => Ok(true),
+            HeapState::Freed { .. } => Err(Trap::Fault(Fault::UseAfterFree { addr })),
+            HeapState::Unknown if self.permissive => Ok(false),
+            HeapState::Unknown => Err(Trap::Fail(unknown)),
+        }
     }
 
     fn load(&mut self, addr: u64) -> Trapped<u64, ReplayFailure> {
@@ -534,53 +555,16 @@ impl<'a> VMem<'a> {
             }
             return Ok(self.live_in_value(addr));
         }
-        if addr < HEAP_BASE {
-            return Err(Trap::Fault(Fault::InvalidAccess { addr }));
-        }
-        if self.in_vfreed(addr).is_some() {
-            return Err(Trap::Fault(Fault::UseAfterFree { addr }));
-        }
-        if self.in_valloc(addr) {
-            return Ok(0);
-        }
-        // Past the pair-local allocations we depend on the recorded heap
-        // history, which lost heap traffic invalidates wholesale.
-        if self.damage_tainted(addr) {
-            return Err(Trap::Fail(ReplayFailure::LogDamage));
-        }
-        match self.trace.heap.state_at(addr, self.base_version) {
-            HeapState::Live { .. } => Ok(self.live_in_value(addr)),
-            HeapState::Freed { .. } => Err(Trap::Fault(Fault::UseAfterFree { addr })),
-            HeapState::Unknown if self.permissive => Ok(0),
-            HeapState::Unknown => Err(Trap::Fail(ReplayFailure::UnknownLoad { addr })),
+        if self.heap_live(addr, ReplayFailure::UnknownLoad { addr })? {
+            Ok(self.live_in_value(addr))
+        } else {
+            Ok(0)
         }
     }
 
     fn store(&mut self, addr: u64, value: u64) -> Trapped<(), ReplayFailure> {
         if addr >= GLOBAL_LIMIT {
-            if addr < HEAP_BASE {
-                return Err(Trap::Fault(Fault::InvalidAccess { addr }));
-            }
-            if self.in_vfreed(addr).is_some() {
-                return Err(Trap::Fault(Fault::UseAfterFree { addr }));
-            }
-            if !self.in_valloc(addr) {
-                if self.damage_tainted(addr) {
-                    // Lost heap traffic: liveness of this address at the
-                    // base version can no longer be judged.
-                    return Err(Trap::Fail(ReplayFailure::LogDamage));
-                }
-                match self.trace.heap.state_at(addr, self.base_version) {
-                    HeapState::Live { .. } => {}
-                    HeapState::Freed { .. } => {
-                        return Err(Trap::Fault(Fault::UseAfterFree { addr }));
-                    }
-                    HeapState::Unknown if self.permissive => {}
-                    HeapState::Unknown => {
-                        return Err(Trap::Fail(ReplayFailure::UnknownStore { addr }));
-                    }
-                }
-            }
+            self.heap_live(addr, ReplayFailure::UnknownStore { addr })?;
         }
         self.write_word(addr, value);
         Ok(())

@@ -214,6 +214,44 @@ fn unknown_heap_load_is_a_replay_failure_and_permissive_mode_continues() {
 }
 
 #[test]
+fn unknown_heap_store_is_a_replay_failure_and_permissive_mode_continues() {
+    // The reader stores through the pointer instead of loading: a store
+    // past the globals runs the same heap-access rule as a load.
+    let stale = HEAP_BASE + 0x9999;
+    let mut b = ProgramBuilder::new();
+    b.global(0x70, stale);
+    b.thread("w");
+    b.movi(Reg::R0, 1)
+        .syscall(SysCall::Alloc)
+        .mov(Reg::R5, Reg::R0)
+        .mark("swing")
+        .store(Reg::R5, Reg::R15, 0x70)
+        .halt();
+    b.thread("r");
+    b.bini(BinOp::Add, Reg::R13, Reg::R13, 1) // delay one instr
+        .mark("read_ptr")
+        .load(Reg::R6, Reg::R15, 0x70)
+        .store(Reg::R13, Reg::R6, 0)
+        .halt();
+    let (program, trace) = trace_of(b, RunConfig::round_robin(8));
+    let w = site_at(&program, &trace, "swing");
+    let r = site_at(&program, &trace, "read_ptr");
+
+    let strict = Vproc::new(&trace, VprocConfig::default());
+    let outcomes = PairOrder::BOTH.map(|o| strict.run_pair(&w, &r, o));
+    assert!(outcomes.contains(&Err(ReplayFailure::UnknownStore { addr: stale })), "{outcomes:?}");
+
+    let config = VprocConfig { permissive_unknown_loads: true, ..VprocConfig::default() };
+    let permissive = Vproc::new(&trace, config);
+    let outs =
+        PairOrder::BOTH.map(|o| permissive.run_pair(&w, &r, o).expect("permissive mode continues"));
+    // The stale store lands in the pair-local memory.
+    assert!(outs.iter().any(|out| out.writes.contains_key(&stale)), "{outs:?}");
+    assert_pair_unit_matches(&trace, VprocConfig::default(), &w, &r);
+    assert_pair_unit_matches(&trace, config, &w, &r);
+}
+
+#[test]
 fn cold_branch_is_unrecorded_control_flow() {
     let mut b = ProgramBuilder::new();
     b.thread("w");
